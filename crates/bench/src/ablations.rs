@@ -383,19 +383,19 @@ pub struct ScalingPoint {
     pub scaling: Option<f64>,
 }
 
-/// ABL-8: worker-scaling sweep — `SearchStrategy::DporParallel` at 1/2/4/8
-/// workers, scratch vs checkpointed, on all four workloads plus the
+/// ABL-8: worker-scaling sweep — `SearchStrategy::Dpor` on a budget of
+/// 1/2/4/8 workers, scratch vs checkpointed, on all four workloads plus the
 /// deep-horizon msgserver row.
 ///
 /// The determinism contract makes the table three-quarters boring on
 /// purpose: `executed`, `pruned` and `failures` must be identical down
 /// every worker column (the sweep panics if they are not — the same
-/// property CI's `determinism-matrix` job and the `DporParallel` proptests
-/// gate), so the only number that moves is wall-clock. Expect the deep
-/// msgserver row to scale and the shallow depth-4 rows not to: with every
-/// branch point in a run's first few decisions, the next branch is only
-/// discovered by executing the previous run — a serial chain no worker
-/// pool can shorten (subtree granularity; see README "Parallel
+/// property CI's `determinism-matrix` job and the parallel-determinism
+/// proptests gate), so the only number that moves is wall-clock. Expect
+/// the deep msgserver row to scale and the shallow depth-4 rows not to:
+/// with every branch point in a run's first few decisions, the next branch
+/// is only discovered by executing the previous run — a serial chain no
+/// worker pool can shorten (subtree granularity; see README "Parallel
 /// exploration").
 ///
 /// `deep_only` restricts the sweep to the deep-horizon msgserver row (the
@@ -444,12 +444,10 @@ pub fn scaling_sweep(workers_list: &[u32], deep_only: bool) -> Vec<ScalingPoint>
             let mut base_wall: Option<std::time::Duration> = None;
             let mut base_results: Option<(std::collections::BTreeSet<String>, u64, u64)> = None;
             for &workers in workers_list {
-                let strategy = SearchStrategy::DporParallel {
-                    max_depth: *depth,
-                    workers,
-                };
+                let strategy = SearchStrategy::Dpor { max_depth: *depth };
                 let t0 = std::time::Instant::now();
-                let (failures, stats) = enumerate_failures(&scenario, &budget, strategy);
+                let (failures, stats) =
+                    enumerate_failures(&scenario, &budget.with_workers(workers), strategy);
                 let wall = t0.elapsed();
                 match &base_results {
                     None => base_results = Some((failures.clone(), stats.explored, stats.pruned)),

@@ -184,7 +184,7 @@ fn main() {
         println!(">= 30% fewer kernel operations than scratch).");
     }
     if which == "scaling" || which == "all" {
-        println!("ABL-8 — worker-scaling sweep (DporParallel, scratch vs checkpointed)");
+        println!("ABL-8 — worker-scaling sweep (Dpor on a worker pool, scratch vs checkpointed)");
         println!(
             "{:>18} {:>13} {:>6} {:>8} {:>7} {:>7} {:>9} {:>8} {:>8}",
             "workload",

@@ -38,7 +38,7 @@
 use dd_core::driver::Session;
 use dd_core::Workload;
 use dd_hyperstore::{HyperConfig, HyperstoreFailoverWorkload, HyperstoreWorkload};
-use dd_replay::{Artifact, ModelKind, SearchStrategy};
+use dd_replay::{Artifact, InferenceBudget, ModelKind, SearchStrategy};
 use dd_sim::{CheckpointPlan, CrashEvent, PartitionEvent, RandomPolicy, RestartEvent};
 use dd_trace::{JsonlTrace, RetentionPolicy, SnapshotStore, TraceHeader};
 use dd_workloads::{BufOverflowWorkload, MsgServerConfig, MsgServerWorkload, SumWorkload};
@@ -991,23 +991,26 @@ fn cmd_explore(rest: &[String]) -> i32 {
         eprintln!("dd explore: missing <trace>");
         return exit::USAGE;
     };
+    let budget = match InferenceBudget::builder()
+        .max_executions(executions)
+        .strategy(SearchStrategy::Dpor { max_depth: depth })
+        .workers(workers)
+        .build()
+    {
+        Ok(b) => b,
+        Err(e) => {
+            eprintln!("dd explore: {e}");
+            return exit::USAGE;
+        }
+    };
     let trace = match load_trace(&path) {
         Ok(t) => t,
         Err(code) => return code,
     };
     let session = match session_for_trace(&trace) {
-        Ok(s) => s,
+        Ok(s) => s.with_budget(budget),
         Err(code) => return code,
     };
-    let strategy = if workers > 1 {
-        SearchStrategy::DporParallel {
-            max_depth: depth,
-            workers,
-        }
-    } else {
-        SearchStrategy::Dpor { max_depth: depth }
-    };
-    let session = session.with_executions(executions).with_strategy(strategy);
 
     let exploration = if warm {
         // Warm start: seed the tree walk's snapshot pool from the store a

@@ -45,7 +45,7 @@ use std::sync::Arc;
 /// use dd_core::InferenceBudget;
 ///
 /// let session = Session::new(workload())
-///     .with_budget(InferenceBudget::executions(64))
+///     .with_budget(InferenceBudget::dpor(64, 8))
 ///     .with_workers(4);
 /// let trace = session.record().unwrap();
 /// let report = session.replay(&trace);
@@ -92,7 +92,7 @@ impl Session {
         self
     }
 
-    /// Sets the worker pool parallel systematic strategies may use.
+    /// Sets the worker pool the systematic strategies run on.
     pub fn with_workers(mut self, workers: u32) -> Self {
         self.budget.workers = workers;
         self
@@ -374,11 +374,9 @@ impl Session {
     pub fn explore_warm(&self, trace: &JsonlTrace, warm: Vec<Arc<WorldSnapshot>>) -> Exploration {
         let scenario = self.scenario_for_trace(&trace.header);
         let target = (scenario.failure_of)(&trace.footer.io).map(|f| f.failure_id);
-        let strategy = match self.budget.strategy {
-            s @ (SearchStrategy::Exhaustive { .. }
-            | SearchStrategy::Dpor { .. }
-            | SearchStrategy::DporParallel { .. }) => s,
-            _ => SearchStrategy::Dpor {
+        let strategy = match self.budget.strategy.max_depth() {
+            Some(_) => self.budget.strategy,
+            None => SearchStrategy::Dpor {
                 max_depth: DEFAULT_EXPLORE_DEPTH,
             },
         };

@@ -17,7 +17,7 @@ use dd_classify::{Plane, PlaneMap, ProfileReport, RateClassifier};
 use dd_detect::{InvariantSet, TriggerDetector};
 use dd_replay::{
     Artifact, DeterminismModel, InferenceBudget, InferenceStats, ModelKind, OriginalRun,
-    PolicyChoice, Recording, ReplayResult, RunSpec, Scenario, SearchStrategy,
+    PolicyChoice, Recording, ReplayResult, RunSpec, Scenario,
 };
 use dd_sim::{
     observer_boilerplate, ChanClass, CrashEvent, EnvConfig, Event, EventMeta, Observer, Registry,
@@ -552,16 +552,10 @@ impl DeterminismModel for DebugModel {
             if budget.checkpoint_interval == 0 {
                 budget.checkpoint_interval = InferenceBudget::DEFAULT_CHECKPOINT_INTERVAL;
             }
-            if let SearchStrategy::Dpor { max_depth } = budget.strategy {
-                budget.strategy = SearchStrategy::DporParallel {
-                    max_depth,
-                    workers: 0,
-                };
-                if budget.workers <= 1 {
-                    // Host-sized: resolves to the sequential path on
-                    // single-core machines, a real pool elsewhere.
-                    budget.workers = InferenceBudget::default_worker_pool();
-                }
+            if budget.workers <= 1 {
+                // Host-sized: resolves to the sequential path on
+                // single-core machines, a real pool elsewhere.
+                budget.workers = InferenceBudget::default_worker_pool();
             }
             let result = dd_replay::search(&pinned, &budget, Some(&script), |candidate| {
                 match ((scenario.failure_of)(&candidate.io), &want) {

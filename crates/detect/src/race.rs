@@ -1,21 +1,22 @@
 //! Happens-before data-race detection.
 //!
-//! A vector-clock detector in the Djit+ family: it maintains a clock per
-//! task, per lock, per channel message and per condition-variable
-//! notification, and checks every shared access against the variable's last
-//! writer and the readers since. Two accesses to the same variable race when
-//! at least one is a write and their clocks are incomparable.
+//! A vector-clock detector in the Djit+ family: it takes its clocks from
+//! the happens-before engine ([`HbClocks`]) and checks every shared access
+//! against the variable's last writer and the readers since. Two accesses
+//! to the same variable race when at least one is a write and their clocks
+//! are incomparable.
 //!
 //! The detector runs either online (as an [`Observer`]) or offline over a
 //! recorded [`Trace`]. Online it is also usable as an RCSE *trigger*: the
 //! moment a race is detected, recording fidelity can be dialed up
 //! (§3.1.3 of the paper).
 
+use crate::hb::HbClocks;
 use crate::vclock::VectorClock;
-use dd_sim::{observer_boilerplate, AccessKind, ChanId, Event, EventMeta, Observer, TaskId, VarId};
+use dd_sim::{observer_boilerplate, AccessKind, Event, EventMeta, Observer, TaskId, VarId};
 use dd_trace::Trace;
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, HashMap, HashSet};
 
 /// One endpoint of a racing pair.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -53,11 +54,7 @@ struct VarState {
 /// The happens-before race detector.
 #[derive(Debug, Default)]
 pub struct HbRaceDetector {
-    task_clocks: HashMap<u32, VectorClock>,
-    lock_clocks: HashMap<u32, VectorClock>,
-    /// Per-channel queue of sender-side clock snapshots (one per queued
-    /// message), so each receive acquires exactly its message's clock.
-    chan_clocks: HashMap<u32, VecDeque<VectorClock>>,
+    hb: HbClocks,
     vars: HashMap<u32, VarState>,
     races: Vec<RaceReport>,
     /// Dedup key: (var, first site, second site).
@@ -105,90 +102,24 @@ impl HbRaceDetector {
         d.into_races()
     }
 
-    fn clock_mut(&mut self, task: TaskId) -> &mut VectorClock {
-        self.task_clocks.entry(task.0).or_default()
-    }
-
-    fn chan_queue(&mut self, chan: ChanId) -> &mut VecDeque<VectorClock> {
-        self.chan_clocks.entry(chan.0).or_default()
-    }
-
     /// Processes one event; returns `true` if a *new* race was recorded.
     pub fn handle(&mut self, meta: &EventMeta, event: &Event) -> bool {
         let before = self.races.len();
+        self.hb.observe(event);
         match event {
-            Event::TaskSpawn { parent, child, .. } => {
-                // Child inherits the parent's history.
-                if let Some(p) = parent {
-                    let pvc = self.clock_mut(*p).clone();
-                    let cvc = self.clock_mut(*child);
-                    cvc.join(&pvc);
-                }
-                let child = *child;
-                let v = self.clock_mut(child).tick(child);
-                let _ = v;
-            }
-            Event::LockAcquire { task, lock, .. } => {
-                if let Some(lvc) = self.lock_clocks.get(&lock.0).cloned() {
-                    self.clock_mut(*task).join(&lvc);
-                }
-                self.clock_mut(*task).tick(*task);
-            }
-            Event::LockRelease { task, lock, .. } => {
-                self.clock_mut(*task).tick(*task);
-                let tvc = self.clock_mut(*task).clone();
-                self.lock_clocks.insert(lock.0, tvc);
-            }
-            Event::CondWait { task, .. } => {
-                // The wait releases the lock; the LockAcquire on wake-up (a
-                // separate event) re-establishes edges.
-                self.clock_mut(*task).tick(*task);
-            }
-            Event::CondNotify { task, woken, .. } => {
-                self.clock_mut(*task).tick(*task);
-                let nvc = self.clock_mut(*task).clone();
-                for w in woken {
-                    self.clock_mut(*w).join(&nvc);
-                }
-            }
-            Event::Send { task, chan, .. } => {
-                self.clock_mut(*task).tick(*task);
-                let tvc = self.clock_mut(*task).clone();
-                self.chan_queue(*chan).push_back(tvc);
-            }
-            Event::Recv { task, chan, .. } => {
-                if let Some(mvc) = self.chan_queue(*chan).pop_front() {
-                    self.clock_mut(*task).join(&mvc);
-                }
-                self.clock_mut(*task).tick(*task);
-            }
-            Event::Joined { task, target, .. } => {
-                let tvc = self.clock_mut(*target).clone();
-                self.clock_mut(*task).join(&tvc);
-                self.clock_mut(*task).tick(*task);
-            }
-            Event::TaskExit { task, .. } => {
-                self.clock_mut(*task).tick(*task);
-            }
             Event::Read {
                 task, var, site, ..
-            } => {
-                self.clock_mut(*task).tick(*task);
-                self.check_read(meta, *task, *var, site);
-            }
+            } => self.check_read(meta, *task, *var, site),
             Event::Write {
                 task, var, site, ..
-            } => {
-                self.clock_mut(*task).tick(*task);
-                self.check_write(meta, *task, *var, site);
-            }
+            } => self.check_write(meta, *task, *var, site),
             _ => {}
         }
         self.races.len() > before
     }
 
     fn check_read(&mut self, meta: &EventMeta, task: TaskId, var: VarId, site: &str) {
-        let tvc = self.task_clocks.get(&task.0).cloned().unwrap_or_default();
+        let tvc = self.hb.clock(task).clone();
         let state = self.vars.entry(var.0).or_default();
         if let Some((wt, wsite, wvc)) = &state.last_write {
             if *wt != task && !wvc.leq(&tvc) {
@@ -217,7 +148,7 @@ impl HbRaceDetector {
     }
 
     fn check_write(&mut self, meta: &EventMeta, task: TaskId, var: VarId, site: &str) {
-        let tvc = self.task_clocks.get(&task.0).cloned().unwrap_or_default();
+        let tvc = self.hb.clock(task).clone();
         let state = self.vars.entry(var.0).or_default();
         let mut reports = Vec::new();
         if let Some((wt, wsite, wvc)) = &state.last_write {

@@ -12,8 +12,10 @@ pub struct VectorClock {
 
 impl VectorClock {
     /// The zero clock.
-    pub fn new() -> Self {
-        Self::default()
+    pub const fn new() -> Self {
+        VectorClock {
+            entries: BTreeMap::new(),
+        }
     }
 
     /// Returns the component for `task` (0 if absent).

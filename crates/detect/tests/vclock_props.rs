@@ -1,10 +1,10 @@
-//! Property tests for `dd-detect::vclock`: the partial-order laws the whole
-//! happens-before stack (race detection, DPOR conflict analysis) relies on,
-//! plus agreement between vector-clock happens-before and `dd-sim`'s actual
-//! event order on seeded traces.
+//! Property tests for `dd-detect::vclock` and `dd-detect::hb`: the
+//! partial-order laws the whole happens-before stack (race detection, DPOR
+//! conflict analysis) relies on, plus agreement between the engine's
+//! happens-before order and `dd-sim`'s actual event order on seeded traces.
 
-use dd_detect::VectorClock;
-use dd_sim::{run_program, Builder, ChanClass, Event, Program, RandomPolicy, RunConfig, TaskId};
+use dd_detect::{HbClocks, VectorClock};
+use dd_sim::{run_program, Builder, ChanClass, Program, RandomPolicy, RunConfig, TaskId};
 use proptest::prelude::*;
 
 /// Builds a clock from up to `vals.len()` components; a zero value leaves
@@ -176,69 +176,21 @@ impl Program for MixedSync {
     }
 }
 
-/// Replays the trace through the same happens-before edges the race
-/// detector uses, returning each task-attributed event's clock (after its
-/// tick) in trace order.
+/// Runs the program and feeds its trace through the happens-before engine
+/// the race detector and DPOR use, returning each advanced task's clock
+/// (after its tick) in trace order.
 fn event_clocks(program: &MixedSync, seed: u64) -> Vec<(TaskId, VectorClock)> {
-    use std::collections::{HashMap, VecDeque};
     let out = run_program(
         program,
         RunConfig::with_seed(seed),
         Box::new(RandomPolicy::new(seed)),
         vec![],
     );
-    let mut tasks: HashMap<u32, VectorClock> = HashMap::new();
-    let mut locks: HashMap<u32, VectorClock> = HashMap::new();
-    let mut chans: HashMap<u32, VecDeque<VectorClock>> = HashMap::new();
-    let mut clocks = Vec::new();
-    for (_, event) in out.trace() {
-        match event {
-            Event::TaskSpawn { parent, child, .. } => {
-                if let Some(p) = parent {
-                    let pvc = tasks.entry(p.0).or_default().clone();
-                    tasks.entry(child.0).or_default().join(&pvc);
-                }
-                tasks.entry(child.0).or_default().tick(*child);
-                clocks.push((*child, tasks[&child.0].clone()));
-                continue;
-            }
-            Event::LockAcquire { task, lock, .. } => {
-                if let Some(lvc) = locks.get(&lock.0).cloned() {
-                    tasks.entry(task.0).or_default().join(&lvc);
-                }
-            }
-            Event::LockRelease { task, lock, .. } => {
-                let c = tasks.entry(task.0).or_default();
-                c.tick(*task);
-                locks.insert(lock.0, c.clone());
-                clocks.push((*task, c.clone()));
-                continue;
-            }
-            Event::Send { task, chan, .. } => {
-                let c = tasks.entry(task.0).or_default();
-                c.tick(*task);
-                chans.entry(chan.0).or_default().push_back(c.clone());
-                clocks.push((*task, c.clone()));
-                continue;
-            }
-            Event::Recv { task, chan, .. } => {
-                if let Some(mvc) = chans.entry(chan.0).or_default().pop_front() {
-                    tasks.entry(task.0).or_default().join(&mvc);
-                }
-            }
-            Event::Joined { task, target, .. } => {
-                let tvc = tasks.entry(target.0).or_default().clone();
-                tasks.entry(task.0).or_default().join(&tvc);
-            }
-            _ => {}
-        }
-        if let Some(task) = event.task() {
-            let c = tasks.entry(task.0).or_default();
-            c.tick(task);
-            clocks.push((task, c.clone()));
-        }
-    }
-    clocks
+    let mut hb = HbClocks::new();
+    out.trace()
+        .iter()
+        .filter_map(|(_, event)| hb.observe(event).map(|t| (t, hb.clock(t).clone())))
+        .collect()
 }
 
 proptest! {

@@ -11,11 +11,13 @@
 //! - `dd-sim` reports, at every recorded decision, the enabled task set and
 //!   each candidate's pending-operation footprint
 //!   ([`OpDesc`]).
-//! - After each run, a vector-clock pass over the trace (the same
-//!   happens-before edges `dd-detect`'s race detector uses: spawn, join,
-//!   lock hand-off, channel message, notification) finds pairs of
+//! - After each run, a vector-clock pass over the trace finds pairs of
 //!   conflicting, concurrent transitions and adds *backtrack points*: the
-//!   decision nodes where reordering the pair could reach a new state.
+//!   decision nodes where reordering the pair could reach a new state. The
+//!   clocks come from [`HbClocks`], the happens-before engine `dd-detect`'s
+//!   race detector also runs on (spawn, join, lock hand-off, channel
+//!   message, notification), and each executed event's footprint from
+//!   [`OpDesc::of_event`].
 //! - Sibling branches never added to a node's backtrack set are *pruned* —
 //!   counted separately from executed interleavings in
 //!   [`InferenceStats`] so debugging-efficiency
@@ -54,12 +56,12 @@
 
 use crate::explorer::{InferenceBudget, InferenceStats};
 use crate::scenario::{PolicyChoice, RunSpec, Scenario};
-use dd_detect::VectorClock;
+use dd_detect::{HbClocks, VectorClock};
 use dd_sim::{
     CheckpointPlan, DecisionKind, EnvConfig, Event, InputScript, OpDesc, PrefixPolicy, RunOutput,
     TaskId, WorldSnapshot,
 };
-use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 /// The walk's snapshot pool: prefix-compatible [`WorldSnapshot`]s along the
@@ -417,37 +419,6 @@ fn pending_branches(stack: &[Node]) -> Vec<Vec<u32>> {
     branches
 }
 
-/// The conflict footprint an executed trace event implies, or `None` for
-/// events that commute with everything (and so never create backtracks).
-fn event_desc(event: &Event) -> Option<OpDesc> {
-    match event {
-        Event::Read { var, .. } => Some(OpDesc::Var {
-            var: *var,
-            write: false,
-        }),
-        Event::Write { var, .. } => Some(OpDesc::Var {
-            var: *var,
-            write: true,
-        }),
-        Event::LockAcquire { lock, .. } | Event::LockRelease { lock, .. } => {
-            Some(OpDesc::Lock { lock: *lock })
-        }
-        Event::CondWait { cvar, lock, .. } => Some(OpDesc::CvWait {
-            cvar: *cvar,
-            lock: *lock,
-        }),
-        Event::CondNotify { cvar, .. } => Some(OpDesc::CvNotify { cvar: *cvar }),
-        Event::Send { chan, .. } | Event::Recv { chan, .. } | Event::SendDropped { chan, .. } => {
-            Some(OpDesc::Chan { chan: *chan })
-        }
-        Event::InputRead { port, .. } => Some(OpDesc::PortIn { port: *port }),
-        Event::Output { port, .. } => Some(OpDesc::PortOut { port: *port }),
-        Event::RngDraw { .. } => Some(OpDesc::Rng),
-        Event::Crash { .. } => Some(OpDesc::Global),
-        _ => None,
-    }
-}
-
 /// Finds the backtrack points one executed run implies.
 ///
 /// For every executed operation `j` by task `q`, scans the decisions inside
@@ -482,9 +453,7 @@ fn backtrack_points(out: &RunOutput, max_depth: usize) -> Vec<(usize, Add)> {
         })
         .collect();
 
-    let mut task_clocks: HashMap<u32, VectorClock> = HashMap::new();
-    let mut lock_clocks: HashMap<u32, VectorClock> = HashMap::new();
-    let mut chan_clocks: HashMap<u32, VecDeque<VectorClock>> = HashMap::new();
+    let mut hb = HbClocks::new();
     // Clock of each in-horizon decision's transition, once it executes.
     let mut decision_clock: Vec<Option<VectorClock>> = vec![None; horizon];
     // Index of the latest Decision event seen (-1 before the first).
@@ -495,8 +464,6 @@ fn backtrack_points(out: &RunOutput, max_depth: usize) -> Vec<(usize, Add)> {
     let mut adds: BTreeSet<(usize, Option<u32>)> = BTreeSet::new();
 
     for (_, event) in trace {
-        // 1. Happens-before bookkeeping (same edges as dd-detect's
-        //    race detector).
         match event {
             Event::Decision { kind, chosen, .. } => {
                 cursor += 1;
@@ -511,71 +478,34 @@ fn backtrack_points(out: &RunOutput, max_depth: usize) -> Vec<(usize, Add)> {
                 };
                 continue;
             }
-            Event::TaskSpawn { parent, child, .. } => {
-                if let Some(p) = parent {
-                    let pvc = task_clocks.entry(p.0).or_default().clone();
-                    task_clocks.entry(child.0).or_default().join(&pvc);
-                }
-                task_clocks.entry(child.0).or_default().tick(*child);
+            // A spawn advances only the child's clock, and the scan treats
+            // it as neither a decision's transition nor a conflicting
+            // operation.
+            Event::TaskSpawn { .. } => {
+                hb.observe(event);
                 continue;
             }
-            Event::LockAcquire { task, lock, .. } => {
-                if let Some(lvc) = lock_clocks.get(&lock.0).cloned() {
-                    task_clocks.entry(task.0).or_default().join(&lvc);
-                }
-                task_clocks.entry(task.0).or_default().tick(*task);
-            }
-            Event::LockRelease { task, lock, .. } => {
-                let c = task_clocks.entry(task.0).or_default();
-                c.tick(*task);
-                lock_clocks.insert(lock.0, c.clone());
-            }
-            Event::CondNotify { task, woken, .. } => {
-                task_clocks.entry(task.0).or_default().tick(*task);
-                let nvc = task_clocks.entry(task.0).or_default().clone();
-                for w in woken {
-                    task_clocks.entry(w.0).or_default().join(&nvc);
-                }
-            }
-            Event::Send { task, chan, .. } => {
-                let c = task_clocks.entry(task.0).or_default();
-                c.tick(*task);
-                chan_clocks.entry(chan.0).or_default().push_back(c.clone());
-            }
-            Event::Recv { task, chan, .. } => {
-                if let Some(mvc) = chan_clocks.entry(chan.0).or_default().pop_front() {
-                    task_clocks.entry(task.0).or_default().join(&mvc);
-                }
-                task_clocks.entry(task.0).or_default().tick(*task);
-            }
-            Event::Joined { task, target, .. } => {
-                let tvc = task_clocks.entry(target.0).or_default().clone();
-                let c = task_clocks.entry(task.0).or_default();
-                c.join(&tvc);
-                c.tick(*task);
-            }
-            e => {
-                if let Some(task) = e.task() {
-                    task_clocks.entry(task.0).or_default().tick(task);
-                }
-            }
+            _ => {}
         }
 
-        let Some(q) = event.task() else { continue };
+        // 1. Happens-before bookkeeping.
+        let Some(q) = hb.observe(event) else { continue };
 
         // 2. Snapshot the awaited decision-transition clock.
         if let Some((i, t)) = awaiting {
             if t == q {
-                decision_clock[i] = Some(task_clocks.entry(q.0).or_default().clone());
+                decision_clock[i] = Some(hb.clock(q).clone());
                 awaiting = None;
             }
         }
 
-        // 3. Conflict scan for this executed operation.
-        let Some(o_j) = event_desc(event) else {
+        // 3. Conflict scan for this executed operation. Task-local
+        //    operations are skipped: they commute with every other
+        //    operation, so reordering one never reaches a new state.
+        let Some(o_j) = OpDesc::of_event(event).filter(|op| *op != OpDesc::Local) else {
             continue;
         };
-        let c_j = task_clocks.entry(q.0).or_default().clone();
+        let c_j = hb.clock(q);
         let upto = (cursor.min(horizon as isize - 1)).max(-1);
         for i in (0..=upto).rev() {
             let i = i as usize;
@@ -589,7 +519,7 @@ fn backtrack_points(out: &RunOutput, max_depth: usize) -> Vec<(usize, Add)> {
                 matches!(exec_op[i], OpDesc::Var { .. }) && matches!(o_j, OpDesc::Var { .. });
             if both_vars {
                 if let Some(c_i) = &decision_clock[i] {
-                    if c_i.leq(&c_j) {
+                    if c_i.leq(c_j) {
                         // Already happens-before ordered: not reorderable.
                         continue;
                     }

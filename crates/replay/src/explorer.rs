@@ -21,11 +21,10 @@ use std::sync::Arc;
 /// replayer should use inside those bounds.
 ///
 /// Construct with [`InferenceBudget::builder`] or the purpose-named
-/// constructors ([`executions`](Self::executions), [`dpor`](Self::dpor),
-/// [`dpor_parallel`](Self::dpor_parallel)); direct struct-literal assembly
-/// is discouraged because the fields are interdependent (`workers` and
-/// `checkpoint_interval` only apply to some strategies) and literals skip
-/// the builder's validation.
+/// constructors ([`executions`](Self::executions), [`dpor`](Self::dpor));
+/// direct struct-literal assembly is discouraged because the fields are
+/// interdependent (`workers` and `checkpoint_interval` only apply to the
+/// systematic strategies) and literals skip the builder's validation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct InferenceBudget {
     /// Maximum candidate executions to try.
@@ -46,12 +45,11 @@ pub struct InferenceBudget {
     /// tick-bounded checkpointed walk covers at least as many interleavings
     /// as the scratch walk before cutoff (see `dpor` module docs).
     pub checkpoint_interval: u64,
-    /// Worker threads a parallel systematic strategy may use. `1` (the
-    /// default) keeps everything on the calling thread;
-    /// [`SearchStrategy::DporParallel`] with `workers: 0` reads its pool
-    /// size from here, so callers can scale inference without touching the
-    /// strategy. The worker count never changes what the search returns —
-    /// only how fast (see the `parallel` module's determinism contract).
+    /// Worker threads the systematic strategies spread run execution over.
+    /// `0` and `1` (the default) keep everything on the calling thread.
+    /// The worker count never changes what the search returns — only how
+    /// fast (see the `parallel` module's determinism contract). Ignored by
+    /// the non-systematic strategies.
     pub workers: u32,
 }
 
@@ -71,8 +69,8 @@ impl InferenceBudget {
     /// Starts a validated [`InferenceBudgetBuilder`]. Prefer this (or the
     /// purpose-named constructors below) over assembling the struct field
     /// by field: the builder rejects incoherent combinations — e.g. a
-    /// worker pool without a parallel strategy — at `build()` time instead
-    /// of silently ignoring fields at search time.
+    /// worker pool without a systematic strategy — at `build()` time
+    /// instead of silently ignoring fields at search time.
     pub fn builder() -> InferenceBudgetBuilder {
         InferenceBudgetBuilder {
             budget: Self::default(),
@@ -110,27 +108,11 @@ impl InferenceBudget {
         self
     }
 
-    /// Sets the worker-thread pool size parallel systematic strategies may
-    /// use (`0` and `1` both mean sequential).
+    /// Sets the worker-thread pool size the systematic strategies run on
+    /// (`0` and `1` both mean sequential).
     pub fn with_workers(mut self, workers: u32) -> Self {
         self.workers = workers;
         self
-    }
-
-    /// A budget of `n` executions searching with parallel DPOR at branching
-    /// depth `max_depth` over `workers` worker threads, with checkpointing
-    /// on (parallel exploration forks subtrees from pooled snapshots).
-    pub fn dpor_parallel(n: u64, max_depth: u32, workers: u32) -> Self {
-        InferenceBudget {
-            max_executions: n,
-            ..Self::default()
-        }
-        .with_strategy(SearchStrategy::DporParallel {
-            max_depth,
-            workers: 0,
-        })
-        .with_checkpoints(Self::DEFAULT_CHECKPOINT_INTERVAL)
-        .with_workers(workers)
     }
 
     /// The default snapshot interval for callers that just want
@@ -144,9 +126,9 @@ impl InferenceBudget {
     /// exploration on (e.g. the RCSE replay-divergence fallback):
     /// `min(available cores, DEFAULT_WORKERS)`. Resolves to `1` — the
     /// sequential path — on single-core hosts, where speculating workers
-    /// could only steal cycles from the coordinator. Explicit
-    /// [`SearchStrategy::DporParallel`] counts are honored as-is; the
-    /// determinism contract makes either choice return identical results.
+    /// could only steal cycles from the coordinator. Explicit worker counts
+    /// are honored as-is; the determinism contract makes either choice
+    /// return identical results.
     pub fn default_worker_pool() -> u32 {
         std::thread::available_parallelism()
             .map(|n| n.get() as u32)
@@ -170,12 +152,10 @@ impl std::error::Error for BudgetError {}
 
 /// Typed, validated construction of an [`InferenceBudget`].
 ///
-/// The budget's fields have grown interdependent: `workers` is only
-/// consumed by [`SearchStrategy::DporParallel`], `checkpoint_interval`
-/// only by the systematic strategies, and a parallel strategy with an
-/// explicit worker count overrides the budget's pool. The builder makes
-/// those couplings explicit and turns silent field-ignoring into
-/// [`BudgetError`]s:
+/// The budget's fields are interdependent: `workers` and
+/// `checkpoint_interval` are only consumed by the systematic strategies.
+/// The builder makes that coupling explicit and turns silent
+/// field-ignoring into [`BudgetError`]s:
 ///
 /// ```
 /// use dd_replay::{InferenceBudget, SearchStrategy};
@@ -188,7 +168,7 @@ impl std::error::Error for BudgetError {}
 ///     .unwrap();
 /// assert_eq!(budget.max_executions, 500);
 ///
-/// // A worker pool without a parallel strategy is rejected, not ignored.
+/// // A worker pool without a systematic strategy is rejected, not ignored.
 /// assert!(InferenceBudget::builder().workers(4).build().is_err());
 /// ```
 #[derive(Debug, Clone)]
@@ -223,8 +203,9 @@ impl InferenceBudgetBuilder {
         self
     }
 
-    /// Worker-thread pool for [`SearchStrategy::DporParallel`] (`1` = the
-    /// sequential path). Rejected at `build()` for every other strategy.
+    /// Worker-thread pool for the systematic strategies (`0` and `1` = the
+    /// sequential path). A larger pool is rejected at `build()` for the
+    /// non-systematic strategies.
     pub fn workers(mut self, workers: u32) -> Self {
         self.budget.workers = workers;
         self
@@ -243,50 +224,25 @@ impl InferenceBudgetBuilder {
                 "max_ticks is 0 — the search could never run a candidate".into(),
             ));
         }
-        let systematic = matches!(
-            b.strategy,
-            SearchStrategy::Exhaustive { .. }
-                | SearchStrategy::Dpor { .. }
-                | SearchStrategy::DporParallel { .. }
-        );
+        let systematic = b.strategy.max_depth().is_some();
         if b.checkpoint_interval > 0 && !systematic {
             return Err(BudgetError(format!(
                 "checkpoint_interval {} is only honored by the systematic \
-                 strategies (Exhaustive/Dpor/DporParallel), not {:?}",
+                 strategies (Exhaustive/Dpor), not {:?}",
                 b.checkpoint_interval, b.strategy
             )));
         }
-        match b.strategy {
-            SearchStrategy::Exhaustive { max_depth }
-            | SearchStrategy::Dpor { max_depth }
-            | SearchStrategy::DporParallel { max_depth, .. }
-                if max_depth == 0 =>
-            {
-                return Err(BudgetError(
-                    "systematic strategy with max_depth 0 explores nothing".into(),
-                ));
-            }
-            _ => {}
+        if b.strategy.max_depth() == Some(0) {
+            return Err(BudgetError(
+                "systematic strategy with max_depth 0 explores nothing".into(),
+            ));
         }
-        if b.workers > 1 {
-            match b.strategy {
-                SearchStrategy::DporParallel { workers: 0, .. } => {}
-                SearchStrategy::DporParallel { workers, .. } => {
-                    return Err(BudgetError(format!(
-                        "budget workers {} conflicts with the strategy's explicit \
-                         worker count {} (use workers: 0 in the strategy to defer \
-                         to the budget)",
-                        b.workers, workers
-                    )));
-                }
-                _ => {
-                    return Err(BudgetError(format!(
-                        "workers {} has no effect under {:?} — only \
-                         SearchStrategy::DporParallel consumes the budget's pool",
-                        b.workers, b.strategy
-                    )));
-                }
-            }
+        if b.workers > 1 && !systematic {
+            return Err(BudgetError(format!(
+                "workers {} has no effect under {:?} — only the systematic \
+                 strategies (Exhaustive/Dpor) run on the worker pool",
+                b.workers, b.strategy
+            )));
         }
         Ok(b)
     }
@@ -386,46 +342,24 @@ pub enum SearchStrategy {
     },
     /// Partial-order-reduced systematic exploration: like `Exhaustive`,
     /// but dynamic conflict analysis (pending-op footprints from `dd-sim`
-    /// plus `dd-detect` vector clocks) prunes sibling branches that only
-    /// reorder commuting operations. Finds the same failures as
+    /// plus `dd-detect` happens-before clocks) prunes sibling branches that
+    /// only reorder commuting operations. Finds the same failures as
     /// `Exhaustive` at the same depth while executing far fewer
     /// interleavings.
     Dpor {
         /// Branching-depth bound.
         max_depth: u32,
     },
-    /// `Dpor`, with run execution spread over a pool of worker threads: a
-    /// coordinator walks the identical DPOR-reduced tree while workers
-    /// speculatively execute pending branches from pooled kernel
-    /// snapshots (see the `parallel` module). The failure set, walk order,
-    /// per-interleaving traces and every statistic are byte-identical to
-    /// `Dpor` at the same depth and checkpoint interval, for any worker
-    /// count — parallelism buys wall-clock time only.
-    DporParallel {
-        /// Branching-depth bound.
-        max_depth: u32,
-        /// Worker threads (`0` defers to [`InferenceBudget::workers`];
-        /// `1` runs sequentially).
-        workers: u32,
-    },
 }
 
 impl SearchStrategy {
-    /// For the systematic strategies: the branching-depth bound, whether
-    /// DPOR pruning is on, and the worker-pool size after resolving a
-    /// deferred (`0`) count against the budget. `None` for the
-    /// non-systematic strategies.
-    fn systematic(&self, budget: &InferenceBudget) -> Option<(u32, bool, u32)> {
+    /// The branching-depth bound of the systematic strategies (`Exhaustive`
+    /// and `Dpor`, which walk the schedule tree on the budget's worker
+    /// pool), or `None` for the non-systematic ones.
+    pub fn max_depth(&self) -> Option<u32> {
         match *self {
-            SearchStrategy::Exhaustive { max_depth } => Some((max_depth, false, 1)),
-            SearchStrategy::Dpor { max_depth } => Some((max_depth, true, 1)),
-            SearchStrategy::DporParallel { max_depth, workers } => {
-                let workers = if workers == 0 {
-                    budget.workers
-                } else {
-                    workers
-                };
-                Some((max_depth, true, workers.max(1)))
+            SearchStrategy::Exhaustive { max_depth } | SearchStrategy::Dpor { max_depth } => {
+                Some(max_depth)
             }
             SearchStrategy::Random | SearchStrategy::Pct { .. } => None,
         }
@@ -507,7 +441,7 @@ pub fn search_with_warm(
 
     let mut stats = InferenceStats::default();
 
-    if let Some((max_depth, dpor, workers)) = strategy.systematic(budget) {
+    if let Some(max_depth) = strategy.max_depth() {
         // Systematic strategies replace random schedule seeding with a tree
         // walk per (seed, input, environment) combination, sharing one
         // budget; environment still varies fastest.
@@ -526,20 +460,17 @@ pub fn search_with_warm(
                         tail_seed: seed.wrapping_mul(0x9E3779B97F4A7C15),
                         inputs: script,
                         env,
-                        dpor,
+                        dpor: matches!(strategy, SearchStrategy::Dpor { .. }),
                         max_depth: max_depth as usize,
                         checkpoint_every: (budget.checkpoint_interval > 0)
                             .then_some(budget.checkpoint_interval),
                         warm: warm.clone(),
                     };
-                    if let Some((out, spec)) = explore_tree_parallel(
-                        scenario,
-                        &cfg,
-                        budget,
-                        workers,
-                        &mut stats,
-                        &mut |out, _| accept(out),
-                    ) {
+                    if let Some((out, spec)) =
+                        explore_tree_parallel(scenario, &cfg, budget, &mut stats, &mut |out, _| {
+                            accept(out)
+                        })
+                    {
                         return SearchResult {
                             run: Some(out),
                             spec: Some(spec),
@@ -577,9 +508,7 @@ pub fn search_with_warm(
                 expected_len,
                 depth,
             },
-            SearchStrategy::Exhaustive { .. }
-            | SearchStrategy::Dpor { .. }
-            | SearchStrategy::DporParallel { .. } => {
+            SearchStrategy::Exhaustive { .. } | SearchStrategy::Dpor { .. } => {
                 unreachable!("systematic strategies handled above")
             }
         };
@@ -626,32 +555,25 @@ pub fn enumerate_failures(
 ) -> (BTreeSet<String>, InferenceStats) {
     let mut stats = InferenceStats::default();
     let mut failures = BTreeSet::new();
-    match strategy.systematic(budget) {
-        Some((max_depth, dpor, workers)) => {
+    match strategy.max_depth() {
+        Some(max_depth) => {
             let cfg = TreeConfig {
                 seed: scenario.seed,
                 tail_seed: scenario.sched_seed.wrapping_mul(0x9E3779B97F4A7C15),
                 inputs: &scenario.inputs,
                 env: &scenario.env,
-                dpor,
+                dpor: matches!(strategy, SearchStrategy::Dpor { .. }),
                 max_depth: max_depth as usize,
                 checkpoint_every: (budget.checkpoint_interval > 0)
                     .then_some(budget.checkpoint_interval),
                 warm: Vec::new(),
             };
-            explore_tree_parallel(
-                scenario,
-                &cfg,
-                budget,
-                workers,
-                &mut stats,
-                &mut |out, _| {
-                    if let Some(f) = (scenario.failure_of)(&out.io) {
-                        failures.insert(f.failure_id);
-                    }
-                    false
-                },
-            );
+            explore_tree_parallel(scenario, &cfg, budget, &mut stats, &mut |out, _| {
+                if let Some(f) = (scenario.failure_of)(&out.io) {
+                    failures.insert(f.failure_id);
+                }
+                false
+            });
         }
         None => {
             for i in 0..budget.max_executions {
@@ -798,15 +720,17 @@ mod tests {
 
         let built = InferenceBudget::builder()
             .max_executions(64)
-            .strategy(SearchStrategy::DporParallel {
-                max_depth: 6,
-                workers: 0,
-            })
+            .strategy(SearchStrategy::Dpor { max_depth: 6 })
             .checkpoint_interval(InferenceBudget::DEFAULT_CHECKPOINT_INTERVAL)
             .workers(4)
             .build()
             .unwrap();
-        assert_eq!(built, InferenceBudget::dpor_parallel(64, 6, 4));
+        assert_eq!(
+            built,
+            InferenceBudget::dpor(64, 6)
+                .with_checkpoints(InferenceBudget::DEFAULT_CHECKPOINT_INTERVAL)
+                .with_workers(4)
+        );
     }
 
     #[test]
@@ -818,19 +742,12 @@ mod tests {
             .is_err());
         assert!(InferenceBudget::builder().max_ticks(0).build().is_err());
 
-        // Worker pools are only consumed by DporParallel.
+        // Worker pools only run the systematic strategies.
         assert!(InferenceBudget::builder().workers(4).build().is_err());
         assert!(InferenceBudget::builder()
-            .strategy(SearchStrategy::Dpor { max_depth: 4 })
-            .workers(4)
-            .build()
-            .is_err());
-
-        // An explicit strategy worker count conflicts with a budget pool.
-        assert!(InferenceBudget::builder()
-            .strategy(SearchStrategy::DporParallel {
-                max_depth: 4,
-                workers: 2,
+            .strategy(SearchStrategy::Pct {
+                expected_len: 200,
+                depth: 3,
             })
             .workers(4)
             .build()

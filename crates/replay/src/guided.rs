@@ -480,21 +480,12 @@ pub fn pinned_completion_digest(trace: &Trace, pin: &PinSet) -> u64 {
         }
     };
     for e in trace.iter() {
+        let var_pinned = || pin.pinned(OpDesc::of_event(&e.event).as_ref());
         match &e.event {
-            Event::Read { task, var, .. }
-                if pin.pinned(Some(&OpDesc::Var {
-                    var: *var,
-                    write: false,
-                })) =>
-            {
+            Event::Read { task, var, .. } if var_pinned() => {
                 mix(&[1, u64::from(task.0), u64::from(var.0)]);
             }
-            Event::Write { task, var, .. }
-                if pin.pinned(Some(&OpDesc::Var {
-                    var: *var,
-                    write: true,
-                })) =>
-            {
+            Event::Write { task, var, .. } if var_pinned() => {
                 mix(&[2, u64::from(task.0), u64::from(var.0)]);
             }
             Event::Send { task, chan, .. } => mix(&[3, u64::from(task.0), u64::from(chan.0)]),
@@ -554,42 +545,6 @@ impl OrderCostObserver {
             stats: LogStats::default(),
         }
     }
-
-    fn completion_footprint(event: &Event) -> Option<OpDesc> {
-        Some(match event {
-            Event::Read { var, .. } => OpDesc::Var {
-                var: *var,
-                write: false,
-            },
-            Event::Write { var, .. } => OpDesc::Var {
-                var: *var,
-                write: true,
-            },
-            Event::Send { chan, .. }
-            | Event::Recv { chan, .. }
-            | Event::SendDropped { chan, .. } => OpDesc::Chan { chan: *chan },
-            Event::InputRead { port, .. } => OpDesc::PortIn { port: *port },
-            Event::Output { port, .. } => OpDesc::PortOut { port: *port },
-            Event::LockAcquire { lock, .. } | Event::LockRelease { lock, .. } => {
-                OpDesc::Lock { lock: *lock }
-            }
-            Event::CondWait { cvar, lock, .. } => OpDesc::CvWait {
-                cvar: *cvar,
-                lock: *lock,
-            },
-            Event::CondNotify { cvar, .. } => OpDesc::CvNotify { cvar: *cvar },
-            Event::RngDraw { .. } => OpDesc::Rng,
-            Event::TaskSpawn { .. } | Event::Crash { .. } => OpDesc::Global,
-            // Task-local completions, charged only under a total pin.
-            Event::Probe { .. }
-            | Event::Counter { .. }
-            | Event::Alloc { .. }
-            | Event::Sleep { .. }
-            | Event::Joined { .. }
-            | Event::Yield { .. } => OpDesc::Local,
-            _ => return None,
-        })
-    }
 }
 
 impl Observer for OrderCostObserver {
@@ -598,7 +553,7 @@ impl Observer for OrderCostObserver {
     }
 
     fn on_event(&mut self, _meta: &EventMeta, event: &Event) -> u64 {
-        let Some(op) = Self::completion_footprint(event) else {
+        let Some(op) = OpDesc::of_event(event) else {
             return 0;
         };
         if !self.pin.pinned(Some(&op)) {

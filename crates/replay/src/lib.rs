@@ -20,8 +20,11 @@
 //! [`NondetSpace`] — the substitution for symbolic execution documented in
 //! DESIGN.md. Its cost is measured and feeds debugging efficiency. The
 //! systematic strategies can run multi-worker
-//! ([`SearchStrategy::DporParallel`], see [`parallel`]) with byte-identical
-//! results for any worker count.
+//! ([`InferenceBudget::workers`], see [`parallel`]) with byte-identical
+//! results for any worker count. DPOR's conflict analysis takes its
+//! happens-before order from `dd-detect`'s `HbClocks`, the engine the race
+//! detector runs on, and each executed event's footprint from
+//! `dd_sim::OpDesc::of_event`.
 
 pub mod divergence;
 pub mod dpor;

@@ -645,11 +645,9 @@ impl DeterminismModel for RaceCompleteModel {
 
         // Fallback: DPOR prefix search over the recorded configuration,
         // constrained by the pinned completion order and racing outcomes.
-        let strategy = match budget.strategy {
-            s @ (SearchStrategy::Exhaustive { .. }
-            | SearchStrategy::Dpor { .. }
-            | SearchStrategy::DporParallel { .. }) => s,
-            _ => SearchStrategy::Dpor { max_depth: 8 },
+        let strategy = match budget.strategy.max_depth() {
+            Some(_) => budget.strategy,
+            None => SearchStrategy::Dpor { max_depth: 8 },
         };
         let constrained = Scenario {
             space: NondetSpace {

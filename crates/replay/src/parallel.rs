@@ -296,18 +296,17 @@ impl RunFetcher for ParallelRuns<'_, '_> {
 }
 
 /// [`explore_tree`](crate::dpor::explore_tree) with the run executions
-/// spread over `workers` threads.
+/// spread over the budget's [`workers`](InferenceBudget::workers) threads.
 ///
 /// `workers <= 1` falls through to the sequential explorer — which is also
 /// the equivalence oracle: for any worker count the parallel walk returns
 /// the byte-identical failure set, walk order, per-interleaving traces and
-/// statistics (pinned by `tests/conformance.rs`, the `DporParallel`
+/// statistics (pinned by `tests/conformance.rs`, the parallel-determinism
 /// proptests, and CI's `determinism-matrix` job).
 pub(crate) fn explore_tree_parallel(
     scenario: &Scenario,
     cfg: &TreeConfig<'_>,
     budget: &InferenceBudget,
-    workers: u32,
     stats: &mut InferenceStats,
     visit: &mut dyn FnMut(&RunOutput, &RunSpec) -> bool,
 ) -> Option<(RunOutput, RunSpec)> {
@@ -318,6 +317,7 @@ pub(crate) fn explore_tree_parallel(
     // is the *defaulted* path's job: `InferenceBudget::default_worker_pool`
     // resolves to 1 on single-core hosts, where speculating workers could
     // only steal cycles from the coordinator.
+    let workers = budget.workers;
     if workers <= 1 {
         return explore_tree(scenario, cfg, budget, stats, visit);
     }

@@ -319,36 +319,34 @@ fn checkpointed_search_returns_scratch_reproducible_specs() {
     assert_eq!(again.decisions, run.decisions);
 }
 
-/// The parallel determinism contract at the unit level: `DporParallel`
-/// returns the byte-identical failure set *and statistics* as sequential
-/// `Dpor`, for every worker count, with and without checkpointing — the
-/// coordinator charges every consumed run against its canonical snapshot
-/// pool, so even `steps_executed`/`steps_skipped`/`ticks` are
-/// worker-count-invariant.
+/// The parallel determinism contract at the unit level: both systematic
+/// strategies return the byte-identical failure set *and statistics* on
+/// the budget's worker pool as on the calling thread, for every worker
+/// count, with and without checkpointing — the coordinator charges every
+/// consumed run against its canonical snapshot pool, so even
+/// `steps_executed`/`steps_skipped`/`ticks` are worker-count-invariant.
 #[test]
 fn parallel_dpor_is_byte_identical_to_sequential_dpor() {
     let s = scenario();
-    for interval in [0u64, 1, 3] {
-        let budget = InferenceBudget::executions(120).with_checkpoints(interval);
-        let (seq_failures, seq) =
-            enumerate_failures(&s, &budget, SearchStrategy::Dpor { max_depth: 24 });
-        for workers in [1u32, 2, 4, 7] {
-            let (par_failures, par) = enumerate_failures(
-                &s,
-                &budget,
-                SearchStrategy::DporParallel {
-                    max_depth: 24,
-                    workers,
-                },
-            );
-            assert_eq!(
-                par_failures, seq_failures,
-                "interval {interval}, {workers} workers: failure set diverged"
-            );
-            assert_eq!(
-                par, seq,
-                "interval {interval}, {workers} workers: statistics diverged"
-            );
+    for strategy in [
+        SearchStrategy::Dpor { max_depth: 24 },
+        SearchStrategy::Exhaustive { max_depth: 24 },
+    ] {
+        for interval in [0u64, 1, 3] {
+            let budget = InferenceBudget::executions(120).with_checkpoints(interval);
+            let (seq_failures, seq) = enumerate_failures(&s, &budget, strategy);
+            for workers in [1u32, 2, 4, 7] {
+                let (par_failures, par) =
+                    enumerate_failures(&s, &budget.with_workers(workers), strategy);
+                assert_eq!(
+                    par_failures, seq_failures,
+                    "{strategy:?}, interval {interval}, {workers} workers: failure set diverged"
+                );
+                assert_eq!(
+                    par, seq,
+                    "{strategy:?}, interval {interval}, {workers} workers: statistics diverged"
+                );
+            }
         }
     }
 }
@@ -359,49 +357,12 @@ fn parallel_dpor_is_byte_identical_to_sequential_dpor() {
 fn parallel_search_finds_the_same_run_as_sequential() {
     let s = scenario();
     let budget = InferenceBudget::executions(200).with_checkpoints(1);
-    let seq = search_with(
-        &s,
-        &budget,
-        SearchStrategy::Dpor { max_depth: 24 },
-        None,
-        lost_updates,
-    );
-    let par = search_with(
-        &s,
-        &budget,
-        SearchStrategy::DporParallel {
-            max_depth: 24,
-            workers: 4,
-        },
-        None,
-        lost_updates,
-    );
+    let dpor = SearchStrategy::Dpor { max_depth: 24 };
+    let seq = search_with(&s, &budget, dpor, None, lost_updates);
+    let par = search_with(&s, &budget.with_workers(4), dpor, None, lost_updates);
     assert!(seq.stats.found, "sequential search must find lost updates");
     assert_eq!(par.stats, seq.stats);
     let (seq_run, par_run) = (seq.run.expect("seq run"), par.run.expect("par run"));
     assert_eq!(par_run.io, seq_run.io);
     assert_eq!(par_run.decisions, seq_run.decisions);
-}
-
-/// `DporParallel { workers: 0 }` defers to `InferenceBudget::workers`, and
-/// the budget-level constructor wires depth, checkpointing and the pool
-/// size together.
-#[test]
-fn deferred_worker_count_reads_the_budget() {
-    let s = scenario();
-    let budget = InferenceBudget::dpor_parallel(80, 24, 3);
-    assert_eq!(budget.workers, 3);
-    assert_eq!(
-        budget.checkpoint_interval,
-        InferenceBudget::DEFAULT_CHECKPOINT_INTERVAL
-    );
-    let par = search_with(&s, &budget, budget.strategy, None, lost_updates);
-    let seq = search_with(
-        &s,
-        &budget,
-        SearchStrategy::Dpor { max_depth: 24 },
-        None,
-        lost_updates,
-    );
-    assert_eq!(par.stats, seq.stats);
 }

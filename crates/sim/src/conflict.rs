@@ -7,8 +7,10 @@
 //! order reaches the same state — exactly when their descriptors do not
 //! [`conflict`](OpDesc::conflicts). Systematic explorers (`dd-replay`'s
 //! DPOR-lite strategy) use this to prune interleavings that only reorder
-//! commuting operations.
+//! commuting operations; [`OpDesc::of_event`] maps an executed event back to
+//! the footprint of the operation it completed.
 
+use crate::event::Event;
 use crate::ids::{ChanId, CondvarId, LockId, PortId, VarId};
 use serde::{Deserialize, Serialize};
 
@@ -66,6 +68,44 @@ pub enum OpDesc {
 }
 
 impl OpDesc {
+    /// The footprint of the operation an executed trace event completed,
+    /// or `None` for events that are not operation completions (decisions,
+    /// exits, kills, failed allocations, input arrivals, faults).
+    pub fn of_event(event: &Event) -> Option<OpDesc> {
+        Some(match event {
+            Event::Read { var, .. } => OpDesc::Var {
+                var: *var,
+                write: false,
+            },
+            Event::Write { var, .. } => OpDesc::Var {
+                var: *var,
+                write: true,
+            },
+            Event::Send { chan, .. }
+            | Event::Recv { chan, .. }
+            | Event::SendDropped { chan, .. } => OpDesc::Chan { chan: *chan },
+            Event::InputRead { port, .. } => OpDesc::PortIn { port: *port },
+            Event::Output { port, .. } => OpDesc::PortOut { port: *port },
+            Event::LockAcquire { lock, .. } | Event::LockRelease { lock, .. } => {
+                OpDesc::Lock { lock: *lock }
+            }
+            Event::CondWait { cvar, lock, .. } => OpDesc::CvWait {
+                cvar: *cvar,
+                lock: *lock,
+            },
+            Event::CondNotify { cvar, .. } => OpDesc::CvNotify { cvar: *cvar },
+            Event::RngDraw { .. } => OpDesc::Rng,
+            Event::TaskSpawn { .. } | Event::Crash { .. } => OpDesc::Global,
+            Event::Probe { .. }
+            | Event::Counter { .. }
+            | Event::Alloc { .. }
+            | Event::Sleep { .. }
+            | Event::Joined { .. }
+            | Event::Yield { .. } => OpDesc::Local,
+            _ => return None,
+        })
+    }
+
     /// Returns `true` if the two operations do *not* commute: executing
     /// them in different orders from the same state can reach different
     /// states (or different observable traces).

@@ -151,6 +151,27 @@ fn usage_errors_exit_three() {
     );
 }
 
+/// `dd explore` validates its budget like every library caller: a search
+/// that could never run a candidate is a usage error, not an empty result.
+#[test]
+fn explore_budget_that_explores_nothing_exits_three() {
+    let trace = scratch("explore-budget.jsonl");
+    record_msgserver(&trace);
+    let path = trace.to_str().unwrap();
+    for (flag, why) in [
+        ("--executions", "max_executions is 0"),
+        ("--depth", "max_depth 0"),
+    ] {
+        let out = dd(&["explore", path, flag, "0"]);
+        assert_eq!(code(&out), 3, "{flag} 0: stdout: {}", stdout(&out));
+        assert!(
+            stderr(&out).contains(why),
+            "{flag} 0: stderr: {}",
+            stderr(&out)
+        );
+    }
+}
+
 #[test]
 fn missing_or_garbage_trace_exits_four() {
     let out = dd(&["replay", "/definitely/not/a/trace.jsonl"]);

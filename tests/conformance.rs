@@ -561,8 +561,8 @@ fn search_workers() -> u32 {
 }
 
 /// The parallel determinism contract, workload by workload: for every
-/// workload, scratch and checkpointed, `DporParallel` at the matrix's
-/// worker count returns the byte-identical failure set *and* the identical
+/// workload, scratch and checkpointed, `Dpor` on the matrix's worker count
+/// returns the byte-identical failure set *and* the identical
 /// `InferenceStats` — explored, pruned, ticks, step accounting — as the
 /// sequential explorer. The coordinator consumes runs in sequential order
 /// and charges them against its canonical snapshot pool, so even the
@@ -574,16 +574,10 @@ fn parallel_dfs_is_byte_identical_to_sequential_on_every_workload() {
         let scenario = workload.scenario();
         for interval in [0u64, 1] {
             let budget = InferenceBudget::executions(400).with_checkpoints(interval);
-            let (seq_failures, seq) =
-                enumerate_failures(&scenario, &budget, SearchStrategy::Dpor { max_depth: 4 });
-            let (par_failures, par) = enumerate_failures(
-                &scenario,
-                &budget,
-                SearchStrategy::DporParallel {
-                    max_depth: 4,
-                    workers,
-                },
-            );
+            let dpor = SearchStrategy::Dpor { max_depth: 4 };
+            let (seq_failures, seq) = enumerate_failures(&scenario, &budget, dpor);
+            let (par_failures, par) =
+                enumerate_failures(&scenario, &budget.with_workers(workers), dpor);
             let label = format!(
                 "{} / interval {interval} / {workers} workers",
                 workload.name()
@@ -607,21 +601,24 @@ fn parallel_walk_trace_hashes_match_sequential() {
     let scenario = workload.scenario();
     let budget = InferenceBudget::executions(60).with_checkpoints(1);
 
-    let collect = |strategy: SearchStrategy| -> Vec<u64> {
+    let collect = |workers: u32| -> Vec<u64> {
         let hashes = std::cell::RefCell::new(Vec::new());
-        debug_determinism::replay::search_with(&scenario, &budget, strategy, None, |out| {
-            hashes.borrow_mut().push(common::trace_hash(out));
-            false
-        });
+        debug_determinism::replay::search_with(
+            &scenario,
+            &budget.with_workers(workers),
+            SearchStrategy::Dpor { max_depth: 256 },
+            None,
+            |out| {
+                hashes.borrow_mut().push(common::trace_hash(out));
+                false
+            },
+        );
         hashes.into_inner()
     };
-    let sequential = collect(SearchStrategy::Dpor { max_depth: 256 });
+    let sequential = collect(1);
     assert!(sequential.len() >= 40, "walk too small to be meaningful");
     for workers in [2u32, search_workers().max(2)] {
-        let parallel = collect(SearchStrategy::DporParallel {
-            max_depth: 256,
-            workers,
-        });
+        let parallel = collect(workers);
         assert_eq!(
             parallel, sequential,
             "{workers} workers: a speculatively executed interleaving \
@@ -651,19 +648,20 @@ fn parallel_search_is_1_5x_faster_on_deep_msgserver() {
     let scenario = workload.scenario();
     let budget = InferenceBudget::executions(150).with_checkpoints(1);
 
-    let time = |strategy: SearchStrategy| {
+    let time = |workers: u32| {
         let t0 = std::time::Instant::now();
-        let (failures, stats) = enumerate_failures(&scenario, &budget, strategy);
+        let (failures, stats) = enumerate_failures(
+            &scenario,
+            &budget.with_workers(workers),
+            SearchStrategy::Dpor { max_depth: 256 },
+        );
         (t0.elapsed(), failures, stats)
     };
     // Warm-up: touch both paths once so allocator and page-cache effects
     // do not bias whichever variant runs first.
-    time(SearchStrategy::Dpor { max_depth: 256 });
-    let (seq_wall, seq_failures, seq_stats) = time(SearchStrategy::Dpor { max_depth: 256 });
-    let (par_wall, par_failures, par_stats) = time(SearchStrategy::DporParallel {
-        max_depth: 256,
-        workers: 4,
-    });
+    time(1);
+    let (seq_wall, seq_failures, seq_stats) = time(1);
+    let (par_wall, par_failures, par_stats) = time(4);
     assert_eq!(par_failures, seq_failures, "failure sets must match");
     assert_eq!(par_stats, seq_stats, "statistics must match");
     assert!(

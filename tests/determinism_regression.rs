@@ -538,3 +538,141 @@ fn different_seeds_change_the_racy_schedule() {
         "8 different seeds all produced identical traces: {hashes:?}"
     );
 }
+
+/// The search and race-report golden table: exact DPOR walks, the
+/// exhaustive reference walk, and the happens-before race reports, pinned
+/// on every workload's production configuration. The happens-before engine,
+/// the event-footprint map and the worker pool all feed these numbers, so a
+/// change to any of them that alters a walk or a verdict fails here.
+mod search_golden {
+    use super::*;
+    use debug_determinism::core::Workload;
+    use debug_determinism::replay::{
+        enumerate_failures, InferenceBudget, InferenceStats, SearchStrategy,
+    };
+    use debug_determinism::trace::Trace;
+
+    /// One pinned walk: workload, checkpoint interval, the full
+    /// [`InferenceStats`] as (explored, pruned, ticks, steps executed,
+    /// steps skipped), and the failure set.
+    type Walk = (&'static str, u64, [u64; 5], &'static [&'static str]);
+
+    /// `Dpor { max_depth: 4 }`, budget 400, on all four workloads.
+    const DPOR_D4: &[Walk] = &[
+        ("sum-2plus2", 0, [1, 0, 13, 5, 0], &["sum.wrong-sum"]),
+        ("sum-2plus2", 1, [1, 0, 13, 5, 0], &["sum.wrong-sum"]),
+        (
+            "msgserver-drops",
+            0,
+            [209, 74, 334_547, 123_090, 0],
+            &["msgserver.excess-drops"],
+        ),
+        (
+            "msgserver-drops",
+            1,
+            [209, 74, 334_547, 123_090, 0],
+            &["msgserver.excess-drops"],
+        ),
+        ("bufoverflow", 0, [1, 0, 146, 28, 0], &["bufoverflow.crash"]),
+        ("bufoverflow", 1, [1, 0, 146, 28, 0], &["bufoverflow.crash"]),
+        (
+            "hyperstore-issue63",
+            0,
+            [400, 159, 335_015, 138_523, 0],
+            &["hyperstore.rows-missing"],
+        ),
+        (
+            "hyperstore-issue63",
+            1,
+            [400, 159, 335_015, 138_523, 0],
+            &["hyperstore.rows-missing"],
+        ),
+    ];
+
+    /// `Exhaustive { max_depth: 4 }`, budget 2000, on msgserver: the
+    /// reference DPOR is checked against (ABL-6's exhaustive row).
+    const EXHAUSTIVE_D4: Walk = (
+        "msgserver-drops",
+        0,
+        [540, 0, 864_346, 317_780, 0],
+        &["msgserver.excess-drops"],
+    );
+
+    /// `Dpor { max_depth: 256 }`, budget 150, on msgserver: the deep
+    /// checkpointed walk of ABL-7 and ABL-8.
+    const DPOR_DEEP: Walk = (
+        "msgserver-drops",
+        1,
+        [150, 122, 162_033, 40_490, 45_192],
+        &["msgserver.excess-drops"],
+    );
+
+    /// Per workload: the race-report count and the FNV-1a of the reports'
+    /// JSON from `HbRaceDetector::analyze` on the production trace.
+    const RACES: &[(&str, usize, u64)] = &[
+        ("sum-2plus2", 0, 0x0961_2b07_b5ec_b5a5),
+        ("msgserver-drops", 8, 0x03b0_707b_364b_2036),
+        ("bufoverflow", 0, 0x0961_2b07_b5ec_b5a5),
+        ("hyperstore-issue63", 11, 0xbf88_c558_4011_fe67),
+    ];
+
+    fn assert_walk(workload: &dyn Workload, strategy: SearchStrategy, budget: u64, golden: &Walk) {
+        let &(name, interval, [explored, pruned, ticks, steps_executed, steps_skipped], failures) =
+            golden;
+        assert_eq!(workload.name(), name);
+        let budget = InferenceBudget::executions(budget).with_checkpoints(interval);
+        let (actual_failures, actual) = enumerate_failures(&workload.scenario(), &budget, strategy);
+        let label = format!("{name} / {strategy:?} / interval {interval}");
+        let expected = InferenceStats {
+            explored,
+            pruned,
+            ticks,
+            steps_executed,
+            steps_skipped,
+            found: false,
+            found_at: None,
+        };
+        assert_eq!(actual, expected, "{label}: the walk's statistics moved");
+        assert!(
+            actual_failures.iter().eq(failures),
+            "{label}: failure set {actual_failures:?} is not the golden {failures:?}"
+        );
+    }
+
+    #[test]
+    fn dpor_walks_match_the_golden_table() {
+        let workloads = common::all_workloads();
+        assert_eq!(DPOR_D4.len(), 2 * workloads.len());
+        for (row, w) in DPOR_D4.iter().zip(workloads.iter().flat_map(|w| [w, w])) {
+            assert_walk(w.as_ref(), SearchStrategy::Dpor { max_depth: 4 }, 400, row);
+        }
+    }
+
+    #[test]
+    fn reference_and_deep_walks_match_the_golden_table() {
+        let msgserver = common::msgserver();
+        let exhaustive = SearchStrategy::Exhaustive { max_depth: 4 };
+        assert_walk(&msgserver, exhaustive, 2000, &EXHAUSTIVE_D4);
+        let deep = SearchStrategy::Dpor { max_depth: 256 };
+        assert_walk(&msgserver, deep, 150, &DPOR_DEEP);
+    }
+
+    #[test]
+    fn race_reports_match_the_golden_table() {
+        let workloads = common::all_workloads();
+        assert_eq!(RACES.len(), workloads.len());
+        for (w, &(name, count, hash)) in workloads.iter().zip(RACES) {
+            assert_eq!(w.name(), name);
+            let scenario = w.scenario();
+            let out = scenario.execute(&scenario.original_spec(), vec![]);
+            let reports = HbRaceDetector::analyze(&Trace::from_run(&out));
+            let json = serde_json::to_string(&reports).expect("race reports serialize");
+            assert_eq!(reports.len(), count, "{name}: race-report count moved");
+            assert_eq!(
+                common::fnv(&json),
+                hash,
+                "{name}: race reports moved: {json}"
+            );
+        }
+    }
+}

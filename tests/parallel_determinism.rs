@@ -1,8 +1,9 @@
 //! Property tests for the parallel-exploration determinism contract: for
 //! *arbitrary* worker counts, execution budgets and checkpoint intervals,
-//! `SearchStrategy::DporParallel` must return a failure set, pruning count,
-//! full statistics block and per-interleaving trace-hash sequence identical
-//! to the sequential explorer — on all four paper workloads.
+//! `SearchStrategy::Dpor` on the budget's worker pool must return a failure
+//! set, pruning count, full statistics block and per-interleaving
+//! trace-hash sequence identical to the sequential explorer — on all four
+//! paper workloads.
 //!
 //! This is the property CI's `determinism-matrix` job pins at fixed points
 //! (`DD_SEARCH_WORKERS ∈ {1, 4}` crossed with `--test-threads`); here the
@@ -29,19 +30,16 @@ fn assert_equivalent(
     depth: u32,
 ) -> Result<(), String> {
     let scenario = workload.scenario();
-    let budget = InferenceBudget::executions(budget_n).with_checkpoints(interval);
-    let sequential = SearchStrategy::Dpor { max_depth: depth };
-    let parallel = SearchStrategy::DporParallel {
-        max_depth: depth,
-        workers,
-    };
+    let sequential = InferenceBudget::executions(budget_n).with_checkpoints(interval);
+    let parallel = sequential.with_workers(workers);
+    let dpor = SearchStrategy::Dpor { max_depth: depth };
     let label = format!(
         "{} / {workers} workers / budget {budget_n} / interval {interval} / depth {depth}",
         workload.name()
     );
 
-    let (seq_failures, seq_stats) = enumerate_failures(&scenario, &budget, sequential);
-    let (par_failures, par_stats) = enumerate_failures(&scenario, &budget, parallel);
+    let (seq_failures, seq_stats) = enumerate_failures(&scenario, &sequential, dpor);
+    let (par_failures, par_stats) = enumerate_failures(&scenario, &parallel, dpor);
     if par_failures != seq_failures {
         return Err(format!(
             "{label}: failure set diverged ({par_failures:?} vs {seq_failures:?})"
@@ -53,9 +51,9 @@ fn assert_equivalent(
         ));
     }
 
-    let hashes = |strategy: SearchStrategy| -> Vec<u64> {
+    let hashes = |budget: InferenceBudget| -> Vec<u64> {
         let collected = std::cell::RefCell::new(Vec::new());
-        search_with(&scenario, &budget, strategy, None, |out| {
+        search_with(&scenario, &budget, dpor, None, |out| {
             collected.borrow_mut().push(common::trace_hash(out));
             false
         });
