@@ -398,13 +398,8 @@ fn cmd_record(rest: &[String]) -> i32 {
         // keeping them in memory. Spilling does not perturb execution —
         // the decision/digest streams are bit-identical either way; only
         // the footer's epoch marks additionally carry store snapshot ids.
+        // `SnapshotStore::create` empties what an earlier recording left.
         let store_dir = PathBuf::from(format!("{}.snapshots", path.display()));
-        if store_dir.exists() {
-            if let Err(e) = std::fs::remove_dir_all(&store_dir) {
-                eprintln!("dd record: {}: {e}", store_dir.display());
-                return exit::IO;
-            }
-        }
         let store = match SnapshotStore::create(
             &store_dir,
             RetentionPolicy::new(spill_bound, spill_keep),

@@ -311,6 +311,10 @@ impl<T: Serialize> Serialize for ChunkedLog<T> {
     fn to_content(&self) -> Content {
         Content::Seq(self.iter().map(Serialize::to_content).collect())
     }
+
+    fn serialize(&self, out: &mut dyn serde::Serializer) {
+        serde::serialize_seq(self, out)
+    }
 }
 
 impl<T: Deserialize> Deserialize for ChunkedLog<T> {

@@ -84,6 +84,21 @@ impl Serialize for EpochMark {
         }
         serde::Content::Map(map)
     }
+
+    fn serialize(&self, out: &mut dyn serde::Serializer) {
+        out.begin_map();
+        out.key("decision");
+        out.u64(self.decision);
+        out.key("step");
+        out.u64(self.step);
+        out.key("time");
+        out.u64(self.time);
+        if let Some(id) = self.snapshot {
+            out.key("snapshot");
+            out.u64(id);
+        }
+        out.end_map();
+    }
 }
 
 // Tolerates a missing `snapshot` (v1/v2 artifacts) but still rejects
