@@ -24,7 +24,7 @@
 //! serde impls encode a flat sequence), so the bit-identical-trace
 //! guarantees of snapshot/restore and parallel exploration hold unchanged.
 
-use serde::{Content, Deserialize, Error, Serialize};
+use serde::{Content, Deserialize, Deserializer, Error, Kind, Serialize};
 use std::ops::Index;
 use std::sync::Arc;
 
@@ -317,12 +317,18 @@ impl<T: Serialize> Serialize for ChunkedLog<T> {
     }
 }
 
+// Decoded element by element straight into the log's chunks.
 impl<T: Deserialize> Deserialize for ChunkedLog<T> {
-    fn from_content(content: &Content) -> Result<Self, Error> {
-        let seq = content
-            .as_seq()
-            .ok_or_else(|| Error::custom("expected a sequence for ChunkedLog"))?;
-        seq.iter().map(T::from_content).collect()
+    fn deserialize(de: &mut dyn Deserializer) -> Result<Self, Error> {
+        if de.peek()? != Kind::Seq {
+            return Err(Error::custom("expected a sequence for ChunkedLog"));
+        }
+        let mut log = ChunkedLog::new();
+        de.begin_seq()?;
+        while de.next_element()? {
+            log.push(T::deserialize(de)?);
+        }
+        Ok(log)
     }
 }
 

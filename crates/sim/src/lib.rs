@@ -100,8 +100,8 @@ pub use program::{
 };
 pub use rng::DetRng;
 pub use snapshot::{
-    decode_snapshot, encode_manifest, sealed_chunk, LogManifest, SnapshotManifest, SnapshotMark,
-    SnapshotSink, SNAPSHOT_FORMAT_VERSION,
+    decode_snapshot, encode_manifest, sealed_chunk, DecodeError, LogManifest, SnapshotManifest,
+    SnapshotMark, SnapshotSink, SNAPSHOT_FORMAT_VERSION,
 };
 pub use value::{SimData, Value};
 

@@ -19,26 +19,34 @@
 //! *delta*: its manifest plus whichever chunks sealed since the previous
 //! spill.
 //!
-//! This module owns the *codec* (world ⇄ serializable manifest + chunk
-//! payloads) and the [`SnapshotSink`] hook the driver offers snapshots
-//! through; the store that lays manifests and chunks out on disk (and
-//! enforces the replay-starting-point availability bound) lives in
-//! `dd-trace`, which has the file-format dependencies.
+//! This module owns the *codec* (world ⇄ manifest and chunk text) and the
+//! [`SnapshotSink`] hook the driver offers snapshots through; the store
+//! that lays manifests and chunks out on disk (and enforces the
+//! replay-starting-point availability bound) lives in `dd-trace`.
+//!
+//! The manifest is typed: its live state is a mirror of the world's
+//! non-log fields, and each log's tail is that log's element vector,
+//! decoded according to the log's `name` (which the writer always emits
+//! before the tail). Chunk text decodes straight into the log's element
+//! type. Decoding builds no intermediate document tree.
 //!
 //! Integrity: the manifest embeds the world's FNV-1a
-//! `WorldState::digest` at encode time, and
-//! [`decode_snapshot`] recomputes it after reassembly — a truncated or
-//! garbled artifact fails decode with an error naming the mismatch instead
-//! of resuming from a corrupt world.
+//! `WorldState::digest` at encode time, and [`decode_snapshot`] recomputes
+//! it after reassembly — a truncated or garbled artifact fails decode
+//! instead of resuming from a corrupt world. A [`DecodeError`] says which
+//! artifact is at fault: the manifest, or one sealed chunk.
 
 use crate::error::StopReason;
+use crate::event::{Event, EventMeta};
 use crate::history::ChunkedLog;
 use crate::kernel::{
-    ChanRec, CvarRec, LockRec, PendingInput, PortRec, TaskRec, VarRec, WorldSnapshot, WorldState,
+    ChanRec, CrashRecord, CvarRec, DecisionRecord, EnabledSet, LockRec, OutputRecord, PendingInput,
+    PortRec, SysLogEntry, TaskRec, VarRec, WorldSnapshot, WorldState,
 };
 use crate::policy::SchedulePolicy;
 use crate::rng::DetRng;
-use serde::{Content, Deserialize, Serialize};
+use crate::value::Value;
+use serde::{Content, Deserialize, Deserializer, Kind, Serialize, Serializer};
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BTreeSet, BinaryHeap, VecDeque};
 
@@ -53,7 +61,7 @@ pub const SNAPSHOT_FORMAT_VERSION: u32 = 2;
 /// geometry, how many sealed chunks the snapshot references (their payloads
 /// live in separate content-addressed artifacts), and the mutable tail
 /// inline.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Serialize)]
 pub struct LogManifest {
     /// Canonical log name (`"trace"`, `"decisions"`, `"syslog-3"`, …).
     pub name: String,
@@ -62,13 +70,13 @@ pub struct LogManifest {
     /// Number of sealed chunks; payload `i` is fetched by
     /// `(name, i)` for `i < sealed`.
     pub sealed: u64,
-    /// The mutable tail, encoded inline (always smaller than one chunk).
-    pub tail: Content,
+    /// The mutable tail inline (always smaller than one chunk).
+    tail: LogTail,
 }
 
 /// The serializable form of one [`WorldSnapshot`] minus the sealed chunk
 /// payloads (see the [module docs](self) for the delta layout).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Serialize, Deserialize)]
 pub struct SnapshotManifest {
     /// Format version ([`SNAPSHOT_FORMAT_VERSION`]).
     pub version: u32,
@@ -81,8 +89,8 @@ pub struct SnapshotManifest {
     /// FNV-1a digest of the world at encode time; decode recomputes and
     /// compares it to reject corrupt or truncated artifacts.
     pub digest: u64,
-    /// The live (non-log) machine state, encoded.
-    pub live: Content,
+    /// The live (non-log) machine state.
+    pub live: LiveState,
     /// One entry per history log present in the world.
     pub logs: Vec<LogManifest>,
 }
@@ -121,7 +129,7 @@ pub trait SnapshotSink: Send {
 
 /// The live (non-log) half of a [`WorldState`], in a serializable mirror.
 #[derive(Serialize, Deserialize)]
-struct LiveState {
+struct LiveFields {
     tasks: Vec<TaskRec>,
     vars: Vec<VarRec>,
     locks: Vec<LockRec>,
@@ -153,9 +161,31 @@ struct LiveState {
     hash_decisions: bool,
 }
 
+/// The live (non-log) machine state of a [`SnapshotManifest`]. It encodes
+/// as a map of its fields; decode errors name the live state.
+pub struct LiveState(LiveFields);
+
+impl Serialize for LiveState {
+    fn to_content(&self) -> Content {
+        self.0.to_content()
+    }
+
+    fn serialize(&self, out: &mut dyn Serializer) {
+        self.0.serialize(out)
+    }
+}
+
+impl Deserialize for LiveState {
+    fn deserialize(de: &mut dyn Deserializer) -> Result<Self, serde::Error> {
+        LiveFields::deserialize(de)
+            .map(LiveState)
+            .map_err(|e| serde::Error::custom(format!("live state: {e}")))
+    }
+}
+
 impl LiveState {
     fn of(w: &WorldState) -> LiveState {
-        LiveState {
+        LiveState(LiveFields {
             tasks: w.tasks.clone(),
             vars: w.vars.clone(),
             locks: w.locks.clone(),
@@ -185,16 +215,161 @@ impl LiveState {
             net_sends: w.net_sends,
             record_syslog: w.record_syslog,
             hash_decisions: w.hash_decisions,
-        }
+        })
     }
 }
 
-fn log_manifest<T: Serialize>(name: &str, log: &ChunkedLog<T>) -> LogManifest {
+/// A log's mutable tail: the element vector of the log it belongs to.
+/// It encodes as a plain sequence.
+enum LogTail {
+    Trace(Vec<(EventMeta, Event)>),
+    Outputs(Vec<OutputRecord>),
+    InputsSeen(Vec<(String, Value)>),
+    Crashes(Vec<CrashRecord>),
+    Decisions(Vec<DecisionRecord>),
+    DecisionEnabled(Vec<EnabledSet>),
+    DecisionHashes(Vec<u64>),
+    SysLog(Vec<SysLogEntry>),
+    /// The tail of a log this build does not know, which decode ignores:
+    /// checked to be well-formed JSON and dropped. [`encode_manifest`]
+    /// never makes one; it encodes as an empty sequence.
+    Unknown,
+}
+
+impl LogTail {
+    /// Calls `f` with the tail's element vector, whatever its element
+    /// type.
+    fn encoded<R>(&self, f: impl FnOnce(&dyn Serialize) -> R) -> R {
+        match self {
+            LogTail::Trace(v) => f(v),
+            LogTail::Outputs(v) => f(v),
+            LogTail::InputsSeen(v) => f(v),
+            LogTail::Crashes(v) => f(v),
+            LogTail::Decisions(v) => f(v),
+            LogTail::DecisionEnabled(v) => f(v),
+            LogTail::DecisionHashes(v) => f(v),
+            LogTail::SysLog(v) => f(v),
+            LogTail::Unknown => f(&[(); 0]),
+        }
+    }
+
+    /// Decodes the tail of the log called `name`.
+    fn deserialize_for(name: &str, de: &mut dyn Deserializer) -> Result<Self, serde::Error> {
+        Ok(match name {
+            "trace" => LogTail::Trace(Vec::deserialize(de)?),
+            "outputs" => LogTail::Outputs(Vec::deserialize(de)?),
+            "inputs_seen" => LogTail::InputsSeen(Vec::deserialize(de)?),
+            "crashes" => LogTail::Crashes(Vec::deserialize(de)?),
+            "decisions" => LogTail::Decisions(Vec::deserialize(de)?),
+            "decision_enabled" => LogTail::DecisionEnabled(Vec::deserialize(de)?),
+            "decision_hashes" => LogTail::DecisionHashes(Vec::deserialize(de)?),
+            _ if syslog_task(name).is_some() => LogTail::SysLog(Vec::deserialize(de)?),
+            _ => {
+                de.skip()?;
+                LogTail::Unknown
+            }
+        })
+    }
+}
+
+impl Serialize for LogTail {
+    fn to_content(&self) -> Content {
+        self.encoded(|v| v.to_content())
+    }
+
+    fn serialize(&self, out: &mut dyn Serializer) {
+        self.encoded(|v| v.serialize(out))
+    }
+}
+
+/// The task whose syscall log is called `name` (`syslog-<task>`).
+fn syslog_task(name: &str) -> Option<usize> {
+    name.strip_prefix("syslog-")?.parse().ok()
+}
+
+// Hand-written because the tail's type depends on the log's name, which
+// must come first; otherwise the derive's rules: the first occurrence of a
+// key wins, unknown keys are rejected, missing fields are reported in
+// declaration order.
+impl Deserialize for LogManifest {
+    fn deserialize(de: &mut dyn Deserializer) -> Result<Self, serde::Error> {
+        if de.peek()? != Kind::Map {
+            return Err(serde::Error::custom("expected map for LogManifest"));
+        }
+        let (mut name, mut chunk_len, mut sealed, mut tail) = (None, None, None, None);
+        de.begin_map()?;
+        while let Some(key) = de.next_key()? {
+            match key {
+                "name" if name.is_none() => name = Some(String::deserialize(de)?),
+                "chunk_len" if chunk_len.is_none() => chunk_len = Some(u64::deserialize(de)?),
+                "sealed" if sealed.is_none() => sealed = Some(u64::deserialize(de)?),
+                "tail" if tail.is_none() => {
+                    let Some(name) = &name else {
+                        return Err(serde::Error::custom("log entry has `tail` before `name`"));
+                    };
+                    let decoded = LogTail::deserialize_for(name, de)
+                        .map_err(|e| serde::Error::custom(format!("log `{name}` tail: {e}")))?;
+                    tail = Some(decoded);
+                }
+                "name" | "chunk_len" | "sealed" | "tail" => de.skip()?,
+                other => {
+                    return Err(serde::Error::custom(format!(
+                        "unknown field `{other}` for LogManifest"
+                    )))
+                }
+            }
+        }
+        let missing =
+            |f: &str| serde::Error::custom(format!("missing field `{f}` for `LogManifest`"));
+        Ok(LogManifest {
+            name: name.ok_or_else(|| missing("name"))?,
+            chunk_len: chunk_len.ok_or_else(|| missing("chunk_len"))?,
+            sealed: sealed.ok_or_else(|| missing("sealed"))?,
+            tail: tail.ok_or_else(|| missing("tail"))?,
+        })
+    }
+}
+
+/// A history log element type: which [`LogTail`] variant carries its
+/// tail.
+trait LogElement: Deserialize {
+    fn tail(tail: LogTail) -> Option<Vec<Self>>;
+}
+
+macro_rules! log_elements {
+    ($($elem:ty => $variant:ident),* $(,)?) => {$(
+        impl LogElement for $elem {
+            fn tail(tail: LogTail) -> Option<Vec<Self>> {
+                match tail {
+                    LogTail::$variant(v) => Some(v),
+                    _ => None,
+                }
+            }
+        }
+    )*};
+}
+
+log_elements!(
+    (EventMeta, Event) => Trace,
+    OutputRecord => Outputs,
+    (String, Value) => InputsSeen,
+    CrashRecord => Crashes,
+    DecisionRecord => Decisions,
+    EnabledSet => DecisionEnabled,
+    u64 => DecisionHashes,
+    SysLogEntry => SysLog,
+);
+
+fn log_manifest<T: Clone>(
+    name: &str,
+    log: &ChunkedLog<T>,
+    tail: fn(Vec<T>) -> LogTail,
+) -> LogManifest {
     LogManifest {
         name: name.to_owned(),
         chunk_len: log.chunk_len() as u64,
         sealed: log.sealed_chunk_count() as u64,
-        tail: log.tail().to_content(),
+        tail: tail(log.tail().to_vec()),
     }
 }
 
@@ -210,16 +385,28 @@ pub fn encode_manifest(snap: &WorldSnapshot) -> SnapshotManifest {
     let w = &snap.world;
     let mut logs = Vec::new();
     if let Some(trace) = &w.trace {
-        logs.push(log_manifest("trace", trace));
+        logs.push(log_manifest("trace", trace, LogTail::Trace));
     }
-    logs.push(log_manifest("outputs", &w.outputs));
-    logs.push(log_manifest("inputs_seen", &w.inputs_seen));
-    logs.push(log_manifest("crashes", &w.crashes));
-    logs.push(log_manifest("decisions", &w.decisions));
-    logs.push(log_manifest("decision_enabled", &w.decision_enabled));
-    logs.push(log_manifest("decision_hashes", &w.decision_hashes));
+    logs.push(log_manifest("outputs", &w.outputs, LogTail::Outputs));
+    logs.push(log_manifest(
+        "inputs_seen",
+        &w.inputs_seen,
+        LogTail::InputsSeen,
+    ));
+    logs.push(log_manifest("crashes", &w.crashes, LogTail::Crashes));
+    logs.push(log_manifest("decisions", &w.decisions, LogTail::Decisions));
+    logs.push(log_manifest(
+        "decision_enabled",
+        &w.decision_enabled,
+        LogTail::DecisionEnabled,
+    ));
+    logs.push(log_manifest(
+        "decision_hashes",
+        &w.decision_hashes,
+        LogTail::DecisionHashes,
+    ));
     for (i, log) in w.sys_log.iter().enumerate() {
-        logs.push(log_manifest(&format!("syslog-{i}"), log));
+        logs.push(log_manifest(&format!("syslog-{i}"), log, LogTail::SysLog));
     }
     SnapshotManifest {
         version: SNAPSHOT_FORMAT_VERSION,
@@ -227,97 +414,136 @@ pub fn encode_manifest(snap: &WorldSnapshot) -> SnapshotManifest {
         step: w.steps,
         time: w.time,
         digest: w.digest(),
-        live: LiveState::of(w).to_content(),
+        live: LiveState::of(w),
         logs,
     }
 }
 
-/// Encodes the payload of one sealed chunk of the named log, or `None` if
-/// the log or index does not exist in this snapshot. Chunk payloads are
-/// immutable: `(log, index)` encodes identically in every later snapshot of
-/// the same run, which is what lets a store write each one exactly once.
-pub fn sealed_chunk(snap: &WorldSnapshot, log: &str, index: u64) -> Option<Content> {
+/// A serializable view of the payload of one sealed chunk of the named
+/// log (its elements, borrowed from the world), or `None` if the log or
+/// index does not exist in this snapshot. Chunk payloads are immutable:
+/// `(log, index)` encodes identically in every later snapshot of the same
+/// run, which is what lets a store write each one exactly once.
+pub fn sealed_chunk<'a>(
+    snap: &'a WorldSnapshot,
+    log: &str,
+    index: u64,
+) -> Option<Box<dyn Serialize + 'a>> {
+    fn view<T: Serialize>(
+        log: Option<&ChunkedLog<T>>,
+        i: usize,
+    ) -> Option<Box<dyn Serialize + '_>> {
+        Some(Box::new(log?.sealed_chunk(i)?))
+    }
     let w = &snap.world;
     let i = usize::try_from(index).ok()?;
     match log {
-        "trace" => w
-            .trace
-            .as_ref()
-            .and_then(|l| l.sealed_chunk(i))
-            .map(|s| s.to_content()),
-        "outputs" => w.outputs.sealed_chunk(i).map(|s| s.to_content()),
-        "inputs_seen" => w.inputs_seen.sealed_chunk(i).map(|s| s.to_content()),
-        "crashes" => w.crashes.sealed_chunk(i).map(|s| s.to_content()),
-        "decisions" => w.decisions.sealed_chunk(i).map(|s| s.to_content()),
-        "decision_enabled" => w.decision_enabled.sealed_chunk(i).map(|s| s.to_content()),
-        "decision_hashes" => w.decision_hashes.sealed_chunk(i).map(|s| s.to_content()),
-        _ => log
-            .strip_prefix("syslog-")
-            .and_then(|n| n.parse::<usize>().ok())
-            .and_then(|t| w.sys_log.get(t))
-            .and_then(|l| l.sealed_chunk(i))
-            .map(|s| s.to_content()),
+        "trace" => view(w.trace.as_ref(), i),
+        "outputs" => view(Some(&w.outputs), i),
+        "inputs_seen" => view(Some(&w.inputs_seen), i),
+        "crashes" => view(Some(&w.crashes), i),
+        "decisions" => view(Some(&w.decisions), i),
+        "decision_enabled" => view(Some(&w.decision_enabled), i),
+        "decision_hashes" => view(Some(&w.decision_hashes), i),
+        _ => view(syslog_task(log).and_then(|t| w.sys_log.get(t)), i),
     }
 }
 
-fn decode_log<T: Deserialize>(
-    m: &LogManifest,
-    fetch: &mut dyn FnMut(&str, u64) -> Result<Content, String>,
-) -> Result<ChunkedLog<T>, String> {
-    let mut sealed = Vec::with_capacity(m.sealed as usize);
-    for i in 0..m.sealed {
-        let payload = fetch(&m.name, i)?;
-        let chunk = Vec::<T>::from_content(&payload)
-            .map_err(|e| format!("log `{}` chunk {i}: {e}", m.name))?;
-        sealed.push(chunk);
+/// Why a stored snapshot does not decode, and which artifact is at fault.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum DecodeError {
+    /// The manifest: its text does not decode, or its version, its logs
+    /// or the digest of the world it reassembles are wrong.
+    Manifest(String),
+    /// Sealed chunk `index` of log `log`: its text could not be fetched or
+    /// does not decode.
+    Chunk {
+        /// The log's name.
+        log: String,
+        /// The chunk's index in the log.
+        index: u64,
+        /// What was wrong.
+        detail: String,
+    },
+}
+
+impl std::fmt::Display for DecodeError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            DecodeError::Manifest(detail) => f.write_str(detail),
+            DecodeError::Chunk { log, index, detail } => {
+                write!(f, "log `{log}` chunk {index}: {detail}")
+            }
+        }
     }
-    let tail =
-        Vec::<T>::from_content(&m.tail).map_err(|e| format!("log `{}` tail: {e}", m.name))?;
+}
+
+impl std::error::Error for DecodeError {}
+
+/// Reassembles the named log from its manifest entry (taken out of
+/// `logs`) and its sealed chunks' text.
+fn decode_log<T: LogElement>(
+    logs: &mut Vec<LogManifest>,
+    name: &str,
+    fetch: &mut dyn FnMut(&str, u64) -> Result<String, String>,
+) -> Result<ChunkedLog<T>, DecodeError> {
+    let pos = logs
+        .iter()
+        .position(|l| l.name == name)
+        .ok_or_else(|| DecodeError::Manifest(format!("manifest is missing log `{name}`")))?;
+    let m = logs.remove(pos);
+    let mut sealed = Vec::new();
+    for index in 0..m.sealed {
+        let chunk = fetch(name, index)
+            .and_then(|text| serde_json::from_str::<Vec<T>>(&text).map_err(|e| e.to_string()));
+        sealed.push(chunk.map_err(|detail| DecodeError::Chunk {
+            log: name.to_owned(),
+            index,
+            detail,
+        })?);
+    }
+    let tail = T::tail(m.tail).expect("a log's tail is decoded by its name");
     ChunkedLog::from_parts(m.chunk_len as usize, sealed, tail)
-        .map_err(|e| format!("log `{}`: {e}", m.name))
+        .map_err(|e| DecodeError::Manifest(format!("log `{name}`: {e}")))
 }
 
-fn find<'a>(logs: &'a [LogManifest], name: &str) -> Result<&'a LogManifest, String> {
-    logs.iter()
-        .find(|l| l.name == name)
-        .ok_or_else(|| format!("manifest is missing log `{name}`"))
-}
-
-/// Reassembles a [`WorldSnapshot`] from a manifest, a chunk fetcher (called
-/// once per `(log, index)` the manifest references), and the scheduling
-/// policy to attach.
+/// Reassembles a [`WorldSnapshot`] from a manifest's text, a chunk fetcher
+/// (called once per `(log, index)` the manifest references, returning the
+/// chunk's text), and the scheduling policy to attach.
 ///
-/// Fails — never panics — on version mismatch, missing or malformed logs,
-/// and on any digest mismatch between the manifest and the reassembled
-/// world (truncated or garbled artifacts).
+/// Fails — never panics — on undecodable text, version mismatch, missing
+/// or malformed logs, and on any digest mismatch between the manifest and
+/// the reassembled world (truncated or garbled artifacts). The error names
+/// the chunk at fault, or else the manifest.
 pub fn decode_snapshot(
-    manifest: &SnapshotManifest,
-    fetch: &mut dyn FnMut(&str, u64) -> Result<Content, String>,
+    manifest: &str,
+    fetch: &mut dyn FnMut(&str, u64) -> Result<String, String>,
     policy: Box<dyn SchedulePolicy>,
-) -> Result<WorldSnapshot, String> {
+) -> Result<WorldSnapshot, DecodeError> {
+    let manifest: SnapshotManifest =
+        serde_json::from_str(manifest).map_err(|e| DecodeError::Manifest(e.to_string()))?;
     if manifest.version != SNAPSHOT_FORMAT_VERSION {
-        return Err(format!(
+        return Err(DecodeError::Manifest(format!(
             "unsupported snapshot format version {} (this build reads {})",
             manifest.version, SNAPSHOT_FORMAT_VERSION
-        ));
+        )));
     }
-    let live = LiveState::from_content(&manifest.live).map_err(|e| format!("live state: {e}"))?;
-    let trace = match manifest.logs.iter().find(|l| l.name == "trace") {
-        Some(m) => Some(decode_log(m, fetch)?),
-        None => None,
+    let live = manifest.live.0;
+    let mut logs = manifest.logs;
+    let trace = if logs.iter().any(|l| l.name == "trace") {
+        Some(decode_log(&mut logs, "trace", fetch)?)
+    } else {
+        None
     };
-    let outputs = decode_log(find(&manifest.logs, "outputs")?, fetch)?;
-    let inputs_seen = decode_log(find(&manifest.logs, "inputs_seen")?, fetch)?;
-    let crashes = decode_log(find(&manifest.logs, "crashes")?, fetch)?;
-    let decisions = decode_log(find(&manifest.logs, "decisions")?, fetch)?;
-    let decision_enabled = decode_log(find(&manifest.logs, "decision_enabled")?, fetch)?;
-    let decision_hashes = decode_log(find(&manifest.logs, "decision_hashes")?, fetch)?;
+    let outputs = decode_log(&mut logs, "outputs", fetch)?;
+    let inputs_seen = decode_log(&mut logs, "inputs_seen", fetch)?;
+    let crashes = decode_log(&mut logs, "crashes", fetch)?;
+    let decisions = decode_log(&mut logs, "decisions", fetch)?;
+    let decision_enabled = decode_log(&mut logs, "decision_enabled", fetch)?;
+    let decision_hashes = decode_log(&mut logs, "decision_hashes", fetch)?;
     let mut sys_log = Vec::with_capacity(live.tasks.len());
     for i in 0..live.tasks.len() {
-        sys_log.push(decode_log(
-            find(&manifest.logs, &format!("syslog-{i}"))?,
-            fetch,
-        )?);
+        sys_log.push(decode_log(&mut logs, &format!("syslog-{i}"), fetch)?);
     }
     let world = WorldState {
         tasks: live.tasks,
@@ -360,11 +586,11 @@ pub fn decode_snapshot(
     };
     let digest = world.digest();
     if digest != manifest.digest {
-        return Err(format!(
+        return Err(DecodeError::Manifest(format!(
             "snapshot digest mismatch: manifest says {:016x}, reassembled world is {digest:016x} \
              (corrupt or truncated artifact)",
             manifest.digest
-        ));
+        )));
     }
     Ok(WorldSnapshot { world, policy })
 }
@@ -377,7 +603,51 @@ mod tests {
     use crate::policy::RandomPolicy;
     use crate::program::{Builder, Program};
 
-    struct Racer;
+    fn manifest_text(snap: &WorldSnapshot) -> String {
+        serde_json::to_string(&encode_manifest(snap)).expect("manifest encodes")
+    }
+
+    /// Decodes `manifest` text, fetching chunk text from `snap`.
+    fn decode(snap: &WorldSnapshot, manifest: &str) -> Result<WorldSnapshot, DecodeError> {
+        decode_snapshot(
+            manifest,
+            &mut |log, i| {
+                let view =
+                    sealed_chunk(snap, log, i).ok_or_else(|| format!("no chunk {log}/{i}"))?;
+                serde_json::to_string(&view).map_err(|e| e.to_string())
+            },
+            snap.policy.clone_box(),
+        )
+    }
+
+    /// Edits the manifest's JSON text as a document tree.
+    fn edit_manifest(
+        snap: &WorldSnapshot,
+        edit: impl FnOnce(&mut Vec<(Content, Content)>),
+    ) -> String {
+        let mut doc: Content = serde_json::from_str(&manifest_text(snap)).expect("manifest parses");
+        let Content::Map(fields) = &mut doc else {
+            panic!("the manifest encodes as a map");
+        };
+        edit(fields);
+        serde_json::to_string(&doc).expect("edited manifest encodes")
+    }
+
+    /// The value of `key` in a map's fields.
+    fn field<'a>(fields: &'a mut [(Content, Content)], key: &str) -> &'a mut Content {
+        &mut fields
+            .iter_mut()
+            .find(|(k, _)| k.as_str() == Some(key))
+            .unwrap_or_else(|| panic!("no field `{key}`"))
+            .1
+    }
+
+    /// Three adders race on a shared total, `increments` times each.
+    struct Racer {
+        increments: u32,
+    }
+
+    const RACER: Racer = Racer { increments: 8 };
 
     impl Program for Racer {
         fn name(&self) -> &'static str {
@@ -387,9 +657,10 @@ mod tests {
             let total = b.var("total", 0i64);
             let out = b.out_port("result");
             let done = b.channel::<i64>("done", crate::config::ChanClass::Local);
+            let increments = self.increments;
             for i in 0..3 {
                 b.spawn(&format!("adder{i}"), "workers", move |mut ctx| async move {
-                    for _ in 0..8 {
+                    for _ in 0..increments {
                         let v = ctx.read(&total, "adder::read").await?;
                         ctx.write(&total, v + 1, "adder::write").await?;
                     }
@@ -418,7 +689,7 @@ mod tests {
     #[test]
     fn encode_decode_roundtrip_resumes_identically() {
         let out = run_program(
-            &Racer,
+            &RACER,
             checkpointed_cfg(),
             Box::new(RandomPolicy::new(7)),
             vec![],
@@ -426,21 +697,13 @@ mod tests {
         assert!(!out.snapshots.is_empty(), "run took no snapshots");
         let snap = &out.snapshots[out.snapshots.len() / 2];
 
-        let manifest = encode_manifest(snap);
-        let decoded = decode_snapshot(
-            &manifest,
-            &mut |log, i| {
-                sealed_chunk(snap, log, i).ok_or_else(|| format!("missing chunk {log}/{i}"))
-            },
-            snap.policy.clone_box(),
-        )
-        .expect("roundtrip decodes");
+        let decoded = decode(snap, &manifest_text(snap)).expect("roundtrip decodes");
         assert_eq!(decoded.at_decision(), snap.at_decision());
         assert_eq!(decoded.world.digest(), snap.world.digest());
 
         // The restored world resumes to the same behaviour as the original.
-        let a = resume_program(&Racer, checkpointed_cfg(), snap, None, vec![]);
-        let b = resume_program(&Racer, checkpointed_cfg(), &decoded, None, vec![]);
+        let a = resume_program(&RACER, checkpointed_cfg(), snap, None, vec![]);
+        let b = resume_program(&RACER, checkpointed_cfg(), &decoded, None, vec![]);
         assert_eq!(a.final_state_hash, b.final_state_hash);
         assert_eq!(a.io, b.io);
     }
@@ -481,7 +744,7 @@ mod tests {
     #[test]
     fn fault_state_roundtrips_and_resumes_identically() {
         let out = run_program(
-            &Racer,
+            &RACER,
             faulted_cfg(),
             Box::new(RandomPolicy::new(7)),
             vec![],
@@ -498,21 +761,13 @@ mod tests {
         assert_eq!(w.restart_counts.get("workers"), Some(&1));
         assert!(!w.restarts_fired.is_empty());
 
-        let manifest = encode_manifest(snap);
-        let decoded = decode_snapshot(
-            &manifest,
-            &mut |log, i| {
-                sealed_chunk(snap, log, i).ok_or_else(|| format!("missing chunk {log}/{i}"))
-            },
-            snap.policy.clone_box(),
-        )
-        .expect("fault-state roundtrip decodes");
+        let decoded = decode(snap, &manifest_text(snap)).expect("fault-state roundtrip decodes");
         assert_eq!(decoded.world.active_partitions, w.active_partitions);
         assert_eq!(decoded.world.restarts_fired, w.restarts_fired);
         assert_eq!(decoded.world.digest(), w.digest());
 
-        let a = resume_program(&Racer, faulted_cfg(), snap, None, vec![]);
-        let b = resume_program(&Racer, faulted_cfg(), &decoded, None, vec![]);
+        let a = resume_program(&RACER, faulted_cfg(), snap, None, vec![]);
+        let b = resume_program(&RACER, faulted_cfg(), &decoded, None, vec![]);
         assert_eq!(a.final_state_hash, b.final_state_hash);
         assert_eq!(a.io, b.io);
         assert_eq!(a.io.group_restarts.get("workers"), Some(&1));
@@ -521,32 +776,28 @@ mod tests {
     #[test]
     fn truncated_fault_state_is_rejected_naming_the_live_state() {
         let out = run_program(
-            &Racer,
+            &RACER,
             faulted_cfg(),
             Box::new(RandomPolicy::new(7)),
             vec![],
         );
         let snap = &out.snapshots[out.snapshots.len() / 2];
-        let mut manifest = encode_manifest(snap);
         // Drop the fault-plane fields from the live-state map — the shape a
         // manifest truncated at the version-1 field boundary would have.
-        let Content::Map(fields) = &mut manifest.live else {
-            panic!("live state encodes as a map");
-        };
-        fields.retain(|(k, _)| {
-            !matches!(
-                k.as_str(),
-                Some("pending_partitions" | "active_partitions" | "restart_counts")
-            )
+        let text = edit_manifest(snap, |fields| {
+            let Content::Map(live) = field(fields, "live") else {
+                panic!("live state encodes as a map");
+            };
+            live.retain(|(k, _)| {
+                !matches!(
+                    k.as_str(),
+                    Some("pending_partitions" | "active_partitions" | "restart_counts")
+                )
+            });
         });
-        let err = decode_snapshot(
-            &manifest,
-            &mut |log, i| {
-                sealed_chunk(snap, log, i).ok_or_else(|| format!("missing chunk {log}/{i}"))
-            },
-            snap.policy.clone_box(),
-        )
-        .expect_err("truncated live state must fail decode");
+        let err = decode(snap, &text)
+            .expect_err("truncated live state must fail decode")
+            .to_string();
         assert!(
             err.contains("live state") && err.contains("pending_partitions"),
             "{err}"
@@ -556,34 +807,106 @@ mod tests {
     #[test]
     fn garbled_crash_log_tail_is_rejected_naming_the_log() {
         let out = run_program(
-            &Racer,
+            &RACER,
             faulted_cfg(),
             Box::new(RandomPolicy::new(7)),
             vec![],
         );
         let snap = &out.snapshots[out.snapshots.len() / 2];
-        let mut manifest = encode_manifest(snap);
-        let crashes = manifest
+        let text = edit_manifest(snap, |fields| {
+            let Content::Seq(logs) = field(fields, "logs") else {
+                panic!("logs encode as a sequence");
+            };
+            let crashes = logs
+                .iter_mut()
+                .find_map(|log| match log {
+                    Content::Map(entry) => {
+                        let name = entry.iter().find(|(k, _)| k.as_str() == Some("name"));
+                        (name.and_then(|(_, v)| v.as_str()) == Some("crashes")).then_some(entry)
+                    }
+                    _ => None,
+                })
+                .expect("manifest carries the crash log");
+            *field(crashes, "tail") = Content::Null;
+        });
+        let err = decode(snap, &text).expect_err("garbled crash-log tail must fail decode");
+        assert!(matches!(err, DecodeError::Manifest(_)), "{err:?}");
+        assert!(err.to_string().contains("log `crashes` tail"), "{err}");
+    }
+
+    /// The writer always emits a log's `name` before its `tail`, whose
+    /// element type the name decides; a tail first is corrupt.
+    #[test]
+    fn log_tail_before_its_name_is_rejected() {
+        let out = run_program(
+            &RACER,
+            checkpointed_cfg(),
+            Box::new(RandomPolicy::new(7)),
+            vec![],
+        );
+        let snap = out.snapshots.first().expect("run took snapshots");
+        let text = edit_manifest(snap, |fields| {
+            let Content::Seq(logs) = field(fields, "logs") else {
+                panic!("logs encode as a sequence");
+            };
+            let Content::Map(entry) = &mut logs[0] else {
+                panic!("a log entry encodes as a map");
+            };
+            entry.reverse();
+        });
+        let err = decode(snap, &text).expect_err("tail before name must fail decode");
+        assert_eq!(
+            err,
+            DecodeError::Manifest("log entry has `tail` before `name`".to_owned())
+        );
+    }
+
+    /// A chunk whose text parses but does not decode is blamed on that
+    /// chunk, not on the manifest.
+    #[test]
+    fn undecodable_chunk_is_blamed_on_the_chunk() {
+        // Long enough for the decision log to seal a chunk.
+        let out = run_program(
+            &Racer { increments: 200 },
+            RunConfig {
+                checkpoints: Some(CheckpointPlan::new(64, u64::MAX)),
+                ..checkpointed_cfg()
+            },
+            Box::new(RandomPolicy::new(7)),
+            vec![],
+        );
+        let snap = out.snapshots.last().expect("run took snapshots");
+        let manifest = encode_manifest(snap);
+        let log = manifest
             .logs
-            .iter_mut()
-            .find(|l| l.name == "crashes")
-            .expect("manifest carries the crash log");
-        crashes.tail = Content::Null;
+            .iter()
+            .find(|l| l.sealed > 0)
+            .expect("a log sealed a chunk")
+            .name
+            .clone();
         let err = decode_snapshot(
-            &manifest,
-            &mut |log, i| {
-                sealed_chunk(snap, log, i).ok_or_else(|| format!("missing chunk {log}/{i}"))
+            &manifest_text(snap),
+            &mut |name, i| {
+                if name == log {
+                    return Ok(r#"[{"bogus":1}]"#.to_owned());
+                }
+                let view =
+                    sealed_chunk(snap, name, i).ok_or_else(|| format!("no chunk {name}/{i}"))?;
+                serde_json::to_string(&view).map_err(|e| e.to_string())
             },
             snap.policy.clone_box(),
         )
-        .expect_err("garbled crash-log tail must fail decode");
-        assert!(err.contains("log `crashes` tail"), "{err}");
+        .expect_err("a wrong-shape chunk must fail decode");
+        let DecodeError::Chunk { log: at, index, .. } = &err else {
+            panic!("blamed on the manifest: {err}");
+        };
+        assert_eq!((at.as_str(), *index), (log.as_str(), 0));
     }
 
     #[test]
     fn garbled_manifest_digest_is_rejected() {
         let out = run_program(
-            &Racer,
+            &RACER,
             checkpointed_cfg(),
             Box::new(RandomPolicy::new(7)),
             vec![],
@@ -591,14 +914,9 @@ mod tests {
         let snap = out.snapshots.first().expect("run took snapshots");
         let mut manifest = encode_manifest(snap);
         manifest.digest ^= 1;
-        let err = decode_snapshot(
-            &manifest,
-            &mut |log, i| {
-                sealed_chunk(snap, log, i).ok_or_else(|| format!("missing chunk {log}/{i}"))
-            },
-            snap.policy.clone_box(),
-        )
-        .expect_err("digest mismatch must fail decode");
-        assert!(err.contains("digest mismatch"), "{err}");
+        let text = serde_json::to_string(&manifest).expect("manifest encodes");
+        let err = decode(snap, &text).expect_err("digest mismatch must fail decode");
+        assert!(matches!(err, DecodeError::Manifest(_)), "{err:?}");
+        assert!(err.to_string().contains("digest mismatch"), "{err}");
     }
 }

@@ -103,26 +103,29 @@ impl Serialize for EpochMark {
 
 // Tolerates a missing `snapshot` (v1/v2 artifacts) but still rejects
 // unknown keys, matching the strictness of the derived form it replaces.
+// A repeated key's last occurrence wins. The unknown-key text keeps the
+// form it has always had (the key as a `Content` dump).
 impl Deserialize for EpochMark {
-    fn from_content(content: &serde::Content) -> Result<Self, serde::Error> {
-        let map = content
-            .as_map()
-            .ok_or_else(|| serde::Error::custom("expected an EpochMark map"))?;
+    fn deserialize(de: &mut dyn serde::Deserializer) -> Result<Self, serde::Error> {
+        if de.peek()? != serde::Kind::Map {
+            return Err(serde::Error::custom("expected an EpochMark map"));
+        }
         let mut mark = EpochMark {
             decision: 0,
             step: 0,
             time: 0,
             snapshot: None,
         };
-        for (k, v) in map {
-            match k.as_str() {
-                Some("decision") => mark.decision = u64::from_content(v)?,
-                Some("step") => mark.step = u64::from_content(v)?,
-                Some("time") => mark.time = u64::from_content(v)?,
-                Some("snapshot") => mark.snapshot = Some(u64::from_content(v)?),
-                _ => {
+        de.begin_map()?;
+        while let Some(key) = de.next_key()? {
+            match key {
+                "decision" => mark.decision = u64::deserialize(de)?,
+                "step" => mark.step = u64::deserialize(de)?,
+                "time" => mark.time = u64::deserialize(de)?,
+                "snapshot" => mark.snapshot = Some(u64::deserialize(de)?),
+                other => {
                     return Err(serde::Error::custom(format!(
-                        "unknown EpochMark field {k:?}"
+                        "unknown EpochMark field Str({other:?})"
                     )))
                 }
             }
@@ -161,30 +164,29 @@ impl Default for ScheduleLog {
 
 // Hand-written so v1 artifacts (decision stream only, predating `version`
 // and `epochs`) keep loading: missing fields default to version 1 with no
-// epochs instead of failing deserialization.
+// epochs instead of failing deserialization. A repeated key's first
+// occurrence wins; unknown keys are skipped.
 impl serde::Deserialize for ScheduleLog {
-    fn from_content(content: &serde::Content) -> Result<Self, serde::Error> {
-        let map = content
-            .as_map()
-            .ok_or_else(|| serde::Error::custom("expected a ScheduleLog map"))?;
-        let field = |name: &str| {
-            map.iter()
-                .find(|(k, _)| k.as_str() == Some(name))
-                .map(|(_, v)| v)
-        };
+    fn deserialize(de: &mut dyn serde::Deserializer) -> Result<Self, serde::Error> {
+        if de.peek()? != serde::Kind::Map {
+            return Err(serde::Error::custom("expected a ScheduleLog map"));
+        }
+        let (mut version, mut decisions, mut epochs) = (None, None, None);
+        de.begin_map()?;
+        while let Some(key) = de.next_key()? {
+            match key {
+                "version" if version.is_none() => version = Some(u32::deserialize(de)?),
+                "decisions" if decisions.is_none() => {
+                    decisions = Some(ChunkedLog::<RecordedDecision>::deserialize(de)?)
+                }
+                "epochs" if epochs.is_none() => epochs = Some(Vec::<EpochMark>::deserialize(de)?),
+                _ => de.skip()?,
+            }
+        }
         Ok(ScheduleLog {
-            version: match field("version") {
-                Some(v) => u32::from_content(v)?,
-                None => 1,
-            },
-            decisions: match field("decisions") {
-                Some(v) => ChunkedLog::<RecordedDecision>::from_content(v)?,
-                None => ChunkedLog::new(),
-            },
-            epochs: match field("epochs") {
-                Some(v) => Vec::<EpochMark>::from_content(v)?,
-                None => Vec::new(),
-            },
+            version: version.unwrap_or(1),
+            decisions: decisions.unwrap_or_else(ChunkedLog::new),
+            epochs: epochs.unwrap_or_default(),
         })
     }
 }

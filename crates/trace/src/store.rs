@@ -41,13 +41,22 @@
 //! One store holds snapshots of **one** recorded run; chunk addresses are
 //! only unique within a run's history, so [`SnapshotStore::create`] empties
 //! whatever an earlier recording left in the directory.
+//!
+//! # Which file an error names
+//!
+//! [`SnapshotStore::load`] reads the manifest's and the chunks' text and
+//! hands it to [`dd_sim::decode_snapshot`], whose [`DecodeError`] says
+//! which artifact is at fault. A chunk that cannot be read, does not parse,
+//! or parses but does not decode into its log's elements is named itself;
+//! every other fault (the manifest's own text, its version, a missing log,
+//! the digest check) names the manifest.
 
 use crate::persist::{load_json, PersistError};
 use dd_sim::{
-    decode_snapshot, encode_manifest, sealed_chunk, SchedulePolicy, SnapshotManifest, SnapshotSink,
+    decode_snapshot, encode_manifest, sealed_chunk, DecodeError, SchedulePolicy, SnapshotSink,
     WorldSnapshot,
 };
-use serde::{Content, Deserialize, Serialize};
+use serde::{Deserialize, Serialize};
 use std::io::Write;
 use std::path::{Path, PathBuf};
 
@@ -190,7 +199,7 @@ pub enum StoreError {
     },
     /// The named file exists but does not decode to a valid artifact
     /// (truncated, garbled, wrong version, or failing the snapshot digest
-    /// check).
+    /// check), or is a chunk a manifest references that cannot be read.
     Corrupt {
         /// The offending file.
         file: PathBuf,
@@ -514,32 +523,29 @@ impl SnapshotStore {
     /// Restores the snapshot stored under `id`, attaching `policy` as the
     /// resumed world's scheduler. Fails — naming the offending file —
     /// when the manifest or any referenced chunk is missing, garbled or
-    /// fails the world-digest integrity check.
+    /// fails the world-digest integrity check: a chunk that cannot be read
+    /// or does not decode is named itself, everything else names the
+    /// manifest.
     pub fn load(
         &self,
         id: u64,
         policy: Box<dyn SchedulePolicy>,
     ) -> Result<WorldSnapshot, StoreError> {
         let mpath = self.manifest_path(id);
-        let manifest: SnapshotManifest = load_json(&mpath).map_err(|e| persist_err(&mpath, e))?;
-        let mut failed_chunk: Option<(PathBuf, String)> = None;
-        let mut fetch = |name: &str, i: u64| -> Result<Content, String> {
-            let path = self.chunk_path(name, i);
-            load_json::<Content>(&path).map_err(|e| {
-                let detail = e.to_string();
-                failed_chunk = Some((path.clone(), detail.clone()));
-                detail
-            })
+        let manifest = std::fs::read_to_string(&mpath).map_err(io_err(&mpath))?;
+        let mut fetch = |name: &str, i: u64| {
+            std::fs::read_to_string(self.chunk_path(name, i))
+                .map_err(|e| PersistError::Io(e).to_string())
         };
-        decode_snapshot(&manifest, &mut fetch, policy).map_err(|detail| match failed_chunk.take() {
-            Some((file, chunk_detail)) if detail.contains(&chunk_detail) => StoreError::Corrupt {
+        decode_snapshot(&manifest, &mut fetch, policy).map_err(|e| {
+            let file = match &e {
+                DecodeError::Chunk { log, index, .. } => self.chunk_path(log, *index),
+                DecodeError::Manifest(_) => mpath.clone(),
+            };
+            StoreError::Corrupt {
                 file,
-                detail: chunk_detail,
-            },
-            _ => StoreError::Corrupt {
-                file: mpath.clone(),
-                detail,
-            },
+                detail: e.to_string(),
+            }
         })
     }
 }
@@ -846,15 +852,19 @@ mod tests {
         chunk_files.sort();
         let victim = chunk_files.first().expect("a deep run seals chunks");
         let original = std::fs::read(victim).unwrap();
-        std::fs::write(victim, b"{garbled").unwrap();
-        let err = store
-            .load(entry.id, Box::new(RandomPolicy::new(1)))
-            .unwrap_err();
         let victim_name = victim.file_name().unwrap().to_string_lossy().into_owned();
-        assert!(
-            err.to_string().contains(&victim_name),
-            "error names the corrupt file {victim_name}: {err}"
-        );
+        // Text that does not parse, and text that parses but does not
+        // decode into the log's elements: both name the chunk.
+        for garbage in ["{garbled", r#"[{"bogus":1}]"#] {
+            std::fs::write(victim, garbage).unwrap();
+            let err = store
+                .load(entry.id, Box::new(RandomPolicy::new(1)))
+                .unwrap_err();
+            assert!(
+                err.to_string().contains(&victim_name),
+                "{garbage}: error names the corrupt file {victim_name}: {err}"
+            );
+        }
         std::fs::write(victim, &original).unwrap();
 
         // Truncate the manifest: same contract.

@@ -133,32 +133,36 @@ fn corrupt_chunk_exits_four_and_names_the_file() {
     assert!(!files.is_empty(), "spilled store has sealed chunks");
     // Which chunks a restore touches depends on which snapshot is nearest,
     // so garble them all: the restore must fail on whichever it reads
-    // first, and the error must name that file.
-    for victim in &files {
-        std::fs::write(victim, "{ not json").unwrap();
-    }
+    // first, and the error must name that file. Garbage that parses but
+    // has the wrong shape must be named as well as garbage that does not
+    // parse.
+    for garbage in [r#"[{"bogus":1}]"#, "{ not json"] {
+        for victim in &files {
+            std::fs::write(victim, garbage).unwrap();
+        }
 
-    let mid = decisions_of(&trace) / 2;
-    let out = dd(&[
-        "replay",
-        trace.to_str().unwrap(),
-        "--from",
-        &mid.to_string(),
-    ]);
-    assert_eq!(
-        code(&out),
-        4,
-        "stdout: {} stderr: {}",
-        stdout(&out),
-        stderr(&out)
-    );
-    let err = stderr(&out);
-    assert!(
-        files
-            .iter()
-            .any(|f| err.contains(f.file_name().unwrap().to_str().unwrap())),
-        "error must name the corrupt chunk file: {err}"
-    );
+        let mid = decisions_of(&trace) / 2;
+        let out = dd(&[
+            "replay",
+            trace.to_str().unwrap(),
+            "--from",
+            &mid.to_string(),
+        ]);
+        assert_eq!(
+            code(&out),
+            4,
+            "{garbage}: stdout: {} stderr: {}",
+            stdout(&out),
+            stderr(&out)
+        );
+        let err = stderr(&out);
+        assert!(
+            files
+                .iter()
+                .any(|f| err.contains(f.file_name().unwrap().to_str().unwrap())),
+            "{garbage}: error must name the corrupt chunk file: {err}"
+        );
+    }
 }
 
 #[test]
