@@ -24,11 +24,21 @@
 //! that lays manifests and chunks out on disk (and enforces the
 //! replay-starting-point availability bound) lives in `dd-trace`.
 //!
-//! The manifest is typed: its live state is a mirror of the world's
-//! non-log fields, and each log's tail is that log's element vector,
-//! decoded according to the log's `name` (which the writer always emits
-//! before the tail). Chunk text decodes straight into the log's element
-//! type. Decoding builds no intermediate document tree.
+//! Encoding is incremental. A [`SnapshotWriter`] encodes successive
+//! snapshots of one run: each manifest's header and live state in full,
+//! but of each log's tail only the elements appended since the previous
+//! snapshot, added to the tail text it cached then. When one chunk sealed
+//! in between, the cached text becomes the start of that chunk's text.
+//! Debug builds check every manifest and every reused chunk text against a
+//! fresh writer's. The writer is the only encoder: nothing else writes a
+//! manifest or a chunk.
+//!
+//! Decoding does not depend on the writer. It reads a typed manifest: its
+//! live state is a mirror of the world's non-log fields, and each log's
+//! tail is that log's element vector, decoded according to the log's
+//! `name` (which the writer always emits before the tail). Chunk text
+//! decodes straight into the log's element type. Decoding builds no
+//! intermediate document tree.
 //!
 //! Integrity: the manifest embeds the world's FNV-1a
 //! `WorldState::digest` at encode time, and [`decode_snapshot`] recomputes
@@ -47,8 +57,10 @@ use crate::policy::SchedulePolicy;
 use crate::rng::DetRng;
 use crate::value::Value;
 use serde::{Content, Deserialize, Deserializer, Kind, Serialize, Serializer};
+use std::borrow::Cow;
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BTreeSet, BinaryHeap, VecDeque};
+use std::fmt::Write as _;
 
 /// Version tag of the snapshot manifest format.
 ///
@@ -61,7 +73,6 @@ pub const SNAPSHOT_FORMAT_VERSION: u32 = 2;
 /// geometry, how many sealed chunks the snapshot references (their payloads
 /// live in separate content-addressed artifacts), and the mutable tail
 /// inline.
-#[derive(Serialize)]
 pub struct LogManifest {
     /// Canonical log name (`"trace"`, `"decisions"`, `"syslog-3"`, …).
     pub name: String,
@@ -74,9 +85,9 @@ pub struct LogManifest {
     tail: LogTail,
 }
 
-/// The serializable form of one [`WorldSnapshot`] minus the sealed chunk
-/// payloads (see the [module docs](self) for the delta layout).
-#[derive(Serialize, Deserialize)]
+/// A decoded snapshot manifest: one [`WorldSnapshot`] minus the sealed
+/// chunk payloads (see the [module docs](self) for the delta layout).
+#[derive(Deserialize)]
 pub struct SnapshotManifest {
     /// Format version ([`SNAPSHOT_FORMAT_VERSION`]).
     pub version: u32,
@@ -127,9 +138,42 @@ pub trait SnapshotSink: Send {
     fn offer(&mut self, snap: &WorldSnapshot) -> Result<Option<u64>, String>;
 }
 
-/// The live (non-log) half of a [`WorldState`], in a serializable mirror.
-#[derive(Serialize, Deserialize)]
-struct LiveFields {
+/// Declares the live (non-log) fields of a [`WorldState`] once, in
+/// manifest order: [`LiveFields`], the owned mirror decode reads them into,
+/// and [`LiveView`], which encodes them borrowed from the world.
+macro_rules! live_fields {
+    ($($field:ident: $ty:ty,)*) => {
+        /// The live (non-log) half of a [`WorldState`], in a decodable
+        /// mirror.
+        #[derive(Deserialize)]
+        struct LiveFields {
+            $($field: $ty,)*
+        }
+
+        /// The live half of a world, borrowed: it encodes as the map
+        /// [`LiveFields`] decodes.
+        struct LiveView<'a>(&'a WorldState);
+
+        impl Serialize for LiveView<'_> {
+            fn to_content(&self) -> Content {
+                Content::Map(vec![$(
+                    (Content::Str(stringify!($field).to_owned()), self.0.$field.to_content()),
+                )*])
+            }
+
+            fn serialize(&self, out: &mut dyn Serializer) {
+                out.begin_map();
+                $(
+                    out.key(stringify!($field));
+                    self.0.$field.serialize(out);
+                )*
+                out.end_map();
+            }
+        }
+    };
+}
+
+live_fields! {
     tasks: Vec<TaskRec>,
     vars: Vec<VarRec>,
     locks: Vec<LockRec>,
@@ -161,19 +205,9 @@ struct LiveFields {
     hash_decisions: bool,
 }
 
-/// The live (non-log) machine state of a [`SnapshotManifest`]. It encodes
-/// as a map of its fields; decode errors name the live state.
+/// The live (non-log) machine state of a [`SnapshotManifest`]; decode
+/// errors name the live state.
 pub struct LiveState(LiveFields);
-
-impl Serialize for LiveState {
-    fn to_content(&self) -> Content {
-        self.0.to_content()
-    }
-
-    fn serialize(&self, out: &mut dyn Serializer) {
-        self.0.serialize(out)
-    }
-}
 
 impl Deserialize for LiveState {
     fn deserialize(de: &mut dyn Deserializer) -> Result<Self, serde::Error> {
@@ -183,44 +217,7 @@ impl Deserialize for LiveState {
     }
 }
 
-impl LiveState {
-    fn of(w: &WorldState) -> LiveState {
-        LiveState(LiveFields {
-            tasks: w.tasks.clone(),
-            vars: w.vars.clone(),
-            locks: w.locks.clone(),
-            cvars: w.cvars.clone(),
-            chans: w.chans.clone(),
-            ports: w.ports.clone(),
-            time: w.time,
-            wall_extra: w.wall_extra,
-            steps: w.steps,
-            events: w.events,
-            rng: w.rng.clone(),
-            timers: w.timers.clone(),
-            pending_inputs: w.pending_inputs.clone(),
-            pending_crashes: w.pending_crashes.clone(),
-            pending_partitions: w.pending_partitions.clone(),
-            pending_heals: w.pending_heals.clone(),
-            active_partitions: w.active_partitions.clone(),
-            pending_restarts: w.pending_restarts.clone(),
-            restarts_due: w.restarts_due.clone(),
-            restarts_fired: w.restarts_fired.clone(),
-            crash_counts: w.crash_counts.clone(),
-            restart_counts: w.restart_counts.clone(),
-            counters: w.counters.clone(),
-            cancelling: w.cancelling,
-            stop: w.stop.clone(),
-            decision_seq: w.decision_seq,
-            net_sends: w.net_sends,
-            record_syslog: w.record_syslog,
-            hash_decisions: w.hash_decisions,
-        })
-    }
-}
-
 /// A log's mutable tail: the element vector of the log it belongs to.
-/// It encodes as a plain sequence.
 enum LogTail {
     Trace(Vec<(EventMeta, Event)>),
     Outputs(Vec<OutputRecord>),
@@ -231,28 +228,12 @@ enum LogTail {
     DecisionHashes(Vec<u64>),
     SysLog(Vec<SysLogEntry>),
     /// The tail of a log this build does not know, which decode ignores:
-    /// checked to be well-formed JSON and dropped. [`encode_manifest`]
-    /// never makes one; it encodes as an empty sequence.
+    /// checked to be well-formed JSON and dropped. The writer never
+    /// writes one.
     Unknown,
 }
 
 impl LogTail {
-    /// Calls `f` with the tail's element vector, whatever its element
-    /// type.
-    fn encoded<R>(&self, f: impl FnOnce(&dyn Serialize) -> R) -> R {
-        match self {
-            LogTail::Trace(v) => f(v),
-            LogTail::Outputs(v) => f(v),
-            LogTail::InputsSeen(v) => f(v),
-            LogTail::Crashes(v) => f(v),
-            LogTail::Decisions(v) => f(v),
-            LogTail::DecisionEnabled(v) => f(v),
-            LogTail::DecisionHashes(v) => f(v),
-            LogTail::SysLog(v) => f(v),
-            LogTail::Unknown => f(&[(); 0]),
-        }
-    }
-
     /// Decodes the tail of the log called `name`.
     fn deserialize_for(name: &str, de: &mut dyn Deserializer) -> Result<Self, serde::Error> {
         Ok(match name {
@@ -269,16 +250,6 @@ impl LogTail {
                 LogTail::Unknown
             }
         })
-    }
-}
-
-impl Serialize for LogTail {
-    fn to_content(&self) -> Content {
-        self.encoded(|v| v.to_content())
-    }
-
-    fn serialize(&self, out: &mut dyn Serializer) {
-        self.encoded(|v| v.serialize(out))
     }
 }
 
@@ -360,92 +331,243 @@ log_elements!(
     SysLogEntry => SysLog,
 );
 
-fn log_manifest<T: Clone>(
-    name: &str,
-    log: &ChunkedLog<T>,
-    tail: fn(Vec<T>) -> LogTail,
-) -> LogManifest {
-    LogManifest {
-        name: name.to_owned(),
-        chunk_len: log.chunk_len() as u64,
-        sealed: log.sealed_chunk_count() as u64,
-        tail: tail(log.tail().to_vec()),
+/// Appends `value`'s JSON to `out`. JSON rejects only a map key that is
+/// not a string, which only a `Content` map can carry, and world state
+/// holds none.
+fn push_json(out: &mut String, value: &(impl Serialize + ?Sized)) {
+    serde_json::append_to_string(out, value).expect("world state encodes as JSON");
+}
+
+/// A history log as the writer sees it, whatever its element type.
+trait LogText {
+    /// Elements per sealed chunk, sealed chunks, and elements in the tail.
+    fn shape(&self) -> (usize, usize, usize);
+
+    /// Appends the JSON of elements `from..` of storage run `run`: sealed
+    /// chunk `run`, or the tail when `run` is the sealed-chunk count. Each
+    /// element but the run's first is preceded by a comma.
+    fn push_elements(&self, run: usize, from: usize, out: &mut String);
+}
+
+impl<T: Serialize> LogText for ChunkedLog<T> {
+    fn shape(&self) -> (usize, usize, usize) {
+        (self.chunk_len(), self.sealed_chunk_count(), self.tail_len())
+    }
+
+    fn push_elements(&self, run: usize, from: usize, out: &mut String) {
+        let elements = self.sealed_chunk(run).unwrap_or(self.tail());
+        for (i, element) in elements.iter().enumerate().skip(from) {
+            if i > 0 {
+                out.push(',');
+            }
+            push_json(out, element);
+        }
     }
 }
 
-/// Encodes a snapshot's manifest: live state, log geometry, inline tails,
-/// and the integrity digest. Chunk payloads are fetched separately via
-/// [`sealed_chunk`].
+/// The world's history logs in manifest order, each with its name: the
+/// trace when the run collects one, the six fixed logs, then one syscall
+/// log per task.
+fn history_logs<'a>(
+    w: &'a WorldState,
+) -> impl Iterator<Item = (Cow<'static, str>, &'a dyn LogText)> + 'a {
+    let fixed: [(&'static str, &'a dyn LogText); 6] = [
+        ("outputs", &w.outputs),
+        ("inputs_seen", &w.inputs_seen),
+        ("crashes", &w.crashes),
+        ("decisions", &w.decisions),
+        ("decision_enabled", &w.decision_enabled),
+        ("decision_hashes", &w.decision_hashes),
+    ];
+    let trace = w.trace.as_ref().map(|t| ("trace", t as &dyn LogText));
+    let syslogs = w.sys_log.iter().enumerate();
+    trace
+        .into_iter()
+        .chain(fixed)
+        .map(|(name, log)| (Cow::Borrowed(name), log))
+        .chain(syslogs.map(|(i, log)| (Cow::Owned(format!("syslog-{i}")), log as &dyn LogText)))
+}
+
+/// Sealed chunk `index` of `log`, encoded from its elements.
+fn chunk_text(log: &dyn LogText, index: usize) -> String {
+    let mut text = String::from("[");
+    log.push_elements(index, 0, &mut text);
+    text.push(']');
+    text
+}
+
+/// Encodes successive snapshots of one run, each in proportion to what
+/// changed since the previous one (see the [module docs](self)).
 ///
-/// The scheduling policy is *not* part of the manifest — the two consumers
-/// supply their own (exact replay rebuilds a
-/// [`ReplayPolicy`](crate::policy::ReplayPolicy) from the schedule
-/// artifact's decisions; exploration forks with a search policy).
-pub fn encode_manifest(snap: &WorldSnapshot) -> SnapshotManifest {
-    let w = &snap.world;
-    let mut logs = Vec::new();
-    if let Some(trace) = &w.trace {
-        logs.push(log_manifest("trace", trace, LogTail::Trace));
-    }
-    logs.push(log_manifest("outputs", &w.outputs, LogTail::Outputs));
-    logs.push(log_manifest(
-        "inputs_seen",
-        &w.inputs_seen,
-        LogTail::InputsSeen,
-    ));
-    logs.push(log_manifest("crashes", &w.crashes, LogTail::Crashes));
-    logs.push(log_manifest("decisions", &w.decisions, LogTail::Decisions));
-    logs.push(log_manifest(
-        "decision_enabled",
-        &w.decision_enabled,
-        LogTail::DecisionEnabled,
-    ));
-    logs.push(log_manifest(
-        "decision_hashes",
-        &w.decision_hashes,
-        LogTail::DecisionHashes,
-    ));
-    for (i, log) in w.sys_log.iter().enumerate() {
-        logs.push(log_manifest(&format!("syslog-{i}"), log, LogTail::SysLog));
-    }
-    SnapshotManifest {
-        version: SNAPSHOT_FORMAT_VERSION,
-        decision: w.decision_seq,
-        step: w.steps,
-        time: w.time,
-        digest: w.digest(),
-        live: LiveState::of(w),
-        logs,
+/// For each history log the writer caches the JSON of the tail it encoded
+/// last, with the sealed-chunk count and tail length that text covers. A
+/// snapshot then encodes only the tail elements past the cached length.
+/// When exactly one chunk sealed since, that chunk's text is the cached
+/// text plus the chunk's remaining elements, and the new tail's cache
+/// starts empty. Any other shape re-encodes the log from its elements: a
+/// new writer's first snapshot (its cache is empty), two or more chunks
+/// sealed since, or a tail shorter than the cache.
+///
+/// The caches are kept by position in the manifest's log list, so
+/// successive snapshots must come from one run, in increasing decision
+/// order: a run's logs keep their positions, and syscall logs are only
+/// ever added.
+#[derive(Debug, Default)]
+pub struct SnapshotWriter {
+    /// One cache per history log of the snapshot written last, in
+    /// manifest order.
+    logs: Vec<TailCache>,
+    /// The manifest written last.
+    manifest: String,
+}
+
+/// What a [`SnapshotWriter`] encoded of one history log last time.
+#[derive(Debug, Default)]
+struct TailCache {
+    /// The log's name.
+    name: String,
+    /// Sealed chunks the log had.
+    sealed: usize,
+    /// Tail elements `text` encodes.
+    len: usize,
+    /// Those elements' JSON, comma-joined.
+    text: String,
+    /// The text of chunk `sealed - 1` when it sealed, since the snapshot
+    /// before, out of the tail cached then.
+    chunk: Option<String>,
+}
+
+impl TailCache {
+    /// Brings the cache up to `log`'s current tail.
+    fn update(&mut self, log: &dyn LogText) {
+        let (_, sealed, tail_len) = log.shape();
+        self.chunk = None;
+        if sealed == self.sealed + 1 {
+            let mut chunk = std::mem::take(&mut self.text);
+            chunk.insert(0, '[');
+            log.push_elements(self.sealed, self.len, &mut chunk);
+            chunk.push(']');
+            self.chunk = Some(chunk);
+            self.len = 0;
+        } else if sealed != self.sealed || tail_len < self.len {
+            self.text.clear();
+            self.len = 0;
+        }
+        log.push_elements(sealed, self.len, &mut self.text);
+        self.sealed = sealed;
+        self.len = tail_len;
     }
 }
 
-/// A serializable view of the payload of one sealed chunk of the named
-/// log (its elements, borrowed from the world), or `None` if the log or
-/// index does not exist in this snapshot. Chunk payloads are immutable:
-/// `(log, index)` encodes identically in every later snapshot of the same
-/// run, which is what lets a store write each one exactly once.
-pub fn sealed_chunk<'a>(
-    snap: &'a WorldSnapshot,
-    log: &str,
-    index: u64,
-) -> Option<Box<dyn Serialize + 'a>> {
-    fn view<T: Serialize>(
-        log: Option<&ChunkedLog<T>>,
-        i: usize,
-    ) -> Option<Box<dyn Serialize + '_>> {
-        Some(Box::new(log?.sealed_chunk(i)?))
+impl SnapshotWriter {
+    /// A writer with an empty cache.
+    pub fn new() -> Self {
+        Self::default()
     }
-    let w = &snap.world;
-    let i = usize::try_from(index).ok()?;
-    match log {
-        "trace" => view(w.trace.as_ref(), i),
-        "outputs" => view(Some(&w.outputs), i),
-        "inputs_seen" => view(Some(&w.inputs_seen), i),
-        "crashes" => view(Some(&w.crashes), i),
-        "decisions" => view(Some(&w.decisions), i),
-        "decision_enabled" => view(Some(&w.decision_enabled), i),
-        "decision_hashes" => view(Some(&w.decision_hashes), i),
-        _ => view(syslog_task(log).and_then(|t| w.sys_log.get(t)), i),
+
+    /// Encodes `snap`'s manifest: version, decision, step, time, world
+    /// digest and live state, then each history log's name, geometry and
+    /// inline tail. Its text is [`manifest`](Self::manifest); chunk
+    /// payloads are fetched with [`chunk`](Self::chunk).
+    ///
+    /// The scheduling policy is *not* part of the manifest — the two
+    /// consumers supply their own (exact replay rebuilds a
+    /// [`ReplayPolicy`](crate::policy::ReplayPolicy) from the schedule
+    /// artifact's decisions; exploration forks with a search policy).
+    pub fn write(&mut self, snap: &WorldSnapshot) {
+        let w = &snap.world;
+        self.encode(w);
+        if cfg!(debug_assertions) {
+            let mut fresh = SnapshotWriter::new();
+            fresh.encode(w);
+            debug_assert_eq!(
+                self.manifest, fresh.manifest,
+                "manifest at decision {} differs from a fresh writer's",
+                w.decision_seq
+            );
+            for (cache, (name, log)) in self.logs.iter().zip(history_logs(w)) {
+                if let Some(text) = &cache.chunk {
+                    debug_assert_eq!(
+                        *text,
+                        chunk_text(log, cache.sealed - 1),
+                        "reused text of chunk {} of log `{name}` differs from its elements'",
+                        cache.sealed - 1
+                    );
+                }
+            }
+        }
+    }
+
+    /// The text of the manifest written last.
+    pub fn manifest(&self) -> &str {
+        &self.manifest
+    }
+
+    fn encode(&mut self, w: &WorldState) {
+        let out = &mut self.manifest;
+        out.clear();
+        write!(
+            out,
+            "{{\"version\":{SNAPSHOT_FORMAT_VERSION},\"decision\":{},\"step\":{},\"time\":{},\
+             \"digest\":{},\"live\":",
+            w.decision_seq,
+            w.steps,
+            w.time,
+            w.digest()
+        )
+        .expect("writing to a String cannot fail");
+        push_json(out, &LiveView(w));
+        out.push_str(",\"logs\":[");
+        let mut count = 0;
+        for (pos, (name, log)) in history_logs(w).enumerate() {
+            if pos == self.logs.len() {
+                self.logs.push(TailCache {
+                    name: name.into_owned(),
+                    ..TailCache::default()
+                });
+            }
+            let cache = &mut self.logs[pos];
+            cache.update(log);
+            if pos > 0 {
+                out.push(',');
+            }
+            out.push_str("{\"name\":");
+            push_json(out, &cache.name);
+            write!(
+                out,
+                ",\"chunk_len\":{},\"sealed\":{},\"tail\":[{}]}}",
+                log.shape().0,
+                cache.sealed,
+                cache.text
+            )
+            .expect("writing to a String cannot fail");
+            count = pos + 1;
+        }
+        self.logs.truncate(count);
+        out.push_str("]}");
+    }
+
+    /// The name and sealed-chunk count of each history log of the snapshot
+    /// written last, in manifest order.
+    pub fn logs(&self) -> impl Iterator<Item = (&str, u64)> {
+        self.logs.iter().map(|c| (c.name.as_str(), c.sealed as u64))
+    }
+
+    /// The text of sealed chunk `index` of the log called `log` in `snap`,
+    /// which must be the snapshot written last; `None` if there is no such
+    /// chunk. A chunk that sealed out of the cached tail is the text
+    /// [`write`](Self::write) finished; any other is encoded from its
+    /// elements. Chunk payloads are immutable: `(log, index)` encodes
+    /// identically in every later snapshot of the same run, which is what
+    /// lets a store write each one exactly once.
+    pub fn chunk(&self, snap: &WorldSnapshot, log: &str, index: u64) -> Option<Cow<'_, str>> {
+        let cache = self.logs.iter().find(|c| c.name == log)?;
+        let index = usize::try_from(index).ok().filter(|&i| i < cache.sealed)?;
+        if let Some(text) = cache.chunk.as_deref().filter(|_| index + 1 == cache.sealed) {
+            return Some(Cow::Borrowed(text));
+        }
+        let (_, elements) = history_logs(&snap.world).find(|(name, _)| name == log)?;
+        Some(Cow::Owned(chunk_text(elements, index)))
     }
 }
 
@@ -604,18 +726,25 @@ mod tests {
     use crate::program::{Builder, Program};
 
     fn manifest_text(snap: &WorldSnapshot) -> String {
-        serde_json::to_string(&encode_manifest(snap)).expect("manifest encodes")
+        let mut writer = SnapshotWriter::new();
+        writer.write(snap);
+        writer.manifest().to_owned()
+    }
+
+    /// Chunk `i` of `log` in `snap`, as a fresh writer encodes it.
+    fn chunk_of(snap: &WorldSnapshot, log: &str, i: u64) -> Result<String, String> {
+        let mut writer = SnapshotWriter::new();
+        writer.write(snap);
+        let text = writer.chunk(snap, log, i);
+        text.map(Cow::into_owned)
+            .ok_or_else(|| format!("no chunk {log}/{i}"))
     }
 
     /// Decodes `manifest` text, fetching chunk text from `snap`.
     fn decode(snap: &WorldSnapshot, manifest: &str) -> Result<WorldSnapshot, DecodeError> {
         decode_snapshot(
             manifest,
-            &mut |log, i| {
-                let view =
-                    sealed_chunk(snap, log, i).ok_or_else(|| format!("no chunk {log}/{i}"))?;
-                serde_json::to_string(&view).map_err(|e| e.to_string())
-            },
+            &mut |log, i| chunk_of(snap, log, i),
             snap.policy.clone_box(),
         )
     }
@@ -876,23 +1005,19 @@ mod tests {
             vec![],
         );
         let snap = out.snapshots.last().expect("run took snapshots");
-        let manifest = encode_manifest(snap);
-        let log = manifest
-            .logs
-            .iter()
-            .find(|l| l.sealed > 0)
-            .expect("a log sealed a chunk")
-            .name
-            .clone();
+        let mut writer = SnapshotWriter::new();
+        writer.write(snap);
+        let (log, _) = writer
+            .logs()
+            .find(|&(_, sealed)| sealed > 0)
+            .expect("a log sealed a chunk");
         let err = decode_snapshot(
-            &manifest_text(snap),
+            writer.manifest(),
             &mut |name, i| {
                 if name == log {
                     return Ok(r#"[{"bogus":1}]"#.to_owned());
                 }
-                let view =
-                    sealed_chunk(snap, name, i).ok_or_else(|| format!("no chunk {name}/{i}"))?;
-                serde_json::to_string(&view).map_err(|e| e.to_string())
+                chunk_of(snap, name, i)
             },
             snap.policy.clone_box(),
         )
@@ -900,7 +1025,7 @@ mod tests {
         let DecodeError::Chunk { log: at, index, .. } = &err else {
             panic!("blamed on the manifest: {err}");
         };
-        assert_eq!((at.as_str(), *index), (log.as_str(), 0));
+        assert_eq!((at.as_str(), *index), (log, 0));
     }
 
     #[test]
@@ -912,9 +1037,12 @@ mod tests {
             vec![],
         );
         let snap = out.snapshots.first().expect("run took snapshots");
-        let mut manifest = encode_manifest(snap);
-        manifest.digest ^= 1;
-        let text = serde_json::to_string(&manifest).expect("manifest encodes");
+        let text = edit_manifest(snap, |fields| {
+            let Content::U64(digest) = field(fields, "digest") else {
+                panic!("the digest encodes as an unsigned integer");
+            };
+            *digest ^= 1;
+        });
         let err = decode(snap, &text).expect_err("digest mismatch must fail decode");
         assert!(matches!(err, DecodeError::Manifest(_)), "{err:?}");
         assert!(err.to_string().contains("digest mismatch"), "{err}");

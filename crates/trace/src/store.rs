@@ -14,17 +14,24 @@
 //! Sealed chunks of a run's history logs are immutable, so consecutive
 //! snapshots of one run share their entire common prefix: saving a new
 //! snapshot writes its manifest plus only the chunks sealed since the
-//! previous save (see [`dd_sim::encode_manifest`]). The `bytes` column of
-//! the index records exactly those fresh bytes — the marginal cost of each
-//! snapshot, which is what `BENCH_snapshot_store.json` plots against full
-//! snapshot sizes.
+//! previous save. The `bytes` column of the index records exactly those
+//! fresh bytes — the marginal cost of each snapshot, which is what
+//! `BENCH_snapshot_store.json` plots against full snapshot sizes.
+//!
+//! An offer costs in proportion to what changed since the previous one.
+//! The store's [`SnapshotWriter`] encodes each manifest's live state in
+//! full but only the log-tail elements appended since the previous offer,
+//! and a chunk that sealed in between reuses the tail text already encoded.
+//! The index keeps each row's encoded text, so an offer encodes one new
+//! row and `store.json` is the index frame around the rows' text.
 //!
 //! The index is also the chunk ledger: chunk `i` of log `L` is on disk
 //! exactly when `i` is below the largest `sealed` count any indexed
-//! snapshot records for `L` (eviction deletes the chunks above it), so a
-//! save decides which chunks to write without asking the filesystem.
-//! `store.json` is rewritten in place after every offer; see
-//! [`SnapshotStore::save`] for what a crash during that write leaves.
+//! snapshot records for `L` (eviction deletes the evicted snapshot's
+//! chunks at or above it), so a save decides which chunks to write without
+//! asking the filesystem. `store.json` is rewritten in place after every
+//! offer, not atomically: an index torn by a crash during that write makes
+//! [`SnapshotStore::open`] fail naming `store.json`.
 //!
 //! # The availability bound
 //!
@@ -38,9 +45,12 @@
 //! invariant is property-tested in this module under random run lengths,
 //! checkpoint cadences and eviction pressure.
 //!
-//! One store holds snapshots of **one** recorded run; chunk addresses are
-//! only unique within a run's history, so [`SnapshotStore::create`] empties
-//! whatever an earlier recording left in the directory.
+//! One store holds snapshots of **one** recorded run, offered in
+//! increasing decision order. Chunk addresses are only unique within a
+//! run's history, so [`SnapshotStore::create`] empties whatever an earlier
+//! recording left in the directory. The ledger and the writer's cache both
+//! rely on the order: [`SnapshotSink::offer`] declines any snapshot at or
+//! before the newest stored decision.
 //!
 //! # Which file an error names
 //!
@@ -53,11 +63,11 @@
 
 use crate::persist::{load_json, PersistError};
 use dd_sim::{
-    decode_snapshot, encode_manifest, sealed_chunk, DecodeError, SchedulePolicy, SnapshotSink,
-    WorldSnapshot,
+    decode_snapshot, DecodeError, SchedulePolicy, SnapshotSink, SnapshotWriter, WorldSnapshot,
 };
 use serde::{Deserialize, Serialize};
-use std::io::Write;
+use std::fmt::Write as _;
+use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
 /// Version tag of the `store.json` index format.
@@ -251,11 +261,9 @@ fn to_json<T: Serialize>(value: &T, file: &Path) -> Result<String, StoreError> {
     serde_json::to_string(value).map_err(|e| persist_err(file, PersistError::Codec(e)))
 }
 
-/// Writes `value` as a new JSON file at `path`, returning its length in
-/// bytes.
-fn write_new<T: Serialize>(value: &T, path: &Path) -> Result<u64, StoreError> {
-    let text = to_json(value, path)?;
-    std::fs::write(path, &text).map_err(io_err(path))?;
+/// Writes `text` as a new file at `path`, returning its length in bytes.
+fn write_new(text: &str, path: &Path) -> Result<u64, StoreError> {
+    std::fs::write(path, text).map_err(io_err(path))?;
     Ok(text.len() as u64)
 }
 
@@ -272,6 +280,10 @@ fn write_new<T: Serialize>(value: &T, path: &Path) -> Result<u64, StoreError> {
 pub struct SnapshotStore {
     dir: PathBuf,
     index: StoreIndex,
+    /// The JSON text of each row of `index.snaps`, encoded once.
+    rows: Vec<String>,
+    /// Encodes this store's offers; each store starts a fresh one.
+    writer: SnapshotWriter,
 }
 
 impl SnapshotStore {
@@ -299,12 +311,15 @@ impl SnapshotStore {
                 next_id: 0,
                 snaps: Vec::new(),
             },
+            rows: Vec::new(),
+            writer: SnapshotWriter::new(),
         };
         store.persist_index()?;
         Ok(store)
     }
 
-    /// Opens an existing store, validating the index format.
+    /// Opens an existing store, validating the index format. Its writer
+    /// starts empty, so the first save encodes the whole snapshot.
     pub fn open(dir: impl Into<PathBuf>) -> Result<Self, StoreError> {
         let dir = dir.into();
         let ipath = dir.join("store.json");
@@ -318,7 +333,17 @@ impl SnapshotStore {
                 ),
             });
         }
-        Ok(SnapshotStore { dir, index })
+        let rows = index
+            .snaps
+            .iter()
+            .map(|row| to_json(row, &ipath))
+            .collect::<Result<_, _>>()?;
+        Ok(SnapshotStore {
+            dir,
+            index,
+            rows,
+            writer: SnapshotWriter::new(),
+        })
     }
 
     /// The store's directory.
@@ -404,11 +429,34 @@ impl SnapshotStore {
         self.dir.join("snaps").join(format!("{id}.json"))
     }
 
+    /// `store.json`'s text: the index frame around each row's cached text.
+    fn index_text(&self) -> String {
+        let index = &self.index;
+        let mut text = format!("{{\"version\":{},\"policy\":", index.version);
+        serde_json::append_to_string(&mut text, &index.policy)
+            .expect("a retention policy encodes as JSON");
+        write!(text, ",\"next_id\":{},\"snaps\":[", index.next_id)
+            .expect("writing to a String cannot fail");
+        for (i, row) in self.rows.iter().enumerate() {
+            if i > 0 {
+                text.push(',');
+            }
+            text.push_str(row);
+        }
+        text.push_str("]}");
+        debug_assert_eq!(
+            Some(&text),
+            serde_json::to_string(index).ok().as_ref(),
+            "the cached index text differs from the index"
+        );
+        text
+    }
+
     /// Rewrites `store.json` in place: written over the old index, then
     /// cut to the new length.
     fn persist_index(&self) -> Result<(), StoreError> {
         let ipath = self.dir.join("store.json");
-        let text = to_json(&self.index, &ipath)?;
+        let text = self.index_text();
         let mut file = std::fs::OpenOptions::new()
             .write(true)
             .create(true)
@@ -438,9 +486,16 @@ impl SnapshotStore {
     /// rewrites the index. Returns the store id the snapshot is
     /// retrievable under.
     ///
-    /// Snapshots must be offered in increasing decision order (they are, by
-    /// construction, when the store is a run's
-    /// [`snapshot_sink`](dd_sim::RunConfig)).
+    /// The store's writer encodes the manifest: the live state in full,
+    /// each log's tail elements appended since the previous offer, and the
+    /// text of a chunk that sealed in between from the tail text it already
+    /// holds. New chunks are written before the manifest, so a manifest
+    /// never references an unwritten chunk. The new index row is encoded
+    /// once and kept; `store.json` joins the kept rows' text.
+    ///
+    /// Both the ledger and the writer assume one run's snapshots in
+    /// increasing decision order; [`offer`](SnapshotSink::offer), the only
+    /// caller, declines any other.
     ///
     /// The index is rewritten in place rather than truncated and written
     /// anew: on ext4 (mounted with `discard`), a file truncated to zero and
@@ -449,43 +504,43 @@ impl SnapshotStore {
     /// write is atomic: a crash during it can leave a torn index, which
     /// [`open`](Self::open) reports as [`StoreError::Corrupt`] naming
     /// `store.json` when it does not parse.
-    pub fn save(&mut self, snap: &WorldSnapshot) -> Result<u64, StoreError> {
-        let manifest = encode_manifest(snap);
+    fn save(&mut self, snap: &WorldSnapshot) -> Result<u64, StoreError> {
+        self.writer.write(snap);
         let mut fresh = 0u64;
-        for log in &manifest.logs {
-            for i in self.chunks_stored(&log.name)..log.sealed {
-                let path = self.chunk_path(&log.name, i);
-                let payload =
-                    sealed_chunk(snap, &log.name, i).ok_or_else(|| StoreError::Corrupt {
+        let mut logs = Vec::new();
+        for (name, sealed) in self.writer.logs() {
+            for i in self.chunks_stored(name)..sealed {
+                let path = self.chunk_path(name, i);
+                let text = self
+                    .writer
+                    .chunk(snap, name, i)
+                    .ok_or_else(|| StoreError::Corrupt {
                         file: path.clone(),
                         detail: format!(
-                            "snapshot references chunk {i} of log {:?} but the world has none",
-                            log.name
+                            "snapshot references chunk {i} of log {name:?} but the world has none"
                         ),
                     })?;
-                fresh += write_new(&payload, &path)?;
+                fresh += write_new(&text, &path)?;
             }
+            logs.push(LogRef {
+                name: name.to_owned(),
+                sealed,
+            });
         }
         let id = self.index.next_id;
         self.index.next_id += 1;
-        fresh += write_new(&manifest, &self.manifest_path(id))?;
-        let parent = self.index.snaps.last().map(|s| s.id);
-        self.index.snaps.push(SnapEntry {
+        fresh += write_new(self.writer.manifest(), &self.manifest_path(id))?;
+        let row = SnapEntry {
             id,
-            decision: manifest.decision,
-            step: manifest.step,
-            time: manifest.time,
+            decision: snap.at_decision(),
+            step: snap.steps(),
+            time: snap.time(),
             bytes: fresh,
-            parent,
-            logs: manifest
-                .logs
-                .iter()
-                .map(|l| LogRef {
-                    name: l.name.clone(),
-                    sealed: l.sealed,
-                })
-                .collect(),
-        });
+            parent: self.index.snaps.last().map(|s| s.id),
+            logs,
+        };
+        self.rows.push(to_json(&row, &self.dir.join("store.json"))?);
+        self.index.snaps.push(row);
 
         let mut kept: Vec<u64> = self.index.snaps.iter().map(|s| s.decision).collect();
         let policy = self.index.policy;
@@ -497,25 +552,18 @@ impl SnapshotStore {
     }
 
     /// Drops the snapshot stored at `decision`: removes its index row and
-    /// manifest, then garbage-collects chunks no remaining snapshot
-    /// references.
+    /// manifest, then deletes its chunks that no remaining snapshot
+    /// references — those at or above the ledger's count for each log.
     fn evict(&mut self, decision: u64) {
         let Some(pos) = self.index.snaps.iter().position(|s| s.decision == decision) else {
             return;
         };
         let gone = self.index.snaps.remove(pos);
+        self.rows.remove(pos);
         std::fs::remove_file(self.manifest_path(gone.id)).ok();
         for log in &gone.logs {
-            let still_needed = |i: u64| {
-                self.index
-                    .snaps
-                    .iter()
-                    .any(|s| s.logs.iter().any(|l| l.name == log.name && l.sealed > i))
-            };
-            for i in 0..log.sealed {
-                if !still_needed(i) {
-                    std::fs::remove_file(self.chunk_path(&log.name, i)).ok();
-                }
+            for i in self.chunks_stored(&log.name)..log.sealed {
+                std::fs::remove_file(self.chunk_path(&log.name, i)).ok();
             }
         }
     }
@@ -551,18 +599,17 @@ impl SnapshotStore {
 }
 
 impl SnapshotSink for SnapshotStore {
-    /// Keeps every offer at a decision the store has not seen yet; a
-    /// repeated offer at an already-stored decision is declined rather
-    /// than duplicated. Write failures surface as `Err` (the run records
-    /// them in `RunOutput::spill_errors` and continues).
+    /// Keeps every offer past the newest stored decision and declines the
+    /// rest: a repeat, or an offer older than the newest snapshot, which
+    /// the store's one-run, increasing-order ledger cannot place. The
+    /// newest snapshot is never evicted, so comparing with the last row is
+    /// exact. Write failures surface as `Err` (the run records them in
+    /// `RunOutput::spill_errors` and continues).
     fn offer(&mut self, snap: &WorldSnapshot) -> Result<Option<u64>, String> {
-        if self
-            .index
-            .snaps
-            .iter()
-            .any(|s| s.decision == snap.at_decision())
-        {
-            return Ok(None);
+        if let Some(newest) = self.index.snaps.last() {
+            if snap.at_decision() <= newest.decision {
+                return Ok(None);
+            }
         }
         self.save(snap).map(Some).map_err(|e| e.to_string())
     }
@@ -576,7 +623,7 @@ mod tests {
         RunConfig,
     };
     use proptest::prelude::*;
-    use std::collections::BTreeSet;
+    use std::collections::{BTreeMap, BTreeSet};
 
     /// Three adders race on a shared total, `increments` times each; a
     /// reporter drains their done messages and publishes the result.
@@ -616,6 +663,64 @@ mod tests {
                 ctx.output(out, v, "racer::out").await
             });
         }
+    }
+
+    /// A spawner starts `waves` rounds of two adders on a shared total,
+    /// reading it `increments` times between rounds: tasks, and with them
+    /// syscall logs, appear mid-run, and the decision stream is long
+    /// enough to seal several chunks of every log.
+    struct Waves {
+        waves: u32,
+        increments: u32,
+    }
+
+    const WAVES: Waves = Waves {
+        waves: 6,
+        increments: 40,
+    };
+
+    impl Program for Waves {
+        fn name(&self) -> &'static str {
+            "waves"
+        }
+
+        fn setup(&self, b: &mut Builder<'_>) {
+            let total = b.var("total", 0i64);
+            let (waves, increments) = (self.waves, self.increments);
+            b.spawn("spawner", "spawner", move |mut ctx| async move {
+                for _ in 0..waves {
+                    for _ in 0..2 {
+                        ctx.spawn("adder", "adders", move |mut ctx| async move {
+                            for _ in 0..increments {
+                                let v: i64 = ctx.read(&total, "waves::load").await?;
+                                ctx.write(&total, v + 1, "waves::store").await?;
+                            }
+                            Ok(())
+                        })
+                        .await?;
+                    }
+                    for _ in 0..increments {
+                        let _: i64 = ctx.read(&total, "waves::peek").await?;
+                    }
+                }
+                Ok(())
+            });
+        }
+    }
+
+    /// Every file of the store at `dir`, by path relative to it.
+    fn store_files(dir: &Path) -> BTreeMap<String, Vec<u8>> {
+        let mut files = BTreeMap::new();
+        for sub in ["", "snaps", "chunks"] {
+            for entry in std::fs::read_dir(dir.join(sub)).unwrap() {
+                let path = entry.unwrap().path();
+                if path.is_file() {
+                    let rel = path.strip_prefix(dir).unwrap().display().to_string();
+                    files.insert(rel, std::fs::read(&path).unwrap());
+                }
+            }
+        }
+        files
     }
 
     fn spill_cfg(store: SnapshotStore) -> RunConfig {
@@ -885,7 +990,105 @@ mod tests {
         assert!(err.to_string().contains("store.json"), "{err}");
     }
 
+    /// With two slots, offers at decisions 8, 16, then 4: the last is
+    /// declined, so the index stays in decision order. Keeping it would
+    /// hand the eviction scan an unsorted index (an overflow panic in debug
+    /// builds; in release, 8 evicted and `nearest_at_or_before` searching
+    /// an index it cannot search).
+    #[test]
+    fn an_offer_older_than_the_newest_is_declined() {
+        let out = run_program(
+            &RACER,
+            RunConfig {
+                checkpoints: Some(CheckpointPlan::new(4, 400)),
+                ..RunConfig::with_seed(11)
+            },
+            Box::new(RandomPolicy::new(7)),
+            vec![],
+        );
+        let at = |d: u64| {
+            out.snapshots
+                .iter()
+                .find(|s| s.at_decision() == d)
+                .unwrap_or_else(|| panic!("no snapshot at decision {d}"))
+        };
+        let dir = tmp_store_dir("older");
+        let mut store = SnapshotStore::create(&dir, RetentionPolicy::new(64, 2)).unwrap();
+        assert!(store.offer(at(8)).unwrap().is_some());
+        assert!(store.offer(at(16)).unwrap().is_some());
+        assert_eq!(store.offer(at(4)).unwrap(), None);
+        assert_eq!(store.offer(at(16)).unwrap(), None, "a repeat is declined");
+        let kept: Vec<u64> = store.list().iter().map(|s| s.decision).collect();
+        assert_eq!(kept, [8, 16]);
+        assert_eq!(store.nearest_at_or_before(9).map(|s| s.decision), Some(8));
+        for entry in store.list() {
+            let snap = store
+                .load(entry.id, Box::new(RandomPolicy::new(1)))
+                .unwrap();
+            assert_eq!(snap.at_decision(), entry.decision);
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
     proptest! {
+        #![proptest_config(ProptestConfig::with_cases(12))]
+
+        /// The writer's cache changes no byte: store A keeps one writer
+        /// for up to 24 consecutive snapshots of a run, store B is
+        /// reopened (with a fresh writer) every `reopen` offers, and the
+        /// two directories are identical file for file. Cadences cross the
+        /// 64-element syscall and 256-element chunk lengths, some several
+        /// chunks at once, and new tasks bring new syscall logs between
+        /// offers. The first offer is drawn too, so a writer may start
+        /// mid-run with chunks already sealed.
+        #[test]
+        fn a_warm_writer_writes_what_a_reopened_store_writes(
+            cadence in 0usize..6,
+            first in 0usize..1_200,
+            reopen in 1usize..6,
+            keep in 2u64..10,
+            schedule_seed in 0u64..1_000,
+        ) {
+            const OFFERS: usize = 24;
+            let cadence = [1, 3, 8, 64, 257, 300][cadence];
+            let out = run_program(
+                &WAVES,
+                RunConfig {
+                    checkpoints: Some(CheckpointPlan::new(cadence, u64::MAX)),
+                    hash_decisions: true,
+                    ..RunConfig::with_seed(11)
+                },
+                Box::new(RandomPolicy::new(schedule_seed)),
+                vec![],
+            );
+            prop_assert!(out.decisions.len() > 600, "{} decisions", out.decisions.len());
+            let first = first % out.snapshots.len().saturating_sub(OFFERS).max(1);
+            let policy = RetentionPolicy::new(1 << 20, keep);
+            let (dir_a, dir_b) = (tmp_store_dir("warm-a"), tmp_store_dir("warm-b"));
+            let mut a = SnapshotStore::create(&dir_a, policy).unwrap();
+            let mut b = SnapshotStore::create(&dir_b, policy).unwrap();
+            for (i, snap) in out.snapshots[first..].iter().take(OFFERS).enumerate() {
+                if i > 0 && i % reopen == 0 {
+                    b = SnapshotStore::open(&dir_b).unwrap();
+                }
+                let kept = a.offer(snap).unwrap();
+                prop_assert!(kept.is_some());
+                prop_assert_eq!(b.offer(snap).unwrap(), kept);
+            }
+            let (files_a, files_b) = (store_files(&dir_a), store_files(&dir_b));
+            let differs = files_a
+                .keys()
+                .chain(files_b.keys())
+                .find(|f| files_a.get(*f) != files_b.get(*f));
+            prop_assert!(differs.is_none(), "the stores differ at {differs:?}");
+            for entry in a.list() {
+                let snap = a.load(entry.id, Box::new(RandomPolicy::new(1))).unwrap();
+                prop_assert_eq!(snap.at_decision(), entry.decision);
+            }
+            std::fs::remove_dir_all(&dir_a).ok();
+            std::fs::remove_dir_all(&dir_b).ok();
+        }
+
         /// The availability invariant, as an invariant rather than an
         /// example: for any run length, checkpoint cadence no coarser than
         /// the bound, and any (possibly severe) capacity pressure, every

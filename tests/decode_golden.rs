@@ -20,8 +20,8 @@ use dd_cli::{fnv64, workload_by_name};
 use debug_determinism::core::Session;
 use debug_determinism::replay::{Artifact, ModelKind};
 use debug_determinism::sim::{
-    run_program, sealed_chunk, CheckpointPlan, DecisionRecord, EnabledSet, Event, EventMeta,
-    RandomPolicy, RunConfig,
+    run_program, CheckpointPlan, DecisionRecord, EnabledSet, Event, EventMeta, RandomPolicy,
+    RunConfig, SnapshotWriter,
 };
 use debug_determinism::trace::{ScheduleLog, TraceDecision, TraceFooter, TraceHeader};
 use debug_determinism::workloads::{MsgServerConfig, MsgServerProgram};
@@ -125,9 +125,11 @@ fn inputs() -> Vec<Input> {
         vec![],
     );
     let snap = run.snapshots.last().expect("run took snapshots");
+    let mut writer = SnapshotWriter::new();
+    writer.write(snap);
     let chunk = |log: &str| {
-        let view = sealed_chunk(snap, log, 0).expect("the log sealed a chunk");
-        serde_json::to_string(&view).expect("serializes")
+        let text = writer.chunk(snap, log, 0).expect("the log sealed a chunk");
+        text.into_owned()
     };
     push(
         "chunk-trace",

@@ -7,13 +7,13 @@
 //! kind — JSONL traces, `dd record --model` documents and every file of a
 //! spilled snapshot store — plus exact strings for the writer's edge cases.
 //! The values were captured with the tree-building JSON writer that the
-//! streaming one replaced; any change to them is a format change.
+//! streaming one replaced, and the kept-store rows with the snapshot
+//! encoder that the incremental writer replaced; any change to them is a
+//! format change.
 
 use dd_cli::{fnv64, workload_by_name, WORKLOADS};
 use debug_determinism::core::Session;
-use debug_determinism::sim::{
-    encode_manifest, run_program, CheckpointPlan, RandomPolicy, RunConfig,
-};
+use debug_determinism::sim::{run_program, RandomPolicy, RunConfig};
 use debug_determinism::trace::JsonlTrace;
 use debug_determinism::workloads::{MsgServerConfig, MsgServerProgram};
 use serde::{Content, Serialize};
@@ -205,6 +205,78 @@ fn spilled_msgserver_store_is_pinned() {
     }));
     std::fs::remove_dir_all(&dir).ok();
     assert_pins("spilled store", &actual, SPILLED_STORE);
+}
+
+/// One whole store: file count, total bytes, and FNV-1a over every file's
+/// path, a NUL byte and its contents, in path order.
+type StorePin = (&'static str, usize, u64, u64);
+
+/// Stores that keep every snapshot (`--spill-keep 1000000`), so every
+/// manifest a recording writes is pinned: an offer at every msgserver
+/// decision; failover's tasks and syscall logs appearing mid-run after
+/// crash and restart, with fault-plane live state; and offers far enough
+/// apart that a log's tail seals into a chunk between two of them, or
+/// several chunks seal at once.
+const KEPT_STORES: &[StorePin] = &[
+    (
+        "msgserver --spill-every 1",
+        467,
+        19719147,
+        0x6366bbc688069b94,
+    ),
+    (
+        "failover --spill-every 4",
+        306,
+        17900678,
+        0x9fe9257a858a55fb,
+    ),
+    ("failover --spill-every 300", 30, 642163, 0x15efb46d32b6dbf7),
+];
+
+#[test]
+fn every_manifest_of_a_store_that_keeps_all_is_pinned() {
+    let dir = scratch("kept");
+    let mut actual = Vec::new();
+    for (name, workload, every) in [
+        ("msgserver --spill-every 1", "msgserver", "1"),
+        ("failover --spill-every 4", "failover", "4"),
+        ("failover --spill-every 300", "failover", "300"),
+    ] {
+        let trace = dir.join(format!("{workload}-{every}.jsonl"));
+        let trace_arg = trace.to_str().expect("utf-8 path");
+        dd(&[
+            "record",
+            workload,
+            "--out",
+            trace_arg,
+            "--spill",
+            "--spill-every",
+            every,
+            "--spill-keep",
+            "1000000",
+        ]);
+        let store = PathBuf::from(format!("{trace_arg}.snapshots"));
+        let mut files = Vec::new();
+        files_under(&store, &store, &mut files);
+        files.sort();
+        let (mut all, mut total) = (Vec::new(), 0u64);
+        for rel in &files {
+            let bytes = std::fs::read(store.join(rel)).expect("store file");
+            total += bytes.len() as u64;
+            all.extend_from_slice(rel.to_str().expect("utf-8 path").as_bytes());
+            all.push(0);
+            all.extend_from_slice(&bytes);
+        }
+        actual.push((name, files.len(), total, fnv64(&all)));
+    }
+    std::fs::remove_dir_all(&dir).ok();
+    if actual != KEPT_STORES {
+        let table: String = actual
+            .iter()
+            .map(|(n, f, b, h)| format!("    ({n:?}, {f}, {b}, 0x{h:016x}),\n"))
+            .collect();
+        panic!("kept stores: bytes differ from the golden table; computed:\n{table}");
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -449,11 +521,18 @@ fn non_string_object_keys_are_rejected() {
     );
     let mut sink = Vec::new();
     assert!(serde_json::to_writer(&mut sink, &late).is_err());
+    // Appending leaves the text it was given as it was.
+    let mut text = "[1,".to_owned();
+    assert!(serde_json::append_to_string(&mut text, &late).is_err());
+    assert_eq!(text, "[1,");
+    serde_json::append_to_string(&mut text, &Content::Bool(true)).expect("encodes");
+    assert_eq!(text, "[1,true");
 }
 
 /// The derive's tree and the streaming writer must agree on real artifacts:
-/// every event of a recorded run, every decision line of its JSONL trace,
-/// and the manifest of every checkpoint it took.
+/// every event of a recorded run and every decision line of its JSONL
+/// trace. (A snapshot manifest is not a `Serialize` value: its bytes are
+/// pinned by the store tables above.)
 #[test]
 fn streamed_json_equals_the_content_tree_json_on_real_artifacts() {
     fn agree<T: Serialize>(what: &str, x: &T) {
@@ -471,7 +550,6 @@ fn streamed_json_equals_the_content_tree_json_on_real_artifacts() {
             seed: 3,
             collect_trace: true,
             hash_decisions: true,
-            checkpoints: Some(CheckpointPlan::new(64, u64::MAX)),
             ..RunConfig::default()
         },
         Box::new(RandomPolicy::new(3)),
@@ -482,10 +560,6 @@ fn streamed_json_equals_the_content_tree_json_on_real_artifacts() {
     for (meta, event) in events {
         agree("event", event);
         agree("event meta", meta);
-    }
-    assert!(!out.snapshots.is_empty());
-    for snap in &out.snapshots {
-        agree("manifest", &encode_manifest(snap));
     }
     let workload = workload_by_name("msgserver").expect("registered");
     let trace: JsonlTrace = Session::new(workload).record().expect("records");
