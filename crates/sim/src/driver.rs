@@ -659,21 +659,12 @@ fn drive(st: &mut Kernel, cells: &mut Vec<TaskCell>, cfg: &RunConfig, program: &
                 // the explorer immediately discards.
                 && st.resumed_at != Some(d)
             {
-                let snap = st.take_snapshot();
-                if let Some(sink) = st.sink.as_mut() {
+                if st.sink.is_some() {
                     // Spill instead of retaining: the sink's policy decides
                     // whether this offer becomes a durable restore point.
-                    match sink.offer(&snap) {
-                        Ok(Some(id)) => st.spilled.push(SnapshotMark {
-                            decision: snap.at_decision(),
-                            step: snap.steps(),
-                            time: snap.time(),
-                            id,
-                        }),
-                        Ok(None) => {}
-                        Err(e) => st.spill_errors.push(e),
-                    }
+                    st.offer_snapshot();
                 } else {
+                    let snap = st.take_snapshot();
                     st.snapshots.push(snap);
                 }
             }

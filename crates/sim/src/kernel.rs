@@ -59,7 +59,7 @@ use crate::error::{SimError, SimResult, StopReason};
 use crate::event::{DecisionKind, Event, EventMeta, Observer};
 use crate::history::ChunkedLog;
 use crate::ids::{ChanId, CondvarId, LockId, PortId, Site, TaskId, VarId, KERNEL_SITE};
-use crate::policy::SchedulePolicy;
+use crate::policy::{RoundRobinPolicy, SchedulePolicy};
 use crate::rng::DetRng;
 use crate::snapshot::{SnapshotMark, SnapshotSink};
 use crate::value::Value;
@@ -111,7 +111,7 @@ pub enum PortDir {
 /// Snapshot-able per-task machine state. A task's *continuation* (the
 /// coroutine future for its body) lives outside the kernel, in the driver's
 /// engine; everything the body has told the machine is here.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub(crate) struct TaskRec {
     pub name: String,
     pub group: String,
@@ -148,7 +148,7 @@ pub(crate) enum SysLogEntry {
     Now(u64),
 }
 
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub(crate) struct VarRec {
     pub name: String,
     pub value: Value,
@@ -167,7 +167,7 @@ pub(crate) struct CvarRec {
     pub waiters: Vec<TaskId>,
 }
 
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub(crate) struct ChanRec {
     pub name: String,
     pub class: ChanClass,
@@ -175,7 +175,7 @@ pub(crate) struct ChanRec {
     pub closed: bool,
 }
 
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub(crate) struct PortRec {
     pub name: String,
     pub dir: PortDir,
@@ -588,6 +588,50 @@ impl SnapshotCost {
 }
 
 impl WorldState {
+    /// A world with no objects, no history and no scheduled faults, its
+    /// RNG seeded with `seed` and its trace not collected.
+    fn empty(seed: u64) -> Self {
+        WorldState {
+            tasks: Vec::new(),
+            vars: Vec::new(),
+            locks: Vec::new(),
+            cvars: Vec::new(),
+            chans: Vec::new(),
+            ports: Vec::new(),
+            time: 0,
+            wall_extra: 0,
+            steps: 0,
+            events: 0,
+            rng: DetRng::seed_from(seed),
+            timers: BinaryHeap::new(),
+            pending_inputs: VecDeque::new(),
+            pending_crashes: VecDeque::new(),
+            pending_partitions: VecDeque::new(),
+            pending_heals: VecDeque::new(),
+            active_partitions: BTreeSet::new(),
+            pending_restarts: VecDeque::new(),
+            restarts_due: Vec::new(),
+            restarts_fired: Vec::new(),
+            crash_counts: BTreeMap::new(),
+            restart_counts: BTreeMap::new(),
+            trace: None,
+            outputs: ChunkedLog::new(),
+            inputs_seen: ChunkedLog::new(),
+            counters: BTreeMap::new(),
+            crashes: ChunkedLog::new(),
+            decisions: ChunkedLog::new(),
+            decision_enabled: ChunkedLog::new(),
+            cancelling: false,
+            stop: None,
+            decision_seq: 0,
+            net_sends: 0,
+            sys_log: Vec::new(),
+            record_syslog: false,
+            decision_hashes: ChunkedLog::new(),
+            hash_decisions: false,
+        }
+    }
+
     /// Approximate heap bytes of the hot machine state a clone copies.
     fn live_bytes(&self) -> u64 {
         let tasks: u64 = self
@@ -1085,7 +1129,7 @@ pub(crate) struct Kernel {
     /// would push `world.tasks` past this fails with
     /// [`SimError::TaskLimit`] instead of growing the world.
     pub max_tasks: u64,
-    /// When to clone the world (set from `RunConfig::checkpoints`).
+    /// When to snapshot the world (set from `RunConfig::checkpoints`).
     pub checkpoints: Option<CheckpointPlan>,
     /// Snapshots taken so far, in increasing decision order.
     pub snapshots: Vec<WorldSnapshot>,
@@ -1125,7 +1169,7 @@ pub(crate) enum CvStage {
 /// must persist across attempts (e.g. [`CvStage`], resolved sleep deadline).
 /// Between attempts the op lives in [`TaskRec::pending_op`] — part of the
 /// snapshotable world — so it must be `Clone`.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub(crate) enum Op {
     Read {
         var: VarId,
@@ -1299,43 +1343,12 @@ impl Kernel {
             .collect();
         pending_restarts.sort_by_key(|r| r.0);
         let world = WorldState {
-            tasks: Vec::new(),
-            vars: Vec::new(),
-            locks: Vec::new(),
-            cvars: Vec::new(),
-            chans: Vec::new(),
-            ports: Vec::new(),
-            time: 0,
-            wall_extra: 0,
-            steps: 0,
-            events: 0,
-            rng: DetRng::seed_from(seed),
-            timers: BinaryHeap::new(),
-            pending_inputs: VecDeque::new(),
             pending_crashes: pending_crashes.into(),
             pending_partitions: pending_partitions.into(),
             pending_heals: pending_heals.into(),
-            active_partitions: BTreeSet::new(),
             pending_restarts: pending_restarts.into(),
-            restarts_due: Vec::new(),
-            restarts_fired: Vec::new(),
-            crash_counts: BTreeMap::new(),
-            restart_counts: BTreeMap::new(),
             trace: collect_trace.then(ChunkedLog::new),
-            outputs: ChunkedLog::new(),
-            inputs_seen: ChunkedLog::new(),
-            counters: BTreeMap::new(),
-            crashes: ChunkedLog::new(),
-            decisions: ChunkedLog::new(),
-            decision_enabled: ChunkedLog::new(),
-            cancelling: false,
-            stop: None,
-            decision_seq: 0,
-            net_sends: 0,
-            sys_log: Vec::new(),
-            record_syslog: false,
-            decision_hashes: ChunkedLog::new(),
-            hash_decisions: false,
+            ..WorldState::empty(seed)
         };
         Kernel {
             world,
@@ -1402,6 +1415,44 @@ impl Kernel {
     ///
     /// Must only be called at a decision point: no task granted or running.
     pub fn take_snapshot(&mut self) -> WorldSnapshot {
+        self.debug_assert_decision_point();
+        WorldSnapshot {
+            world: self.world.clone(),
+            policy: self.policy.clone_box(),
+        }
+    }
+
+    /// Offers the world and policy to the attached sink, lent for the call
+    /// rather than cloned: both move into a [`WorldSnapshot`] and back once
+    /// the sink returns. A kept offer's mark goes onto `spilled`, a write
+    /// failure onto `spill_errors`.
+    ///
+    /// Must only be called at a decision point, with a sink attached. Kept
+    /// out of line, so the driver loop every run executes does not grow by
+    /// the code only spilling runs need.
+    #[inline(never)]
+    pub fn offer_snapshot(&mut self) {
+        self.debug_assert_decision_point();
+        let sink = self.sink.as_mut().expect("offer_snapshot needs a sink");
+        let snap = WorldSnapshot {
+            world: std::mem::replace(&mut self.world, WorldState::empty(0)),
+            policy: std::mem::replace(&mut self.policy, Box::new(RoundRobinPolicy::new())),
+        };
+        let offered = sink.offer(&snap);
+        (self.world, self.policy) = (snap.world, snap.policy);
+        match offered {
+            Ok(Some(id)) => self.spilled.push(SnapshotMark {
+                decision: self.world.decision_seq,
+                step: self.world.steps,
+                time: self.world.time,
+                id,
+            }),
+            Ok(None) => {}
+            Err(e) => self.spill_errors.push(e),
+        }
+    }
+
+    fn debug_assert_decision_point(&self) {
         debug_assert!(
             self.world
                 .tasks
@@ -1409,10 +1460,6 @@ impl Kernel {
                 .all(|t| !matches!(t.phase, Phase::Granted | Phase::Running)),
             "snapshots are only valid at decision points"
         );
-        WorldSnapshot {
-            world: self.world.clone(),
-            policy: self.policy.clone_box(),
-        }
     }
 
     /// Appends a completed-syscall log entry for `task` (when enabled).

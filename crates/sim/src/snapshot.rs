@@ -25,13 +25,16 @@
 //! replay-starting-point availability bound) lives in `dd-trace`.
 //!
 //! Encoding is incremental. A [`SnapshotWriter`] encodes successive
-//! snapshots of one run: each manifest's header and live state in full,
-//! but of each log's tail only the elements appended since the previous
-//! snapshot, added to the tail text it cached then. When one chunk sealed
-//! in between, the cached text becomes the start of that chunk's text.
-//! Debug builds check every manifest and every reused chunk text against a
-//! fresh writer's. The writer is the only encoder: nothing else writes a
-//! manifest or a chunk.
+//! snapshots of one run, each manifest's header in full but the rest per
+//! changed element. Of the live state's tasks, variables, channels and
+//! ports it re-encodes only the elements that differ from the ones it
+//! encoded last; the other live fields are small and encoded whole. Of
+//! each log's tail it encodes only the elements appended since the
+//! previous snapshot, added to the tail text it cached then. When one chunk
+//! sealed in between, the cached text becomes the start of that chunk's
+//! text. Debug builds check every manifest and every reused chunk text
+//! against a fresh writer's. The writer is the only encoder: nothing else
+//! writes a manifest or a chunk.
 //!
 //! Decoding does not depend on the writer. It reads a typed manifest: its
 //! live state is a mirror of the world's non-log fields, and each log's
@@ -56,7 +59,7 @@ use crate::kernel::{
 use crate::policy::SchedulePolicy;
 use crate::rng::DetRng;
 use crate::value::Value;
-use serde::{Content, Deserialize, Deserializer, Kind, Serialize, Serializer};
+use serde::{Deserialize, Deserializer, Kind, Serialize};
 use std::borrow::Cow;
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BTreeSet, BinaryHeap, VecDeque};
@@ -126,23 +129,30 @@ pub struct SnapshotMark {
 ///
 /// When a sink is configured, the driver *offers* it every snapshot the
 /// run's [`CheckpointPlan`](crate::config::CheckpointPlan) calls for
-/// instead of accumulating them in memory. The sink decides whether to keep the offer (its placement and
-/// eviction policy is its own business — `dd-trace`'s store maintains a
-/// bounded distance-to-nearest-checkpoint guarantee) and returns the id the
-/// kept snapshot is retrievable under.
+/// instead of accumulating them in memory. The sink decides whether to
+/// keep the offer (its placement and eviction policy is its own business —
+/// `dd-trace`'s store maintains a bounded distance-to-nearest-checkpoint
+/// guarantee) and returns the id the kept snapshot is retrievable under.
 pub trait SnapshotSink: Send {
     /// Offers one snapshot. Returns `Ok(Some(id))` if the sink kept it,
     /// `Ok(None)` if it declined, and `Err` on a write failure (the run
     /// continues; errors are surfaced in
     /// [`RunOutput::spill_errors`](crate::driver::RunOutput)).
+    ///
+    /// `snap` is the run's own world and policy, lent for the call rather
+    /// than cloned; the run takes them back when `offer` returns. A sink
+    /// that keeps the snapshot in memory must clone it.
     fn offer(&mut self, snap: &WorldSnapshot) -> Result<Option<u64>, String>;
 }
 
 /// Declares the live (non-log) fields of a [`WorldState`] once, in
 /// manifest order: [`LiveFields`], the owned mirror decode reads them into,
-/// and [`LiveView`], which encodes them borrowed from the world.
+/// and [`LiveCache`], which encodes them from the world as the map
+/// [`LiveFields`] decodes. A field written `field: Vec<E> => E` is encoded
+/// element by element through an [`ElementCache`]; every other field is
+/// encoded whole at every snapshot.
 macro_rules! live_fields {
-    ($($field:ident: $ty:ty,)*) => {
+    ($($field:ident: $ty:ty $(=> $elem:ty)?,)*) => {
         /// The live (non-log) half of a [`WorldState`], in a decodable
         /// mirror.
         #[derive(Deserialize)]
@@ -150,36 +160,48 @@ macro_rules! live_fields {
             $($field: $ty,)*
         }
 
-        /// The live half of a world, borrowed: it encodes as the map
-        /// [`LiveFields`] decodes.
-        struct LiveView<'a>(&'a WorldState);
+        /// A [`SnapshotWriter`]'s encoder of the live state: one
+        /// [`ElementCache`] per vector encoded element by element.
+        #[derive(Debug, Default)]
+        struct LiveCache {
+            $($($field: ElementCache<$elem>,)?)*
+        }
 
-        impl Serialize for LiveView<'_> {
-            fn to_content(&self) -> Content {
-                Content::Map(vec![$(
-                    (Content::Str(stringify!($field).to_owned()), self.0.$field.to_content()),
-                )*])
-            }
-
-            fn serialize(&self, out: &mut dyn Serializer) {
-                out.begin_map();
+        impl LiveCache {
+            /// Appends the JSON map of `w`'s live state to `out`.
+            fn encode(&mut self, w: &WorldState, out: &mut String) {
+                out.push('{');
                 $(
-                    out.key(stringify!($field));
-                    self.0.$field.serialize(out);
+                    out.push_str(concat!("\"", stringify!($field), "\":"));
+                    encode_live_field!(self, w, out, $field $(, $elem)?);
+                    out.push(',');
                 )*
-                out.end_map();
+                // The closing brace replaces the last field's comma.
+                out.pop();
+                out.push('}');
             }
         }
     };
 }
 
+/// One live field's JSON, appended by a [`LiveCache`]: through its element
+/// cache when the field has one, else encoded whole.
+macro_rules! encode_live_field {
+    ($cache:ident, $w:ident, $out:ident, $field:ident) => {
+        push_json($out, &$w.$field)
+    };
+    ($cache:ident, $w:ident, $out:ident, $field:ident, $elem:ty) => {
+        $cache.$field.encode(&$w.$field, $out)
+    };
+}
+
 live_fields! {
-    tasks: Vec<TaskRec>,
-    vars: Vec<VarRec>,
+    tasks: Vec<TaskRec> => TaskRec,
+    vars: Vec<VarRec> => VarRec,
     locks: Vec<LockRec>,
     cvars: Vec<CvarRec>,
-    chans: Vec<ChanRec>,
-    ports: Vec<PortRec>,
+    chans: Vec<ChanRec> => ChanRec,
+    ports: Vec<PortRec> => PortRec,
     time: u64,
     wall_extra: u64,
     steps: u64,
@@ -396,8 +418,57 @@ fn chunk_text(log: &dyn LogText, index: usize) -> String {
     text
 }
 
+/// What a [`SnapshotWriter`] encoded of one live-state vector last time:
+/// each element, with its JSON.
+#[derive(Debug)]
+struct ElementCache<T> {
+    elements: Vec<(T, String)>,
+}
+
+impl<T> Default for ElementCache<T> {
+    fn default() -> Self {
+        ElementCache {
+            elements: Vec::new(),
+        }
+    }
+}
+
+impl<T: Clone + PartialEq + Serialize> ElementCache<T> {
+    /// Appends the JSON array of `elements` to `out`, re-encoding only the
+    /// elements that differ from the one cached at the same position.
+    fn encode(&mut self, elements: &[T], out: &mut String) {
+        self.elements.truncate(elements.len());
+        out.push('[');
+        for (i, element) in elements.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            match self.elements.get_mut(i) {
+                Some((cached, _)) if cached == element => {}
+                Some((cached, text)) => {
+                    cached.clone_from(element);
+                    text.clear();
+                    push_json(text, element);
+                }
+                None => {
+                    let mut text = String::new();
+                    push_json(&mut text, element);
+                    self.elements.push((element.clone(), text));
+                }
+            }
+            out.push_str(&self.elements[i].1);
+        }
+        out.push(']');
+    }
+}
+
 /// Encodes successive snapshots of one run, each in proportion to what
 /// changed since the previous one (see the [module docs](self)).
+///
+/// The writer keeps each task, variable, channel and port of the live
+/// state it encoded last, with that element's JSON, and re-encodes only the
+/// elements that compare unequal to the one cached at the same position;
+/// the live state's other fields are encoded whole.
 ///
 /// For each history log the writer caches the JSON of the tail it encoded
 /// last, with the sealed-chunk count and tail length that text covers. A
@@ -414,6 +485,8 @@ fn chunk_text(log: &dyn LogText, index: usize) -> String {
 /// ever added.
 #[derive(Debug, Default)]
 pub struct SnapshotWriter {
+    /// The live state's element caches.
+    live: LiveCache,
     /// One cache per history log of the snapshot written last, in
     /// manifest order.
     logs: Vec<TailCache>,
@@ -516,7 +589,7 @@ impl SnapshotWriter {
             w.digest()
         )
         .expect("writing to a String cannot fail");
-        push_json(out, &LiveView(w));
+        self.live.encode(w, out);
         out.push_str(",\"logs\":[");
         let mut count = 0;
         for (pos, (name, log)) in history_logs(w).enumerate() {
@@ -724,6 +797,7 @@ mod tests {
     use crate::driver::{resume_program, run_program};
     use crate::policy::RandomPolicy;
     use crate::program::{Builder, Program};
+    use serde::Content;
 
     fn manifest_text(snap: &WorldSnapshot) -> String {
         let mut writer = SnapshotWriter::new();

@@ -7,9 +7,10 @@
 
 use dd_sim::{
     resume_program, run_program, Builder, ChanClass, CheckpointPlan, PrefixPolicy, Program,
-    RandomPolicy, RunConfig, RunOutput,
+    RandomPolicy, RunConfig, RunOutput, SnapshotMark, SnapshotSink, WorldSnapshot,
 };
 use proptest::prelude::*;
+use std::sync::{Arc, Mutex};
 
 /// A program that exercises every kernel facility the snapshot must carry:
 /// shared variables, a lock, a condition variable, local and network
@@ -198,6 +199,100 @@ fn runs_without_a_plan_take_no_snapshots() {
         vec![],
     );
     assert!(out.snapshots.is_empty());
+}
+
+/// What a [`Rotating`] sink was offered and what it answered.
+type OfferLog = Arc<Mutex<Vec<(SnapshotMark, Result<Option<u64>, String>)>>>;
+
+/// A sink that keeps, declines and fails its offers in rotation, logging
+/// each offer's position in the run with its answer.
+struct Rotating {
+    log: OfferLog,
+}
+
+impl SnapshotSink for Rotating {
+    fn offer(&mut self, snap: &WorldSnapshot) -> Result<Option<u64>, String> {
+        let mut log = self.log.lock().expect("offer log lock");
+        let n = log.len() as u64;
+        let answer = match n % 3 {
+            0 => Ok(Some(100 + n)),
+            1 => Ok(None),
+            _ => Err(format!("offer {n} failed")),
+        };
+        let mark = SnapshotMark {
+            decision: snap.at_decision(),
+            step: snap.steps(),
+            time: snap.time(),
+            id: 100 + n,
+        };
+        log.push((mark, answer.clone()));
+        answer
+    }
+}
+
+/// The driver lends its own world and policy to the sink for each offer.
+/// Whether the sink keeps, declines or fails an offer, both come back: the
+/// run's trace, decisions and digests equal those of the same run keeping
+/// its snapshots in memory, the sink is offered exactly those snapshots,
+/// and `spilled` and `spill_errors` hold exactly what the sink answered.
+#[test]
+fn a_sink_hands_the_world_back_whatever_it_answers() {
+    for seed in [0u64, 7, 42] {
+        let cfg = |snapshot_sink| RunConfig {
+            seed,
+            checkpoints: Some(CheckpointPlan::new(1, 64)),
+            hash_decisions: true,
+            snapshot_sink,
+            ..RunConfig::default()
+        };
+        let kept = run_program(
+            &Gauntlet,
+            cfg(None),
+            Box::new(RandomPolicy::new(seed)),
+            vec![],
+        );
+        let log = OfferLog::default();
+        let sink = Rotating {
+            log: Arc::clone(&log),
+        };
+        let spilled = run_program(
+            &Gauntlet,
+            cfg(Some(Box::new(sink))),
+            Box::new(RandomPolicy::new(seed)),
+            vec![],
+        );
+        assert_eq!(trace_hash(&spilled), trace_hash(&kept), "seed {seed}");
+        assert!(spilled.decisions.iter().eq(kept.decisions.iter()));
+        assert!(!kept.decision_hashes.is_empty());
+        assert!(spilled
+            .decision_hashes
+            .iter()
+            .eq(kept.decision_hashes.iter()));
+        assert!(kept.final_state_hash.is_some());
+        assert_eq!(spilled.final_state_hash, kept.final_state_hash);
+        assert!(spilled.snapshots.is_empty());
+
+        let log = log.lock().expect("offer log lock");
+        assert!(log.len() >= 3, "seed {seed}: every answer is given");
+        let offered: Vec<(u64, u64, u64)> = log
+            .iter()
+            .map(|(m, _)| (m.decision, m.step, m.time))
+            .collect();
+        let taken: Vec<(u64, u64, u64)> = kept
+            .snapshots
+            .iter()
+            .map(|s| (s.at_decision(), s.steps(), s.time()))
+            .collect();
+        assert_eq!(offered, taken, "seed {seed}");
+        let marks: Vec<SnapshotMark> = log
+            .iter()
+            .filter(|(_, answer)| matches!(answer, Ok(Some(_))))
+            .map(|(mark, _)| *mark)
+            .collect();
+        let errors: Vec<String> = log.iter().filter_map(|(_, a)| a.clone().err()).collect();
+        assert_eq!(spilled.spilled, marks, "seed {seed}");
+        assert_eq!(spilled.spill_errors, errors, "seed {seed}");
+    }
 }
 
 proptest! {

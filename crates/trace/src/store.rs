@@ -19,9 +19,10 @@
 //! `BENCH_snapshot_store.json` plots against full snapshot sizes.
 //!
 //! An offer costs in proportion to what changed since the previous one.
-//! The store's [`SnapshotWriter`] encodes each manifest's live state in
-//! full but only the log-tail elements appended since the previous offer,
-//! and a chunk that sealed in between reuses the tail text already encoded.
+//! The store's [`SnapshotWriter`] re-encodes only the tasks, variables,
+//! channels and ports that changed since the previous offer and only the
+//! log-tail elements appended since, and a chunk that sealed in between
+//! reuses the tail text already encoded.
 //! The index keeps each row's encoded text, so an offer encodes one new
 //! row and `store.json` is the index frame around the rows' text.
 //!
@@ -501,12 +502,13 @@ impl SnapshotStore {
     /// writing the manifest fails after that rename, the victim is evicted
     /// anyway, since its file is gone.
     ///
-    /// The store's writer encodes the manifest: the live state in full,
-    /// each log's tail elements appended since the previous offer, and the
-    /// text of a chunk that sealed in between from the tail text it already
-    /// holds. New chunks are written before the manifest, so a manifest
-    /// never references an unwritten chunk. The new index row is encoded
-    /// once and kept; `store.json` joins the kept rows' text.
+    /// The store's writer encodes the manifest: the live-state elements
+    /// that changed since the previous offer, each log's tail elements
+    /// appended since, and the text of a chunk that sealed in between from
+    /// the tail text it already holds. New chunks are written before the
+    /// manifest, so a manifest never references an unwritten chunk. The
+    /// new index row is encoded once and kept; `store.json` joins the kept
+    /// rows' text.
     ///
     /// Both the ledger and the writer assume one run's snapshots in
     /// increasing decision order; [`offer`](SnapshotSink::offer), the only
@@ -655,8 +657,8 @@ impl SnapshotSink for SnapshotStore {
 mod tests {
     use super::*;
     use dd_sim::{
-        run_program, Builder, ChanClass, CheckpointPlan, Program, RandomPolicy, ReplayPolicy,
-        RunConfig,
+        run_program, Builder, ChanClass, CheckpointPlan, InputScript, Program, RandomPolicy,
+        ReplayPolicy, RunConfig, Value,
     };
     use proptest::prelude::*;
     use std::collections::{BTreeMap, BTreeSet};
@@ -738,6 +740,62 @@ mod tests {
                     for _ in 0..increments {
                         let _: i64 = ctx.read(&total, "waves::peek").await?;
                     }
+                }
+                Ok(())
+            });
+        }
+    }
+
+    /// A reader takes `requests` scripted inputs off a port, one every
+    /// `gap` ticks. For each it spawns a handler and sends it the request
+    /// on a channel; the handler counts the request under a lock and
+    /// answers on an output port. Channels, ports, the lock and the task
+    /// list all change between offers, and tasks keep appearing all run.
+    struct Relay {
+        requests: u32,
+        gap: u64,
+    }
+
+    const RELAY: Relay = Relay {
+        requests: 100,
+        gap: 4,
+    };
+
+    impl Relay {
+        fn inputs(&self) -> InputScript {
+            let mut script = InputScript::new();
+            for i in 0..self.requests {
+                script.push("requests", self.gap * u64::from(i), Value::Int(i.into()));
+            }
+            script
+        }
+    }
+
+    impl Program for Relay {
+        fn name(&self) -> &'static str {
+            "relay"
+        }
+
+        fn setup(&self, b: &mut Builder<'_>) {
+            let served = b.var("served", 0i64);
+            let m = b.mutex("m");
+            let work = b.channel::<i64>("work", ChanClass::Local);
+            let requests = b.in_port("requests");
+            let replies = b.out_port("replies");
+            let count = self.requests;
+            b.spawn("reader", "reader", move |mut ctx| async move {
+                for _ in 0..count {
+                    let request: i64 = ctx.input(requests, "relay::read").await?;
+                    ctx.spawn("handler", "handlers", move |mut ctx| async move {
+                        let request: i64 = ctx.recv(&work, "relay::take").await?;
+                        ctx.lock(m, "relay::lock").await?;
+                        let n: i64 = ctx.read(&served, "relay::count").await?;
+                        ctx.write(&served, n + 1, "relay::counted").await?;
+                        ctx.unlock(m, "relay::unlock").await?;
+                        ctx.output(replies, request + n, "relay::reply").await
+                    })
+                    .await?;
+                    ctx.send(&work, request, "relay::forward").await?;
                 }
                 Ok(())
             });
@@ -1132,14 +1190,16 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(12))]
 
-        /// The writer's cache changes no byte: store A keeps one writer
+        /// The writer's caches change no byte: store A keeps one writer
         /// for up to 24 consecutive snapshots of a run, store B is
         /// reopened (with a fresh writer) every `reopen` offers, and the
         /// two directories are identical file for file. Cadences cross the
         /// 64-element syscall and 256-element chunk lengths, some several
         /// chunks at once, and new tasks bring new syscall logs between
         /// offers. The first offer is drawn too, so a writer may start
-        /// mid-run with chunks already sealed.
+        /// mid-run with chunks already sealed. Each case runs two
+        /// programs: `WAVES` changes one variable, `RELAY` also a channel,
+        /// ports and a lock.
         #[test]
         fn a_warm_writer_writes_what_a_reopened_store_writes(
             cadence in 0usize..6,
@@ -1150,42 +1210,51 @@ mod tests {
         ) {
             const OFFERS: usize = 24;
             let cadence = [1, 3, 8, 64, 257, 300][cadence];
-            let out = run_program(
-                &WAVES,
-                RunConfig {
-                    checkpoints: Some(CheckpointPlan::new(cadence, u64::MAX)),
-                    hash_decisions: true,
-                    ..RunConfig::with_seed(11)
-                },
-                Box::new(RandomPolicy::new(schedule_seed)),
-                vec![],
-            );
-            prop_assert!(out.decisions.len() > 600, "{} decisions", out.decisions.len());
-            let first = first % out.snapshots.len().saturating_sub(OFFERS).max(1);
-            let policy = RetentionPolicy::new(1 << 20, keep);
-            let (dir_a, dir_b) = (tmp_store_dir("warm-a"), tmp_store_dir("warm-b"));
-            let mut a = SnapshotStore::create(&dir_a, policy).unwrap();
-            let mut b = SnapshotStore::create(&dir_b, policy).unwrap();
-            for (i, snap) in out.snapshots[first..].iter().take(OFFERS).enumerate() {
-                if i > 0 && i % reopen == 0 {
-                    b = SnapshotStore::open(&dir_b).unwrap();
+            let programs: [(&dyn Program, InputScript); 2] =
+                [(&WAVES, InputScript::new()), (&RELAY, RELAY.inputs())];
+            for (program, inputs) in programs {
+                let out = run_program(
+                    program,
+                    RunConfig {
+                        checkpoints: Some(CheckpointPlan::new(cadence, u64::MAX)),
+                        hash_decisions: true,
+                        inputs,
+                        ..RunConfig::with_seed(11)
+                    },
+                    Box::new(RandomPolicy::new(schedule_seed)),
+                    vec![],
+                );
+                prop_assert!(out.decisions.len() > 600, "{} decisions", out.decisions.len());
+                let first = first % out.snapshots.len().saturating_sub(OFFERS).max(1);
+                let policy = RetentionPolicy::new(1 << 20, keep);
+                let (dir_a, dir_b) = (tmp_store_dir("warm-a"), tmp_store_dir("warm-b"));
+                let mut a = SnapshotStore::create(&dir_a, policy).unwrap();
+                let mut b = SnapshotStore::create(&dir_b, policy).unwrap();
+                for (i, snap) in out.snapshots[first..].iter().take(OFFERS).enumerate() {
+                    if i > 0 && i % reopen == 0 {
+                        b = SnapshotStore::open(&dir_b).unwrap();
+                    }
+                    let kept = a.offer(snap).unwrap();
+                    prop_assert!(kept.is_some());
+                    prop_assert_eq!(b.offer(snap).unwrap(), kept);
                 }
-                let kept = a.offer(snap).unwrap();
-                prop_assert!(kept.is_some());
-                prop_assert_eq!(b.offer(snap).unwrap(), kept);
+                let (files_a, files_b) = (store_files(&dir_a), store_files(&dir_b));
+                let differs = files_a
+                    .keys()
+                    .chain(files_b.keys())
+                    .find(|f| files_a.get(*f) != files_b.get(*f));
+                prop_assert!(
+                    differs.is_none(),
+                    "{}: the stores differ at {differs:?}",
+                    program.name()
+                );
+                for entry in a.list() {
+                    let snap = a.load(entry.id, Box::new(RandomPolicy::new(1))).unwrap();
+                    prop_assert_eq!(snap.at_decision(), entry.decision);
+                }
+                std::fs::remove_dir_all(&dir_a).ok();
+                std::fs::remove_dir_all(&dir_b).ok();
             }
-            let (files_a, files_b) = (store_files(&dir_a), store_files(&dir_b));
-            let differs = files_a
-                .keys()
-                .chain(files_b.keys())
-                .find(|f| files_a.get(*f) != files_b.get(*f));
-            prop_assert!(differs.is_none(), "the stores differ at {differs:?}");
-            for entry in a.list() {
-                let snap = a.load(entry.id, Box::new(RandomPolicy::new(1))).unwrap();
-                prop_assert_eq!(snap.at_decision(), entry.decision);
-            }
-            std::fs::remove_dir_all(&dir_a).ok();
-            std::fs::remove_dir_all(&dir_b).ok();
         }
 
         /// The availability invariant, as an invariant rather than an
