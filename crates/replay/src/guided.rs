@@ -36,16 +36,16 @@
 //! decision stream); [`GuidedOrderPolicy`] replays the log, granting filler
 //! in deterministic first-candidate order between pinned grants.
 
+use crate::lock;
 use crate::recordings::costs;
 use dd_sim::{
     DecisionPoint, Event, EventMeta, Observer, OpDesc, SchedulePolicy, StopReason, TaskId, Value,
     VarId,
 };
 use dd_trace::{ChargeAcc, CostModel, LogStats, Trace};
-use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// One pinned grant in an operation-order log.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -182,7 +182,7 @@ impl SchedulePolicy for OrderRecorder {
         let idx = self.inner.decide(point)?;
         if let Some(&(task, op)) = point.enabled.get(idx) {
             if self.pin.pinned(op.as_ref()) {
-                self.log.lock().push(OrderEntry { task, op });
+                lock(&self.log).push(OrderEntry { task, op });
             }
         }
         Ok(idx)
@@ -191,7 +191,7 @@ impl SchedulePolicy for OrderRecorder {
     fn note_forced(&mut self, task: TaskId, pending: Option<&OpDesc>) {
         self.inner.note_forced(task, pending);
         if self.pin.pinned(pending) {
-            self.log.lock().push(OrderEntry {
+            lock(&self.log).push(OrderEntry {
                 task,
                 op: pending.copied(),
             });
@@ -219,18 +219,18 @@ pub struct GuidedHandle {
 impl GuidedHandle {
     /// How many order entries the replay consumed.
     pub fn consumed(&self) -> usize {
-        self.state.lock().consumed
+        lock(&self.state).consumed
     }
 
     /// `true` when every recorded entry was consumed without drift.
     pub fn fully_consumed(&self) -> bool {
-        let st = self.state.lock();
+        let st = lock(&self.state);
         st.desync.is_none() && st.consumed == self.total
     }
 
     /// The first forced-grant drift the replay hit, if any.
     pub fn desync(&self) -> Option<String> {
-        self.state.lock().desync.clone()
+        lock(&self.state).desync.clone()
     }
 }
 
@@ -277,7 +277,7 @@ impl SchedulePolicy for GuidedOrderPolicy {
     }
 
     fn decide(&mut self, point: &DecisionPoint<'_>) -> Result<usize, StopReason> {
-        let mut st = self.state.lock();
+        let mut st = lock(&self.state);
         if let Some(d) = &st.desync {
             return Err(StopReason::ReplayDivergence {
                 step: point.seq,
@@ -318,7 +318,7 @@ impl SchedulePolicy for GuidedOrderPolicy {
         if !self.pin.pinned(pending) {
             return;
         }
-        let mut st = self.state.lock();
+        let mut st = lock(&self.state);
         if st.desync.is_some() {
             return;
         }
@@ -404,13 +404,13 @@ pub struct FeedHandle {
 impl FeedHandle {
     /// How many recorded racing-read outcomes were re-delivered.
     pub fn consumed(&self) -> usize {
-        self.state.lock().consumed
+        lock(&self.state).consumed
     }
 
     /// `true` when every recorded racing read was re-delivered — the replay
     /// observed at least the recorded racing behaviour, access for access.
     pub fn fully_consumed(&self) -> bool {
-        self.state.lock().consumed == self.total
+        lock(&self.state).consumed == self.total
     }
 }
 
@@ -454,7 +454,7 @@ impl OutcomeFeed {
 impl dd_sim::NondetOverride for OutcomeFeed {
     fn override_read(&mut self, task: TaskId, var: VarId, _actual: &Value) -> Option<Value> {
         let v = self.queues.get_mut(&(task.0, var.0))?.pop_front()?;
-        self.state.lock().consumed += 1;
+        lock(&self.state).consumed += 1;
         Some(v)
     }
 }

@@ -55,3 +55,10 @@ pub use recordings::{
     costs, Artifact, CrewObserver, ModelKind, OriginalRun, Recording, UnknownModelKind,
 };
 pub use scenario::{FailureOracle, NondetSpace, PolicyChoice, RunSpec, Scenario};
+
+/// Locks `m`, taking the guard over even when a holder panicked: a panic
+/// is reported where it happened (a parallel-exploration worker's, through
+/// the frontier's poison), never again by the next lock.
+pub(crate) fn lock<T>(m: &std::sync::Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+}

@@ -12,6 +12,7 @@ use crate::guided::{
     pinned_completion_digest, racing_outcomes, GuidedOrderPolicy, OrderCostObserver, OrderEntry,
     OrderLog, OrderRecorder, OutcomeFeed, PinSet,
 };
+use crate::lock;
 use crate::recordings::{costs, Artifact, CrewObserver, ModelKind, OriginalRun, Recording};
 use crate::scenario::{NondetSpace, PolicyChoice, RunSpec, Scenario};
 use dd_detect::HbRaceDetector;
@@ -20,9 +21,8 @@ use dd_trace::{
     FailureSnapshot, InputRecorder, LogStats, OutputRecorder, ScheduleRecorder, Trace,
     ValueRecorder,
 };
-use parking_lot::Mutex;
 use std::collections::BTreeSet;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// The execution a replayer produced, with fidelity bookkeeping.
 #[derive(Debug)]
@@ -425,7 +425,7 @@ fn record_grants(
         Arc::clone(&grants),
     ));
     let out = scenario.execute_with_policy(&spec, policy, observers);
-    let entries = std::mem::take(&mut *grants.lock());
+    let entries = std::mem::take(&mut *lock(&grants));
     (out, entries)
 }
 

@@ -69,10 +69,12 @@ use crate::dpor::{
     deepest_compatible, explore_tree, plan_of, walk, RunFetcher, SnapshotPool, TreeConfig,
 };
 use crate::explorer::{InferenceBudget, InferenceStats};
+use crate::lock;
 use crate::scenario::{PolicyChoice, RunSpec, Scenario};
 use dd_sim::{CheckpointPlan, PrefixPolicy, RunOutput};
-use parking_lot::{Condvar, Mutex};
 use std::collections::{HashMap, HashSet};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::{Condvar, Mutex, PoisonError};
 
 /// One unit of speculative work: a forced schedule prefix. The snapshot to
 /// fork from is *not* bound here — the worker re-binds the deepest
@@ -136,7 +138,7 @@ fn execute_job(
         env: cfg.env.clone(),
     };
     let resume = match plan {
-        Some(_) => deepest_compatible(&fr.mirror.lock(), &job.prefix),
+        Some(_) => deepest_compatible(&lock(&fr.mirror), &job.prefix),
         None => None,
     };
     match (plan, resume) {
@@ -168,7 +170,7 @@ fn worker_loop(
 ) {
     loop {
         let job = {
-            let mut q = fr.q.lock();
+            let mut q = lock(&fr.q);
             loop {
                 if q.shutdown {
                     return;
@@ -182,13 +184,13 @@ fn worker_loop(
                         break j;
                     }
                 }
-                fr.work.wait(&mut q);
+                q = fr.work.wait(q).unwrap_or_else(PoisonError::into_inner);
             }
         };
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        let result = catch_unwind(AssertUnwindSafe(|| {
             execute_job(scenario, cfg, plan, fr, &job)
         }));
-        let mut q = fr.q.lock();
+        let mut q = lock(&fr.q);
         match result {
             Ok(out) => {
                 q.results.insert(job.prefix, out);
@@ -233,14 +235,14 @@ impl ParallelRuns<'_, '_> {
     /// Refreshes the workers' pool mirror from the walk's canonical pool
     /// (`Arc` clones — the worlds themselves are shared, not copied).
     fn refresh_mirror(&self, pool: &SnapshotPool) {
-        *self.fr.mirror.lock() = pool.clone();
+        *lock(&self.fr.mirror) = pool.clone();
     }
 }
 
 impl RunFetcher for ParallelRuns<'_, '_> {
     fn fetch(&mut self, _spec: &RunSpec, prefix: &[u32], pool: &SnapshotPool) -> RunOutput {
         self.refresh_mirror(pool);
-        let mut q = self.fr.q.lock();
+        let mut q = lock(&self.fr.q);
         if let Some(out) = q.results.remove(prefix) {
             self.fr.work.notify_all(); // Buffer shrank below the high-water mark.
             return out;
@@ -276,7 +278,7 @@ impl RunFetcher for ParallelRuns<'_, '_> {
                 self.fr.work.notify_all();
                 return out;
             }
-            self.fr.done.wait(&mut q);
+            q = self.fr.done.wait(q).unwrap_or_else(PoisonError::into_inner);
         }
     }
 
@@ -288,7 +290,7 @@ impl RunFetcher for ParallelRuns<'_, '_> {
             .map(|prefix| Job { prefix })
             .collect();
         if !fresh.is_empty() {
-            let mut q = self.fr.q.lock();
+            let mut q = lock(&self.fr.q);
             q.jobs.extend(fresh);
             self.fr.work.notify_all();
         }
@@ -303,6 +305,10 @@ impl RunFetcher for ParallelRuns<'_, '_> {
 /// the byte-identical failure set, walk order, per-interleaving traces and
 /// statistics (pinned by `tests/conformance.rs`, the parallel-determinism
 /// proptests, and CI's `determinism-matrix` job).
+///
+/// A panicking run panics the caller, as it would sequentially: a worker's
+/// panic through the frontier's poison, a run on the coordinator thread
+/// once the workers have been told to exit.
 pub(crate) fn explore_tree_parallel(
     scenario: &Scenario,
     cfg: &TreeConfig<'_>,
@@ -346,9 +352,14 @@ pub(crate) fn explore_tree_parallel(
             plan,
             scheduled: HashSet::new(),
         };
-        let result = walk(cfg, budget, stats, visit, &mut fetcher);
-        fr.q.lock().shutdown = true;
+        // The walk runs some runs on this thread, the root run always
+        // among them. Whether it returns or one of those runs panics, the
+        // workers must be told to exit before the scope joins them.
+        let result = catch_unwind(AssertUnwindSafe(|| {
+            walk(cfg, budget, stats, visit, &mut fetcher)
+        }));
+        lock(&fr.q).shutdown = true;
         fr.work.notify_all();
-        result
+        result.unwrap_or_else(|payload| resume_unwind(payload))
     })
 }

@@ -24,7 +24,7 @@
 //! serde impls encode a flat sequence), so the bit-identical-trace
 //! guarantees of snapshot/restore and parallel exploration hold unchanged.
 
-use serde::{Content, Deserialize, Deserializer, Error, Kind, Serialize};
+use serde::{Deserialize, Deserializer, Error, Kind, Serialize};
 use std::ops::Index;
 use std::sync::Arc;
 
@@ -308,10 +308,6 @@ impl<'a, T> IntoIterator for &'a ChunkedLog<T> {
 // `Vec<T>` produces, so trace hashes and persisted schedule logs are
 // representation-independent.
 impl<T: Serialize> Serialize for ChunkedLog<T> {
-    fn to_content(&self) -> Content {
-        Content::Seq(self.iter().map(Serialize::to_content).collect())
-    }
-
     fn serialize(&self, out: &mut dyn serde::Serializer) {
         serde::serialize_seq(self, out)
     }

@@ -13,11 +13,13 @@
 //!   [`OutputRecorder`], [`InputRecorder`], [`SelectiveRecorder`],
 //!   [`SiteProfiler`]): the building blocks `dd-replay` and `dd-core`
 //!   assemble into determinism models.
+//! - On-disk artifacts ([`JsonlTrace`], [`SnapshotStore`]): the `dd` trace
+//!   file and the spilled snapshot store. Every other artifact is JSON
+//!   text that its caller reads and writes with `serde_json`.
 
 pub mod cost;
 pub mod jsonl;
 pub mod logs;
-pub mod persist;
 pub mod recorder;
 pub mod store;
 pub mod trace;
@@ -30,7 +32,6 @@ pub use logs::{
     EpochMark, EventLog, FailureSnapshot, InputEntry, InputLog, OutputLog, ScheduleLog, ValEntry,
     ValKind, ValueCursor, ValueCursorStats, ValueLog, SCHEDULE_LOG_VERSION,
 };
-pub use persist::{load_json, save_json, PersistError};
 pub use recorder::{
     InputRecorder, OutputRecorder, RecordFilter, ScheduleRecorder, SelectiveRecorder, SiteProfiler,
     ValueRecorder,

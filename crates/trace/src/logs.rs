@@ -70,21 +70,6 @@ impl EpochMark {
 // (no stored snapshots) keep rendering byte-identically, which is what lets
 // golden trace hashes survive the v3 migration.
 impl Serialize for EpochMark {
-    fn to_content(&self) -> serde::Content {
-        let mut map = vec![
-            (
-                serde::Content::Str("decision".into()),
-                self.decision.to_content(),
-            ),
-            (serde::Content::Str("step".into()), self.step.to_content()),
-            (serde::Content::Str("time".into()), self.time.to_content()),
-        ];
-        if let Some(id) = self.snapshot {
-            map.push((serde::Content::Str("snapshot".into()), id.to_content()));
-        }
-        serde::Content::Map(map)
-    }
-
     fn serialize(&self, out: &mut dyn serde::Serializer) {
         out.begin_map();
         out.key("decision");
@@ -101,36 +86,46 @@ impl Serialize for EpochMark {
     }
 }
 
-// Tolerates a missing `snapshot` (v1/v2 artifacts) but still rejects
-// unknown keys, matching the strictness of the derived form it replaces.
-// A repeated key's last occurrence wins. The unknown-key text keeps the
-// form it has always had (the key as a `Content` dump).
+/// The derive's error for a missing field `field` of type `ty`.
+fn missing(field: &str, ty: &str) -> serde::Error {
+    serde::Error::custom(format!("missing field `{field}` for `{ty}`"))
+}
+
+// Keeps the derive's rules (a repeated key's first occurrence wins, unknown
+// keys are rejected, missing fields are reported in declaration order) but
+// tolerates a missing `snapshot` (v1/v2 artifacts). The unknown-key text
+// keeps the form it has always had (the key as a `Content` dump).
 impl Deserialize for EpochMark {
     fn deserialize(de: &mut dyn serde::Deserializer) -> Result<Self, serde::Error> {
         if de.peek()? != serde::Kind::Map {
             return Err(serde::Error::custom("expected an EpochMark map"));
         }
-        let mut mark = EpochMark {
-            decision: 0,
-            step: 0,
-            time: 0,
-            snapshot: None,
-        };
+        let mut fields = [None; 4];
         de.begin_map()?;
         while let Some(key) = de.next_key()? {
-            match key {
-                "decision" => mark.decision = u64::deserialize(de)?,
-                "step" => mark.step = u64::deserialize(de)?,
-                "time" => mark.time = u64::deserialize(de)?,
-                "snapshot" => mark.snapshot = Some(u64::deserialize(de)?),
+            let slot = match key {
+                "decision" => 0,
+                "step" => 1,
+                "time" => 2,
+                "snapshot" => 3,
                 other => {
                     return Err(serde::Error::custom(format!(
                         "unknown EpochMark field Str({other:?})"
                     )))
                 }
+            };
+            match fields[slot] {
+                None => fields[slot] = Some(u64::deserialize(de)?),
+                Some(_) => de.skip()?,
             }
         }
-        Ok(mark)
+        let [decision, step, time, snapshot] = fields;
+        Ok(EpochMark {
+            decision: decision.ok_or_else(|| missing("decision", "EpochMark"))?,
+            step: step.ok_or_else(|| missing("step", "EpochMark"))?,
+            time: time.ok_or_else(|| missing("time", "EpochMark"))?,
+            snapshot,
+        })
     }
 }
 
@@ -163,9 +158,9 @@ impl Default for ScheduleLog {
 }
 
 // Hand-written so v1 artifacts (decision stream only, predating `version`
-// and `epochs`) keep loading: missing fields default to version 1 with no
-// epochs instead of failing deserialization. A repeated key's first
-// occurrence wins; unknown keys are skipped.
+// and `epochs`) keep loading: those two fields default to version 1 with no
+// epochs. Otherwise the derive's rules hold: `decisions` is required, a
+// repeated key's first occurrence wins, and unknown keys are rejected.
 impl serde::Deserialize for ScheduleLog {
     fn deserialize(de: &mut dyn serde::Deserializer) -> Result<Self, serde::Error> {
         if de.peek()? != serde::Kind::Map {
@@ -180,12 +175,17 @@ impl serde::Deserialize for ScheduleLog {
                     decisions = Some(ChunkedLog::<RecordedDecision>::deserialize(de)?)
                 }
                 "epochs" if epochs.is_none() => epochs = Some(Vec::<EpochMark>::deserialize(de)?),
-                _ => de.skip()?,
+                "version" | "decisions" | "epochs" => de.skip()?,
+                other => {
+                    return Err(serde::Error::custom(format!(
+                        "unknown field `{other}` for ScheduleLog"
+                    )))
+                }
             }
         }
         Ok(ScheduleLog {
             version: version.unwrap_or(1),
-            decisions: decisions.unwrap_or_else(ChunkedLog::new),
+            decisions: decisions.ok_or_else(|| missing("decisions", "ScheduleLog"))?,
             epochs: epochs.unwrap_or_default(),
         })
     }
@@ -779,6 +779,45 @@ mod tests {
         assert_eq!(log.decisions.len(), 1);
         assert_eq!(log.decisions[0].chosen, TaskId(3));
         assert!(log.epochs.is_empty());
+    }
+
+    #[test]
+    fn schedule_artifacts_without_decisions_or_with_unknown_keys_are_rejected() {
+        let err = |text: &str| {
+            serde_json::from_str::<ScheduleLog>(text)
+                .unwrap_err()
+                .to_string()
+        };
+        assert_eq!(
+            err(r#"{"version":2,"epochs":[]}"#),
+            "missing field `decisions` for `ScheduleLog`"
+        );
+        assert_eq!(
+            err(r#"{"version":2,"decisions":[],"epochs":[],"zz":1}"#),
+            "unknown field `zz` for ScheduleLog"
+        );
+    }
+
+    #[test]
+    fn epoch_marks_require_their_fields_and_keep_the_first_of_a_repeated_key() {
+        let mark = |text: &str| serde_json::from_str::<EpochMark>(text).map_err(|e| e.to_string());
+        assert_eq!(
+            mark(r#"{"step":1}"#).unwrap_err(),
+            "missing field `decision` for `EpochMark`"
+        );
+        assert_eq!(
+            mark(r#"{"decision":8,"time":3}"#).unwrap_err(),
+            "missing field `step` for `EpochMark`"
+        );
+        assert_eq!(
+            mark(r#"{"decision":8,"step":2,"time":3,"step":"x"}"#),
+            Ok(EpochMark {
+                decision: 8,
+                step: 2,
+                time: 3,
+                snapshot: None,
+            })
+        );
     }
 
     #[test]

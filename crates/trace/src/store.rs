@@ -72,7 +72,6 @@
 //! every other fault (the manifest's own text, its version, a missing log,
 //! the digest check) names the manifest.
 
-use crate::persist::{load_json, PersistError};
 use dd_sim::{
     decode_snapshot, DecodeError, SchedulePolicy, SnapshotSink, SnapshotWriter, WorldSnapshot,
 };
@@ -248,19 +247,6 @@ impl core::fmt::Display for StoreError {
 
 impl std::error::Error for StoreError {}
 
-fn persist_err(file: &Path, e: PersistError) -> StoreError {
-    match e {
-        PersistError::Io(source) => StoreError::Io {
-            file: file.to_owned(),
-            source,
-        },
-        PersistError::Codec(e) => StoreError::Corrupt {
-            file: file.to_owned(),
-            detail: e.to_string(),
-        },
-    }
-}
-
 fn io_err(file: &Path) -> impl Fn(std::io::Error) -> StoreError + '_ {
     move |source| StoreError::Io {
         file: file.to_owned(),
@@ -268,8 +254,15 @@ fn io_err(file: &Path) -> impl Fn(std::io::Error) -> StoreError + '_ {
     }
 }
 
+fn corrupt(file: &Path) -> impl Fn(serde_json::Error) -> StoreError + '_ {
+    move |e| StoreError::Corrupt {
+        file: file.to_owned(),
+        detail: e.to_string(),
+    }
+}
+
 fn to_json<T: Serialize>(value: &T, file: &Path) -> Result<String, StoreError> {
-    serde_json::to_string(value).map_err(|e| persist_err(file, PersistError::Codec(e)))
+    serde_json::to_string(value).map_err(corrupt(file))
 }
 
 /// Writes `text` over the file at `path` (created if missing), then cuts
@@ -342,7 +335,8 @@ impl SnapshotStore {
     pub fn open(dir: impl Into<PathBuf>) -> Result<Self, StoreError> {
         let dir = dir.into();
         let ipath = dir.join("store.json");
-        let index: StoreIndex = load_json(&ipath).map_err(|e| persist_err(&ipath, e))?;
+        let text = std::fs::read_to_string(&ipath).map_err(io_err(&ipath))?;
+        let index: StoreIndex = serde_json::from_str(&text).map_err(corrupt(&ipath))?;
         if index.version != STORE_FORMAT_VERSION {
             return Err(StoreError::Corrupt {
                 file: ipath,
@@ -621,7 +615,7 @@ impl SnapshotStore {
         let manifest = std::fs::read_to_string(&mpath).map_err(io_err(&mpath))?;
         let mut fetch = |name: &str, i: u64| {
             std::fs::read_to_string(self.chunk_path(name, i))
-                .map_err(|e| PersistError::Io(e).to_string())
+                .map_err(|e| format!("artifact I/O error: {e}"))
         };
         decode_snapshot(&manifest, &mut fetch, policy).map_err(|e| {
             let file = match &e {
@@ -1064,6 +1058,16 @@ mod tests {
                 "{garbage}: error names the corrupt file {victim_name}: {err}"
             );
         }
+        // A chunk that cannot be read is named too, with the I/O error.
+        std::fs::remove_file(victim).unwrap();
+        let err = store
+            .load(entry.id, Box::new(RandomPolicy::new(1)))
+            .unwrap_err()
+            .to_string();
+        assert!(
+            err.contains(&victim_name) && err.contains("artifact I/O error: "),
+            "{err}"
+        );
         std::fs::write(victim, &original).unwrap();
 
         // Truncate the manifest: same contract.
@@ -1078,9 +1082,15 @@ mod tests {
             "error names the truncated manifest: {err}"
         );
 
-        // A missing store directory is an I/O error naming the index.
+        // An index that does not decode is corrupt, and a missing store
+        // directory is an I/O error; both name the index.
+        std::fs::write(dir.join("store.json"), "]]]").unwrap();
+        let err = SnapshotStore::open(&dir).unwrap_err();
+        assert!(matches!(err, StoreError::Corrupt { .. }), "{err}");
+        assert!(err.to_string().contains("store.json"), "{err}");
         std::fs::remove_dir_all(&dir).ok();
         let err = SnapshotStore::open(&dir).unwrap_err();
+        assert!(matches!(err, StoreError::Io { .. }), "{err}");
         assert!(err.to_string().contains("store.json"), "{err}");
     }
 

@@ -16,8 +16,14 @@ mod common;
 
 use common::all_workloads;
 use debug_determinism::core::Workload;
-use debug_determinism::replay::{enumerate_failures, search_with, InferenceBudget, SearchStrategy};
+use debug_determinism::replay::{
+    enumerate_failures, search_with, InferenceBudget, Scenario, SearchStrategy,
+};
+use debug_determinism::sim::{Builder, Program};
+use debug_determinism::workloads::SumWorkload;
 use proptest::prelude::*;
+use std::sync::{mpsc, Arc};
+use std::time::Duration;
 
 /// Sequential-vs-parallel comparison on one workload under one budget
 /// configuration: failure sets, statistics, and the ordered trace-hash
@@ -99,4 +105,52 @@ proptest! {
         let workload = common::msgserver();
         assert_equivalent(&workload, workers, budget_n, interval, 256)?;
     }
+}
+
+/// A program whose every run panics before its first task exists.
+struct PanicsInSetup;
+
+impl Program for PanicsInSetup {
+    fn name(&self) -> &'static str {
+        "panics-in-setup"
+    }
+
+    fn setup(&self, _b: &mut Builder<'_>) {
+        panic!("setup refuses to run");
+    }
+}
+
+/// The coordinator executes some runs itself, the root run always among
+/// them. When such a run panics, the panic must reach the caller instead
+/// of leaving the search waiting forever on its parked workers.
+#[test]
+fn a_panic_on_the_coordinator_thread_reaches_the_caller() {
+    let scenario = Scenario {
+        program: Arc::new(PanicsInSetup),
+        ..SumWorkload.scenario()
+    };
+    let (tx, rx) = mpsc::channel();
+    let search = std::thread::spawn(move || {
+        let budget = InferenceBudget::dpor(200, 6).with_workers(4);
+        let searched = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            enumerate_failures(&scenario, &budget, SearchStrategy::Dpor { max_depth: 6 })
+        }));
+        tx.send(searched.err()).ok();
+    });
+    // A hung search never sends: the test fails on the timeout and leaves
+    // the parked thread behind rather than joining it.
+    let payload = rx
+        .recv_timeout(Duration::from_secs(30))
+        .expect("the search hung after its root run panicked")
+        .expect("the search returned although every run panics");
+    search.join().expect("the search thread caught the panic");
+    let message = payload
+        .downcast_ref::<&str>()
+        .map(|s| s.to_string())
+        .or_else(|| payload.downcast_ref::<String>().cloned())
+        .unwrap_or_default();
+    assert!(
+        message.contains("setup refuses to run"),
+        "unexpected panic message: {message}"
+    );
 }
