@@ -14,8 +14,8 @@
 //!   inference-budget sweep, invariant-training sweep.
 //!
 //! Binaries `repro-fig1`, `repro-fig2` and `repro-ablations` print the
-//! series; Criterion benches measure the real (host wall-clock) cost of the
-//! same recorders.
+//! series. Wall-clock cost is measured by the separate `benchmark/` package
+//! (`ddbench`), which times every model's record and replay.
 
 pub mod ablations;
 pub mod emit;

@@ -39,7 +39,9 @@ use dd_core::driver::Session;
 use dd_core::Workload;
 use dd_hyperstore::{HyperConfig, HyperstoreFailoverWorkload, HyperstoreWorkload};
 use dd_replay::{Artifact, InferenceBudget, ModelKind, SearchStrategy};
-use dd_sim::{CheckpointPlan, CrashEvent, PartitionEvent, RandomPolicy, RestartEvent};
+use dd_sim::{
+    CheckpointPlan, CrashEvent, PartitionEvent, RandomPolicy, RestartEvent, WorldSnapshot,
+};
 use dd_trace::{JsonlTrace, RetentionPolicy, SnapshotStore, TraceHeader};
 use dd_workloads::{BufOverflowWorkload, MsgServerConfig, MsgServerWorkload, SumWorkload};
 use std::path::{Path, PathBuf};
@@ -751,6 +753,34 @@ fn store_dir_for(trace_path: &str) -> PathBuf {
     PathBuf::from(format!("{trace_path}.snapshots"))
 }
 
+/// Loads stored snapshot `id` for use with `trace`. It must belong to the
+/// recorded run: its world's digest is the one the trace recorded before
+/// the snapshot's decision. A store another recording left at the same
+/// path fails here, with an error naming the store and the snapshot.
+fn load_for_trace(
+    store: &SnapshotStore,
+    id: u64,
+    trace: &JsonlTrace,
+) -> Result<WorldSnapshot, String> {
+    let snap = store
+        .load(id, Box::new(RandomPolicy::new(0)))
+        .map_err(|e| e.to_string())?;
+    let d = snap.at_decision();
+    let digest = snap.digest();
+    match trace.decisions.get(d as usize) {
+        Some(line) if line.hash == digest => Ok(snap),
+        recorded => Err(format!(
+            "{}: snapshot {id} does not belong to this trace: its state digest at decision {d} \
+             is {digest:016x}, the trace {}; re-record with --spill",
+            store.dir().display(),
+            recorded.map_or_else(
+                || format!("ends after {} decisions", trace.decisions.len()),
+                |line| format!("records {:016x}", line.hash)
+            ),
+        )),
+    }
+}
+
 /// `dd replay --from N`: restore the nearest stored snapshot at or before
 /// decision `N` from the trace's on-disk store and fast-forward the
 /// remainder under the strict replay policy. With no store (or no snapshot
@@ -775,7 +805,7 @@ fn replay_from_store(
         };
         match store.nearest_at_or_before(from) {
             Some(entry) => {
-                let snap = match store.load(entry.id, Box::new(RandomPolicy::new(0))) {
+                let snap = match load_for_trace(&store, entry.id, trace) {
                     Ok(s) => s,
                     Err(e) => {
                         eprintln!("dd replay: {e}");
@@ -1022,7 +1052,7 @@ fn cmd_explore(rest: &[String]) -> i32 {
         };
         let mut seeds = Vec::new();
         for entry in store.list() {
-            match store.load(entry.id, Box::new(RandomPolicy::new(0))) {
+            match load_for_trace(&store, entry.id, &trace) {
                 Ok(s) => seeds.push(Arc::new(s)),
                 Err(e) => {
                     eprintln!("dd explore: {e}");

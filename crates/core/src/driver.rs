@@ -26,9 +26,9 @@ use crate::rcse::{train, DebugModel, RcseConfig, Training};
 use crate::workload::{RunSetup, Workload};
 use dd_replay::{
     replay_trace, replay_trace_from, search_with_warm, Artifact, DeterminismModel,
-    DivergenceReport, FailureModel, InferenceBudget, ModelKind, MsgOrderModel, OutputHeavyModel,
-    OutputLiteModel, PerfectModel, RaceCompleteModel, Recording, ReplayResult, Scenario,
-    SearchResult, SearchStrategy, ValueModel, RECORDING_CHECKPOINTS,
+    DivergenceReport, FailureModel, InferenceBudget, ModelKind, MsgOrderModel, NondetSpace,
+    OutputHeavyModel, OutputLiteModel, PerfectModel, RaceCompleteModel, Recording, ReplayResult,
+    Scenario, SearchResult, SearchStrategy, ValueModel, RECORDING_CHECKPOINTS,
 };
 use dd_sim::{CheckpointPlan, IoSummary, SnapshotSink, WorldSnapshot};
 use dd_trace::{JsonlError, JsonlTrace, TraceHeader};
@@ -357,10 +357,10 @@ impl Session {
     }
 
     /// Hands the recorded run to the systematic search machinery: fixing
-    /// the trace's inputs and environment, explores the schedule space for
-    /// other executions exhibiting the recorded failure (or any failure,
-    /// if the recorded run passed). Uses the budget's strategy when it is
-    /// systematic, otherwise DPOR at the default depth.
+    /// the trace's kernel seed, inputs and environment, explores the
+    /// schedule space for other executions exhibiting the recorded failure
+    /// (or any failure, if the recorded run passed). Uses the budget's
+    /// strategy when it is systematic, otherwise DPOR at the default depth.
     pub fn explore(&self, trace: &JsonlTrace) -> Exploration {
         self.explore_warm(trace, Vec::new())
     }
@@ -372,7 +372,15 @@ impl Session {
     /// Incompatible seeds are skipped safely, so passing snapshots from an
     /// unrelated run degrades to a cold [`Session::explore`].
     pub fn explore_warm(&self, trace: &JsonlTrace, warm: Vec<Arc<WorldSnapshot>>) -> Exploration {
-        let scenario = self.scenario_for_trace(&trace.header);
+        let mut scenario = self.scenario_for_trace(&trace.header);
+        // Walk the recorded run's schedules only: not the workload's other
+        // seeds or environments, where a fault could stand in for the
+        // recorded cause.
+        scenario.space = NondetSpace {
+            seeds: vec![scenario.seed],
+            inputs: vec![],
+            envs: vec![scenario.env.clone()],
+        };
         let target = (scenario.failure_of)(&trace.footer.io).map(|f| f.failure_id);
         let strategy = match self.budget.strategy.max_depth() {
             Some(_) => self.budget.strategy,

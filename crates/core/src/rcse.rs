@@ -469,7 +469,6 @@ impl DeterminismModel for DebugModel {
     fn record(&self, scenario: &Scenario) -> Recording {
         let recorder = self.make_recorder();
         let mut out = scenario.execute(&scenario.original_spec(), vec![Box::new(recorder)]);
-        let failure = (scenario.failure_of)(&out.io);
         let registry = out.registry.clone();
         let recorder = out
             .observer_mut::<RcseRecorder>()
@@ -485,14 +484,7 @@ impl DeterminismModel for DebugModel {
             artifact,
             overhead_factor: out.stats.overhead_factor(),
             log,
-            original: OriginalRun {
-                io: out.io.clone(),
-                trace: Trace::from_run(&out),
-                registry,
-                stop: out.stop.clone(),
-                failure,
-                duration: out.stats.exec_ticks,
-            },
+            original: OriginalRun::from_run(scenario, &out),
         }
     }
 
@@ -569,24 +561,7 @@ impl DeterminismModel for DebugModel {
                 out = found;
             }
         }
-        let failure = (scenario.failure_of)(&out.io);
-        let reproduced_failure = match (&recording.original.failure, &failure) {
-            (Some(a), Some(b)) => a.failure_id == b.failure_id,
-            (None, None) => true,
-            _ => false,
-        };
-        ReplayResult {
-            trace: Trace::from_run(&out),
-            registry: out.registry.clone(),
-            stop: out.stop.clone(),
-            replay_ticks: out.stats.exec_ticks,
-            io: out.io,
-            failure,
-            reproduced_failure,
-            artifact_satisfied: satisfied,
-            inference,
-            value_divergences: 0,
-        }
+        ReplayResult::from_run(scenario, recording, out, satisfied, inference, 0)
     }
 }
 

@@ -433,9 +433,6 @@ fn backtrack_points(out: &RunOutput, max_depth: usize) -> Vec<(usize, Add)> {
     let decisions = &out.decisions;
     let enabled = &out.decision_enabled;
     let horizon = decisions.len().min(max_depth);
-    let Some(trace) = out.trace.as_ref() else {
-        return Vec::new();
-    };
     if horizon == 0 {
         return Vec::new();
     }
@@ -463,7 +460,7 @@ fn backtrack_points(out: &RunOutput, max_depth: usize) -> Vec<(usize, Add)> {
 
     let mut adds: BTreeSet<(usize, Option<u32>)> = BTreeSet::new();
 
-    for (_, event) in trace {
+    for (_, event) in &out.trace {
         match event {
             Event::Decision { kind, chosen, .. } => {
                 cursor += 1;

@@ -72,46 +72,35 @@ fn failure_of(scenario: &Scenario, io: &IoSummary) -> Option<FailureSnapshot> {
     (scenario.failure_of)(io)
 }
 
-fn same_failure(original: &Option<FailureSnapshot>, replayed: &Option<FailureSnapshot>) -> bool {
-    match (original, replayed) {
-        (Some(a), Some(b)) => a.failure_id == b.failure_id,
-        (None, None) => true,
-        _ => false,
-    }
-}
-
-fn original_run(scenario: &Scenario, out: &RunOutput) -> OriginalRun {
-    OriginalRun {
-        io: out.io.clone(),
-        trace: Trace::from_run(out),
-        registry: out.registry.clone(),
-        stop: out.stop.clone(),
-        failure: failure_of(scenario, &out.io),
-        duration: out.stats.exec_ticks,
-    }
-}
-
-fn replay_result_from_run(
-    scenario: &Scenario,
-    recording: &Recording,
-    out: RunOutput,
-    artifact_satisfied: bool,
-    inference: InferenceStats,
-    value_divergences: u64,
-) -> ReplayResult {
-    let failure = failure_of(scenario, &out.io);
-    let reproduced_failure = same_failure(&recording.original.failure, &failure);
-    ReplayResult {
-        trace: Trace::from_run(&out),
-        registry: out.registry.clone(),
-        stop: out.stop.clone(),
-        replay_ticks: out.stats.exec_ticks,
-        io: out.io,
-        failure,
-        reproduced_failure,
-        artifact_satisfied,
-        inference,
-        value_divergences,
+impl ReplayResult {
+    /// The result of a replayed run `out` of `scenario`: its failure
+    /// verdict, and whether that is `recording`'s original failure.
+    pub fn from_run(
+        scenario: &Scenario,
+        recording: &Recording,
+        out: RunOutput,
+        artifact_satisfied: bool,
+        inference: InferenceStats,
+        value_divergences: u64,
+    ) -> Self {
+        let failure = failure_of(scenario, &out.io);
+        let reproduced_failure = match (&recording.original.failure, &failure) {
+            (Some(a), Some(b)) => a.failure_id == b.failure_id,
+            (None, None) => true,
+            _ => false,
+        };
+        ReplayResult {
+            trace: Trace::from_run(&out),
+            registry: out.registry.clone(),
+            stop: out.stop.clone(),
+            replay_ticks: out.stats.exec_ticks,
+            io: out.io,
+            failure,
+            reproduced_failure,
+            artifact_satisfied,
+            inference,
+            value_divergences,
+        }
     }
 }
 
@@ -180,7 +169,7 @@ impl DeterminismModel for PerfectModel {
             },
             overhead_factor: out.stats.overhead_factor(),
             log,
-            original: original_run(scenario, &out),
+            original: OriginalRun::from_run(scenario, &out),
         }
     }
 
@@ -207,7 +196,7 @@ impl DeterminismModel for PerfectModel {
         };
         let out = scenario.execute(&spec, vec![]);
         let satisfied = !matches!(out.stop, StopReason::ReplayDivergence { .. });
-        replay_result_from_run(
+        ReplayResult::from_run(
             scenario,
             recording,
             out,
@@ -247,7 +236,7 @@ impl DeterminismModel for ValueModel {
             artifact: Artifact::Value { values },
             overhead_factor: out.stats.overhead_factor(),
             log,
-            original: original_run(scenario, &out),
+            original: OriginalRun::from_run(scenario, &out),
         }
     }
 
@@ -271,7 +260,7 @@ impl DeterminismModel for ValueModel {
         };
         let out = scenario.execute_with_override(&spec, vec![], Some(Box::new(cursor)));
         let divergences = stats.divergences();
-        replay_result_from_run(
+        ReplayResult::from_run(
             scenario,
             recording,
             out,
@@ -329,7 +318,7 @@ fn record_outputs(scenario: &Scenario, with_inputs: bool) -> Recording {
         artifact,
         overhead_factor: out.stats.overhead_factor(),
         log,
-        original: original_run(scenario, &out),
+        original: OriginalRun::from_run(scenario, &out),
     }
 }
 
@@ -344,7 +333,7 @@ fn replay_outputs(
         outputs.matches(&out.io)
     });
     match result.run {
-        Some(out) => replay_result_from_run(scenario, recording, out, true, result.stats, 0),
+        Some(out) => ReplayResult::from_run(scenario, recording, out, true, result.stats, 0),
         None => {
             // Inference failed within budget: produce a best-effort run so
             // the developer still gets *an* execution, flagged unsatisfied.
@@ -355,7 +344,7 @@ fn replay_outputs(
                 env: EnvConfig::clean(),
             };
             let out = scenario.execute(&spec, vec![]);
-            replay_result_from_run(scenario, recording, out, false, result.stats, 0)
+            ReplayResult::from_run(scenario, recording, out, false, result.stats, 0)
         }
     }
 }
@@ -491,7 +480,7 @@ impl DeterminismModel for MsgOrderModel {
             },
             overhead_factor: out.stats.overhead_factor(),
             log,
-            original: original_run(scenario, &out),
+            original: OriginalRun::from_run(scenario, &out),
         }
     }
 
@@ -511,7 +500,7 @@ impl DeterminismModel for MsgOrderModel {
             panic!("msg-order replay requires a msg-order artifact");
         };
         let (out, clean) = replay_guided(scenario, order, PinSet::Total, inputs, env, *seed);
-        replay_result_from_run(
+        ReplayResult::from_run(
             scenario,
             recording,
             out,
@@ -591,7 +580,7 @@ impl DeterminismModel for RaceCompleteModel {
             },
             overhead_factor: out.stats.overhead_factor(),
             log,
-            original: original_run(scenario, &out),
+            original: OriginalRun::from_run(scenario, &out),
         }
     }
 
@@ -640,7 +629,7 @@ impl DeterminismModel for RaceCompleteModel {
         if clean && satisfies(&out) {
             stats.found = true;
             stats.found_at = Some(0);
-            return replay_result_from_run(scenario, recording, out, true, stats, 0);
+            return ReplayResult::from_run(scenario, recording, out, true, stats, 0);
         }
 
         // Fallback: DPOR prefix search over the recorded configuration,
@@ -667,12 +656,12 @@ impl DeterminismModel for RaceCompleteModel {
         stats.found = result.stats.found;
         stats.found_at = result.stats.found_at.map(|i| i + 1);
         if let Some(found) = result.run {
-            return replay_result_from_run(scenario, recording, found, true, stats, 0);
+            return ReplayResult::from_run(scenario, recording, found, true, stats, 0);
         }
         if outcomes.is_empty() {
             // Nothing to feed: the search exhausted its budget without
             // matching the recorded completion digest.
-            return replay_result_from_run(scenario, recording, out, false, stats, 0);
+            return ReplayResult::from_run(scenario, recording, out, false, stats, 0);
         }
 
         // Last resort, for time-driven programs where no search budget will
@@ -697,7 +686,7 @@ impl DeterminismModel for RaceCompleteModel {
         if satisfied {
             stats.found_at = Some(stats.explored - 1);
         }
-        replay_result_from_run(scenario, recording, fed, satisfied, stats, 0)
+        ReplayResult::from_run(scenario, recording, fed, satisfied, stats, 0)
     }
 }
 
@@ -726,7 +715,7 @@ impl DeterminismModel for FailureModel {
             // No recording: the production run is native speed.
             overhead_factor: 1.0,
             log: LogStats::default(),
-            original: original_run(scenario, &out),
+            original: OriginalRun::from_run(scenario, &out),
         }
     }
 
@@ -747,7 +736,7 @@ impl DeterminismModel for FailureModel {
             }
         });
         match result.run {
-            Some(out) => replay_result_from_run(scenario, recording, out, true, result.stats, 0),
+            Some(out) => ReplayResult::from_run(scenario, recording, out, true, result.stats, 0),
             None => {
                 let spec = RunSpec {
                     seed: 0,
@@ -756,7 +745,7 @@ impl DeterminismModel for FailureModel {
                     env: EnvConfig::clean(),
                 };
                 let out = scenario.execute(&spec, vec![]);
-                replay_result_from_run(scenario, recording, out, false, result.stats, 0)
+                ReplayResult::from_run(scenario, recording, out, false, result.stats, 0)
             }
         }
     }

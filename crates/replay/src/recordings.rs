@@ -1,6 +1,9 @@
 //! Recording artifacts and model cost constants.
 
-use dd_sim::{observer_boilerplate, EnvConfig, Event, EventMeta, IoSummary, Observer, StopReason};
+use crate::scenario::Scenario;
+use dd_sim::{
+    observer_boilerplate, EnvConfig, Event, EventMeta, IoSummary, Observer, RunOutput, StopReason,
+};
 use dd_trace::{FailureSnapshot, InputLog, LogStats, OutputLog, ScheduleLog, Trace, ValueLog};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
@@ -240,6 +243,20 @@ pub struct OriginalRun {
     pub failure: Option<FailureSnapshot>,
     /// Execution-clock duration.
     pub duration: u64,
+}
+
+impl OriginalRun {
+    /// The ground truth of a finished run `out` of `scenario`.
+    pub fn from_run(scenario: &Scenario, out: &RunOutput) -> Self {
+        OriginalRun {
+            io: out.io.clone(),
+            trace: Trace::from_run(out),
+            registry: out.registry.clone(),
+            stop: out.stop.clone(),
+            failure: (scenario.failure_of)(&out.io),
+            duration: out.stats.exec_ticks,
+        }
+    }
 }
 
 /// The product of recording one production run under some model.

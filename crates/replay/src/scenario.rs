@@ -74,6 +74,18 @@ pub struct Scenario {
 }
 
 impl Scenario {
+    /// The [`RunConfig`] of one run of `spec` under this scenario's step
+    /// bound; callers switch on what else the run needs.
+    fn config(&self, spec: &RunSpec) -> RunConfig {
+        RunConfig {
+            seed: spec.seed,
+            max_steps: self.max_steps,
+            inputs: spec.inputs.clone(),
+            env: spec.env.clone(),
+            ..RunConfig::default()
+        }
+    }
+
     /// Builds the [`RunSpec`] of the original production run.
     pub fn original_spec(&self) -> RunSpec {
         RunSpec {
@@ -96,12 +108,8 @@ impl Scenario {
     /// localisation.
     pub fn execute_hashed(&self, spec: &RunSpec, observers: Vec<Box<dyn Observer>>) -> RunOutput {
         let cfg = RunConfig {
-            seed: spec.seed,
-            max_steps: self.max_steps,
-            inputs: spec.inputs.clone(),
-            env: spec.env.clone(),
             hash_decisions: true,
-            ..RunConfig::default()
+            ..self.config(spec)
         };
         dd_sim::run_program(self.program.as_ref(), cfg, spec.policy.build(), observers)
     }
@@ -116,12 +124,8 @@ impl Scenario {
         observers: Vec<Box<dyn Observer>>,
     ) -> RunOutput {
         let cfg = RunConfig {
-            seed: spec.seed,
-            max_steps: self.max_steps,
-            inputs: spec.inputs.clone(),
-            env: spec.env.clone(),
             checkpoints: Some(plan),
-            ..RunConfig::default()
+            ..self.config(spec)
         };
         dd_sim::run_program(self.program.as_ref(), cfg, spec.policy.build(), observers)
     }
@@ -137,13 +141,9 @@ impl Scenario {
         observers: Vec<Box<dyn Observer>>,
     ) -> RunOutput {
         let cfg = RunConfig {
-            seed: spec.seed,
-            max_steps: self.max_steps,
-            inputs: spec.inputs.clone(),
-            env: spec.env.clone(),
             checkpoints: Some(plan),
             hash_decisions: true,
-            ..RunConfig::default()
+            ..self.config(spec)
         };
         dd_sim::run_program(self.program.as_ref(), cfg, spec.policy.build(), observers)
     }
@@ -162,14 +162,10 @@ impl Scenario {
         observers: Vec<Box<dyn Observer>>,
     ) -> RunOutput {
         let cfg = RunConfig {
-            seed: spec.seed,
-            max_steps: self.max_steps,
-            inputs: spec.inputs.clone(),
-            env: spec.env.clone(),
             checkpoints: Some(plan),
             hash_decisions: true,
             snapshot_sink: Some(sink),
-            ..RunConfig::default()
+            ..self.config(spec)
         };
         dd_sim::run_program(self.program.as_ref(), cfg, spec.policy.build(), observers)
     }
@@ -185,12 +181,8 @@ impl Scenario {
         plan: dd_sim::CheckpointPlan,
     ) -> RunOutput {
         let cfg = RunConfig {
-            seed: spec.seed,
-            max_steps: self.max_steps,
-            inputs: spec.inputs.clone(),
-            env: spec.env.clone(),
             checkpoints: Some(plan),
-            ..RunConfig::default()
+            ..self.config(spec)
         };
         dd_sim::resume_program(self.program.as_ref(), cfg, snapshot, Some(policy), vec![])
     }
@@ -209,12 +201,8 @@ impl Scenario {
         policy: Box<dyn SchedulePolicy>,
     ) -> RunOutput {
         let cfg = RunConfig {
-            seed: spec.seed,
-            max_steps: self.max_steps,
-            inputs: spec.inputs.clone(),
-            env: spec.env.clone(),
             hash_decisions: true,
-            ..RunConfig::default()
+            ..self.config(spec)
         };
         dd_sim::resume_program(self.program.as_ref(), cfg, snapshot, Some(policy), vec![])
     }
@@ -230,14 +218,7 @@ impl Scenario {
         policy: Box<dyn SchedulePolicy>,
         observers: Vec<Box<dyn Observer>>,
     ) -> RunOutput {
-        let cfg = RunConfig {
-            seed: spec.seed,
-            max_steps: self.max_steps,
-            inputs: spec.inputs.clone(),
-            env: spec.env.clone(),
-            ..RunConfig::default()
-        };
-        dd_sim::run_program(self.program.as_ref(), cfg, policy, observers)
+        dd_sim::run_program(self.program.as_ref(), self.config(spec), policy, observers)
     }
 
     /// Runs a spec with an optional nondeterminism override (value replay).
@@ -248,12 +229,8 @@ impl Scenario {
         nondet_override: Option<Box<dyn NondetOverride>>,
     ) -> RunOutput {
         let cfg = RunConfig {
-            seed: spec.seed,
-            max_steps: self.max_steps,
-            inputs: spec.inputs.clone(),
-            env: spec.env.clone(),
             nondet_override,
-            ..RunConfig::default()
+            ..self.config(spec)
         };
         dd_sim::run_program(self.program.as_ref(), cfg, spec.policy.build(), observers)
     }

@@ -1,4 +1,4 @@
-//! Run configuration: costs, inputs, environment model, and replay hooks.
+//! Run configuration: inputs, environment model, run bounds and replay hooks.
 
 use crate::ids::{ChanId, PortId, TaskId, VarId};
 use crate::value::Value;
@@ -8,10 +8,12 @@ use std::collections::BTreeMap;
 /// Virtual-time cost (in exec ticks) of each operation kind.
 ///
 /// These drive the execution clock, which in turn drives timers and the
-/// data-rate statistics used by plane classification. Recording costs are
-/// *not* here — they are charged to the wall clock by observers.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct OpCosts {
+/// data-rate statistics used by plane classification. Every run charges the
+/// one table [`OP_COSTS`]: the execution clock is the denominator of every
+/// model's recording overhead, so it ticks alike for all of them. Recording
+/// costs are *not* here — they are charged to the wall clock by observers.
+#[derive(Debug)]
+pub(crate) struct OpCosts {
     /// Cost of a shared-variable read.
     pub read: u64,
     /// Cost of a shared-variable write.
@@ -38,24 +40,21 @@ pub struct OpCosts {
     pub yield_: u64,
 }
 
-impl Default for OpCosts {
-    fn default() -> Self {
-        OpCosts {
-            read: 1,
-            write: 1,
-            lock: 1,
-            mem_bytes_per_tick: 64,
-            msg_base: 2,
-            msg_bytes_per_tick: 64,
-            io: 2,
-            probe: 1,
-            rng: 1,
-            spawn: 5,
-            alloc: 1,
-            yield_: 1,
-        }
-    }
-}
+/// The operation costs every run's kernel charges.
+pub(crate) const OP_COSTS: OpCosts = OpCosts {
+    read: 1,
+    write: 1,
+    lock: 1,
+    mem_bytes_per_tick: 64,
+    msg_base: 2,
+    msg_bytes_per_tick: 64,
+    io: 2,
+    probe: 1,
+    rng: 1,
+    spawn: 5,
+    alloc: 1,
+    yield_: 1,
+};
 
 impl OpCosts {
     /// Returns the cost of moving `bytes` of message payload.
@@ -313,6 +312,11 @@ impl CheckpointPlan {
 }
 
 /// Full configuration of a single run.
+///
+/// Every run collects the omniscient analysis trace
+/// ([`RunOutput::trace`](crate::driver::RunOutput)) and charges one fixed
+/// table of operation costs to the execution clock; neither is
+/// configurable.
 pub struct RunConfig {
     /// Seed for the kernel RNG (task-visible draws + congestion).
     pub seed: u64,
@@ -320,18 +324,12 @@ pub struct RunConfig {
     pub max_steps: u64,
     /// Stop after this much virtual time.
     pub max_time: u64,
-    /// Collect the omniscient analysis trace (not a recorder; free).
-    pub collect_trace: bool,
     /// External input script.
     pub inputs: InputScript,
     /// Fault/environment model.
     pub env: EnvConfig,
-    /// Operation costs.
-    pub costs: OpCosts,
     /// Replay hook for task-local nondeterminism.
     pub nondet_override: Option<Box<dyn NondetOverride>>,
-    /// If `true`, the run stops at the first task crash.
-    pub stop_on_crash: bool,
     /// Maximum number of live-or-exited tasks a run may create. A runtime
     /// spawn that would exceed it fails with
     /// [`SimError::TaskLimit`](crate::error::SimError) instead of growing
@@ -364,12 +362,9 @@ impl Default for RunConfig {
             seed: 0,
             max_steps: 2_000_000,
             max_time: u64::MAX,
-            collect_trace: true,
             inputs: InputScript::new(),
             env: EnvConfig::clean(),
-            costs: OpCosts::default(),
             nondet_override: None,
-            stop_on_crash: false,
             max_tasks: 1 << 20,
             checkpoints: None,
             snapshot_sink: None,
@@ -394,11 +389,9 @@ impl core::fmt::Debug for RunConfig {
             .field("seed", &self.seed)
             .field("max_steps", &self.max_steps)
             .field("max_time", &self.max_time)
-            .field("collect_trace", &self.collect_trace)
             .field("inputs", &self.inputs.len())
             .field("env", &self.env)
             .field("has_override", &self.nondet_override.is_some())
-            .field("stop_on_crash", &self.stop_on_crash)
             .field("max_tasks", &self.max_tasks)
             .field("checkpoints", &self.checkpoints)
             .field("has_snapshot_sink", &self.snapshot_sink.is_some())
@@ -413,13 +406,13 @@ mod tests {
 
     #[test]
     fn default_costs_are_positive() {
-        let c = OpCosts::default();
+        let c = OP_COSTS;
         assert!(c.read > 0 && c.write > 0 && c.lock > 0 && c.msg_base > 0);
     }
 
     #[test]
     fn msg_cost_scales_with_bytes() {
-        let c = OpCosts::default();
+        let c = OP_COSTS;
         assert_eq!(c.msg_cost(0), c.msg_base);
         assert_eq!(c.msg_cost(128), c.msg_base + 2);
     }

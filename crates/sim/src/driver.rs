@@ -31,14 +31,14 @@
 //! re-parks at the operation it had announced when the snapshot was taken.
 //! The whole rebuild of one task is a single synchronous poll.
 
-use crate::config::RunConfig;
+use crate::config::{RunConfig, OP_COSTS};
 use crate::error::{SimError, SimResult, StopReason};
 use crate::event::{DecisionKind, Event, EventMeta, Observer};
 use crate::history::ChunkedLog;
 use crate::ids::TaskId;
 use crate::kernel::{
     Attempt, CrashRecord, DecisionRecord, EnabledSet, Kernel, OutputRecord, Phase, PortDir,
-    SysLogEntry, WorldSnapshot,
+    SysLogEntry, WorldSnapshot, WorldState,
 };
 use crate::policy::SchedulePolicy;
 use crate::program::{
@@ -233,8 +233,8 @@ pub struct RunOutput {
     /// Partial-order-reduced search uses this to decide which sibling
     /// schedule branches commute.
     pub decision_enabled: ChunkedLog<EnabledSet>,
-    /// The omniscient analysis trace, if collected.
-    pub trace: Option<ChunkedLog<(EventMeta, Event)>>,
+    /// The omniscient analysis trace: every event the run emitted.
+    pub trace: ChunkedLog<(EventMeta, Event)>,
     /// Resumable world snapshots taken per the run's
     /// [`CheckpointPlan`](crate::config::CheckpointPlan), in increasing
     /// decision order (empty when checkpointing is disabled, and when a
@@ -281,15 +281,9 @@ impl RunOutput {
             .find_map(|o| o.as_any_mut().downcast_mut())
     }
 
-    /// Returns the trace, panicking if trace collection was disabled.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the run was configured with `collect_trace: false`.
+    /// The omniscient analysis trace.
     pub fn trace(&self) -> &ChunkedLog<(EventMeta, Event)> {
-        self.trace
-            .as_ref()
-            .expect("run was configured with collect_trace: false")
+        &self.trace
     }
 }
 
@@ -344,21 +338,8 @@ pub fn run_program(
     policy: Box<dyn SchedulePolicy>,
     observers: Vec<Box<dyn Observer>>,
 ) -> RunOutput {
-    let mut kernel = Kernel::new(
-        cfg.seed,
-        cfg.costs.clone(),
-        cfg.env.clone(),
-        policy,
-        observers,
-        cfg.nondet_override.take(),
-        cfg.collect_trace,
-        cfg.stop_on_crash,
-    );
-    kernel.checkpoints = cfg.checkpoints;
-    kernel.sink = cfg.snapshot_sink.take();
-    kernel.world.record_syslog = cfg.checkpoints.is_some();
-    kernel.world.hash_decisions = cfg.hash_decisions;
-    kernel.max_tasks = cfg.max_tasks;
+    let world = WorldState::new(cfg.seed, &cfg.env);
+    let mut kernel = Kernel::new(world, policy, observers, &mut cfg);
 
     // Setup: declare objects and initial tasks, then load the script.
     let mut b = Builder::new(&mut kernel);
@@ -381,7 +362,7 @@ pub fn run_program(
 /// Resumes a run from a [`WorldSnapshot`].
 ///
 /// `program` must be the same program the snapshot came from, and `cfg`
-/// must carry the same seed, inputs, environment and costs — the restored
+/// must carry the same seed, inputs and environment — the restored
 /// world already encodes their effects, and the determinism guarantee
 /// (resume + re-run ⇒ the identical trace) only holds against the original
 /// configuration. `policy` replaces the scheduling policy from the snapshot
@@ -404,20 +385,8 @@ pub fn resume_program(
     let snap = snapshot.clone();
     let resumed_steps = snap.steps();
     let resumed_ticks = snap.time();
-    let mut kernel = Kernel::resume(
-        snap.world,
-        cfg.costs.clone(),
-        cfg.env.clone(),
-        policy.unwrap_or(snap.policy),
-        observers,
-        cfg.nondet_override.take(),
-        cfg.stop_on_crash,
-        cfg.checkpoints,
-    );
-    kernel.sink = cfg.snapshot_sink.take();
-    kernel.world.record_syslog = cfg.checkpoints.is_some();
-    kernel.world.hash_decisions = cfg.hash_decisions;
-    kernel.max_tasks = cfg.max_tasks;
+    let policy = policy.unwrap_or(snap.policy);
+    let mut kernel = Kernel::new(snap.world, policy, observers, &mut cfg);
 
     // Rebind setup: re-collect the initial task bodies against the restored
     // world without re-declaring anything (and without re-loading inputs —
@@ -532,7 +501,7 @@ fn run_to_completion(
         registry,
         decisions: std::mem::take(&mut kernel.world.decisions),
         decision_enabled: std::mem::take(&mut kernel.world.decision_enabled),
-        trace: kernel.world.trace.take(),
+        trace: std::mem::take(&mut kernel.world.trace),
         snapshots: std::mem::take(&mut kernel.snapshots),
         spilled: std::mem::take(&mut kernel.spilled),
         spill_errors: std::mem::take(&mut kernel.spill_errors),
@@ -657,7 +626,7 @@ fn drive(st: &mut Kernel, cells: &mut Vec<TaskCell>, cfg: &RunConfig, program: &
                 // A resumed run's caller already holds the snapshot it was
                 // restored from; re-taking it would be a full-world clone
                 // the explorer immediately discards.
-                && st.resumed_at != Some(d)
+                && st.started_at != d
             {
                 if st.sink.is_some() {
                     // Spill instead of retaining: the sink's policy decides
@@ -740,8 +709,7 @@ fn step_granted(st: &mut Kernel, cells: &mut Vec<TaskCell>, chosen: TaskId) {
             return;
         }
         let child = st.add_task(&name, &group, Some(chosen));
-        let spawn_cost = st.costs.spawn;
-        st.charge(spawn_cost);
+        st.charge(OP_COSTS.spawn);
         st.log_syscall(chosen, SysLogEntry::Spawn(child));
         st.world.tasks[i].pending = None;
         st.world.tasks[i].phase = Phase::Running;

@@ -53,7 +53,9 @@
 //! engine (futures are engine-local and never cross threads). Nothing in
 //! the shell crosses threads; everything in the world may.
 
-use crate::config::{ChanClass, CheckpointPlan, EnvConfig, NondetOverride, OpCosts, TimedInput};
+use crate::config::{
+    ChanClass, CheckpointPlan, EnvConfig, NondetOverride, RunConfig, TimedInput, OP_COSTS,
+};
 use crate::conflict::OpDesc;
 use crate::error::{SimError, SimResult, StopReason};
 use crate::event::{DecisionKind, Event, EventMeta, Observer};
@@ -307,7 +309,7 @@ pub(crate) struct WorldState {
     /// Per-group restart counts.
     pub restart_counts: BTreeMap<String, u64>,
 
-    pub trace: Option<ChunkedLog<(EventMeta, Event)>>,
+    pub trace: ChunkedLog<(EventMeta, Event)>,
 
     pub outputs: ChunkedLog<OutputRecord>,
     /// Inputs the program consumed, in consumption order (port name, value).
@@ -588,9 +590,19 @@ impl SnapshotCost {
 }
 
 impl WorldState {
-    /// A world with no objects, no history and no scheduled faults, its
-    /// RNG seeded with `seed` and its trace not collected.
-    fn empty(seed: u64) -> Self {
+    /// A fresh world: no objects and no history, its RNG seeded with
+    /// `seed` and `env`'s fault schedule queued in time order.
+    pub(crate) fn new(seed: u64, env: &EnvConfig) -> Self {
+        fn by_time<T>(mut events: Vec<T>, time: impl Fn(&T) -> u64) -> VecDeque<T> {
+            events.sort_by_key(time);
+            events.into()
+        }
+        let crashes = env.crashes.iter().map(|c| (c.time, c.group.clone()));
+        let starts = env.partitions.iter();
+        let starts = starts.map(|p| (p.start, p.a.clone(), p.b.clone()));
+        let heals = env.partitions.iter();
+        let heals = heals.map(|p| (p.heal, p.a.clone(), p.b.clone()));
+        let restarts = env.restarts.iter().map(|r| (r.time, r.group.clone()));
         WorldState {
             tasks: Vec::new(),
             vars: Vec::new(),
@@ -605,16 +617,16 @@ impl WorldState {
             rng: DetRng::seed_from(seed),
             timers: BinaryHeap::new(),
             pending_inputs: VecDeque::new(),
-            pending_crashes: VecDeque::new(),
-            pending_partitions: VecDeque::new(),
-            pending_heals: VecDeque::new(),
+            pending_crashes: by_time(crashes.collect(), |c| c.0),
+            pending_partitions: by_time(starts.collect(), |p| p.0),
+            pending_heals: by_time(heals.collect(), |p| p.0),
             active_partitions: BTreeSet::new(),
-            pending_restarts: VecDeque::new(),
+            pending_restarts: by_time(restarts.collect(), |r| r.0),
             restarts_due: Vec::new(),
             restarts_fired: Vec::new(),
             crash_counts: BTreeMap::new(),
             restart_counts: BTreeMap::new(),
-            trace: None,
+            trace: ChunkedLog::new(),
             outputs: ChunkedLog::new(),
             inputs_seen: ChunkedLog::new(),
             counters: BTreeMap::new(),
@@ -753,10 +765,8 @@ impl WorldState {
     fn history_bytes(&self) -> (u64, u64) {
         let mut cloned = 0;
         let mut total = 0;
-        if let Some(trace) = &self.trace {
-            cloned += trace.clone_bytes(trace_elem_bytes);
-            total += trace.total_bytes(trace_elem_bytes);
-        }
+        cloned += self.trace.clone_bytes(trace_elem_bytes);
+        total += self.trace.total_bytes(trace_elem_bytes);
         cloned += self.outputs.clone_bytes(output_bytes);
         total += self.outputs.total_bytes(output_bytes);
         cloned += self.inputs_seen.clone_bytes(input_seen_bytes);
@@ -789,10 +799,7 @@ impl WorldState {
     /// Sealed history chunks this world shares (same allocations) with
     /// `other` — two snapshots of the same run share their common prefix.
     fn shared_history_chunks(&self, other: &WorldState) -> usize {
-        let mut shared = match (&self.trace, &other.trace) {
-            (Some(a), Some(b)) => a.shared_chunks_with(b),
-            _ => 0,
-        };
+        let mut shared = self.trace.shared_chunks_with(&other.trace);
         shared += self.outputs.shared_chunks_with(&other.outputs);
         shared += self.inputs_seen.shared_chunks_with(&other.inputs_seen);
         shared += self.crashes.shared_chunks_with(&other.crashes);
@@ -817,7 +824,7 @@ impl WorldState {
     /// `snapshot_cost` benchmark measures against.
     fn unshared(&self) -> WorldState {
         let mut w = self.clone();
-        w.trace = self.trace.as_ref().map(ChunkedLog::unshared);
+        w.trace = self.trace.unshared();
         w.outputs = self.outputs.unshared();
         w.inputs_seen = self.inputs_seen.unshared();
         w.crashes = self.crashes.unshared();
@@ -1041,6 +1048,12 @@ impl WorldSnapshot {
         self.world.time
     }
 
+    /// The state digest of the snapshot's world: the digest a hashed run
+    /// records before decision [`at_decision`](Self::at_decision).
+    pub fn digest(&self) -> u64 {
+        self.world.digest()
+    }
+
     /// The decision path that leads to this snapshot: the chosen candidate
     /// index of each recorded decision, in order ([`at_decision`](Self::at_decision)
     /// entries).
@@ -1119,12 +1132,10 @@ pub(crate) struct Kernel {
     pub world: WorldState,
 
     // ---- the shell: this execution's I/O and observation plumbing ------
-    pub costs: OpCosts,
     pub env: EnvConfig,
     observers: Vec<ObserverSlot>,
     pub policy: Box<dyn SchedulePolicy>,
     pub nondet_override: Option<Box<dyn NondetOverride>>,
-    pub stop_on_crash: bool,
     /// Runtime-spawn ceiling (from `RunConfig::max_tasks`): a spawn that
     /// would push `world.tasks` past this fails with
     /// [`SimError::TaskLimit`] instead of growing the world.
@@ -1140,10 +1151,11 @@ pub(crate) struct Kernel {
     pub spilled: Vec<SnapshotMark>,
     /// Sink write failures, in occurrence order (the run keeps going).
     pub spill_errors: Vec<String>,
-    /// Decision index this kernel was resumed at, if it was restored from a
-    /// snapshot. The driver skips re-snapshotting at this index — the
-    /// caller, by definition, already holds that snapshot.
-    pub resumed_at: Option<u64>,
+    /// Decision index the world stood at when this kernel was built: `0`
+    /// for a fresh world, the snapshot's decision for a restored one. The
+    /// driver skips re-snapshotting at this index — a resumed run's caller,
+    /// by definition, already holds that snapshot.
+    pub started_at: u64,
 }
 
 /// Outcome of attempting an operation.
@@ -1307,107 +1319,39 @@ impl Op {
 }
 
 impl Kernel {
-    #[allow(clippy::too_many_arguments)] // Internal constructor fed by RunConfig.
-    pub fn new(
-        seed: u64,
-        costs: OpCosts,
-        env: EnvConfig,
-        policy: Box<dyn SchedulePolicy>,
-        observers: Vec<Box<dyn Observer>>,
-        nondet_override: Option<Box<dyn NondetOverride>>,
-        collect_trace: bool,
-        stop_on_crash: bool,
-    ) -> Self {
-        let mut pending_crashes: Vec<(u64, String)> = env
-            .crashes
-            .iter()
-            .map(|c| (c.time, c.group.clone()))
-            .collect();
-        pending_crashes.sort_by_key(|c| c.0);
-        let mut pending_partitions: Vec<(u64, String, String)> = env
-            .partitions
-            .iter()
-            .map(|p| (p.start, p.a.clone(), p.b.clone()))
-            .collect();
-        pending_partitions.sort_by_key(|p| p.0);
-        let mut pending_heals: Vec<(u64, String, String)> = env
-            .partitions
-            .iter()
-            .map(|p| (p.heal, p.a.clone(), p.b.clone()))
-            .collect();
-        pending_heals.sort_by_key(|p| p.0);
-        let mut pending_restarts: Vec<(u64, String)> = env
-            .restarts
-            .iter()
-            .map(|r| (r.time, r.group.clone()))
-            .collect();
-        pending_restarts.sort_by_key(|r| r.0);
-        let world = WorldState {
-            pending_crashes: pending_crashes.into(),
-            pending_partitions: pending_partitions.into(),
-            pending_heals: pending_heals.into(),
-            pending_restarts: pending_restarts.into(),
-            trace: collect_trace.then(ChunkedLog::new),
-            ..WorldState::empty(seed)
-        };
-        Kernel {
-            world,
-            costs,
-            env,
-            observers: observers
-                .into_iter()
-                .map(|obs| ObserverSlot { obs, cost: 0 })
-                .collect(),
-            policy,
-            nondet_override,
-            stop_on_crash,
-            max_tasks: u64::MAX,
-            checkpoints: None,
-            snapshots: Vec::new(),
-            sink: None,
-            spilled: Vec::new(),
-            spill_errors: Vec::new(),
-            resumed_at: None,
-        }
-    }
-
-    /// Rebuilds a kernel around a restored [`WorldState`].
+    /// Builds the execution shell around `world` — a fresh
+    /// [`WorldState::new`] or one restored from a snapshot — under `cfg`'s
+    /// environment, run bounds, checkpoint plan and digest switch, taking
+    /// its nondeterminism override and snapshot sink.
     ///
-    /// The shell (observers, policy, override, checkpoint plan) is fresh.
-    /// Nothing per-task needs reconstructing here: the driver's engine
-    /// rebuilds each started task's coroutine by fast-forwarding its body
-    /// through the world's retained syscall log (see
-    /// `driver::resume_program`).
-    #[allow(clippy::too_many_arguments)] // Internal constructor fed by RunConfig.
-    pub fn resume(
-        world: WorldState,
-        costs: OpCosts,
-        env: EnvConfig,
+    /// Nothing per-task is reconstructed here: for a restored world the
+    /// driver's engine rebuilds each started task's coroutine by
+    /// fast-forwarding its body through the world's retained syscall log
+    /// (see `driver::resume_program`).
+    pub fn new(
+        mut world: WorldState,
         policy: Box<dyn SchedulePolicy>,
         observers: Vec<Box<dyn Observer>>,
-        nondet_override: Option<Box<dyn NondetOverride>>,
-        stop_on_crash: bool,
-        checkpoints: Option<CheckpointPlan>,
+        cfg: &mut RunConfig,
     ) -> Self {
-        let resumed_at = world.decision_seq;
+        world.record_syslog = cfg.checkpoints.is_some();
+        world.hash_decisions = cfg.hash_decisions;
         Kernel {
+            started_at: world.decision_seq,
             world,
-            costs,
-            env,
+            env: cfg.env.clone(),
             observers: observers
                 .into_iter()
                 .map(|obs| ObserverSlot { obs, cost: 0 })
                 .collect(),
             policy,
-            nondet_override,
-            stop_on_crash,
-            max_tasks: u64::MAX,
-            checkpoints,
+            nondet_override: cfg.nondet_override.take(),
+            max_tasks: cfg.max_tasks,
+            checkpoints: cfg.checkpoints,
             snapshots: Vec::new(),
-            sink: None,
+            sink: cfg.snapshot_sink.take(),
             spilled: Vec::new(),
             spill_errors: Vec::new(),
-            resumed_at: Some(resumed_at),
         }
     }
 
@@ -1435,7 +1379,7 @@ impl Kernel {
         self.debug_assert_decision_point();
         let sink = self.sink.as_mut().expect("offer_snapshot needs a sink");
         let snap = WorldSnapshot {
-            world: std::mem::replace(&mut self.world, WorldState::empty(0)),
+            world: std::mem::replace(&mut self.world, WorldState::new(0, &EnvConfig::clean())),
             policy: std::mem::replace(&mut self.policy, Box::new(RoundRobinPolicy::new())),
         };
         let offered = sink.offer(&snap);
@@ -1588,9 +1532,7 @@ impl Kernel {
             slot.cost += c;
             self.world.wall_extra += c;
         }
-        if let Some(trace) = &mut self.world.trace {
-            trace.push((meta, event));
-        }
+        self.world.trace.push((meta, event));
     }
 
     /// Resolves a nondeterministic decision through the policy.
@@ -1943,7 +1885,7 @@ impl Kernel {
                     Some(h) => h.override_read(task, *var, &actual).unwrap_or(actual),
                     None => actual,
                 };
-                self.charge(self.costs.read_cost(value.byte_size()));
+                self.charge(OP_COSTS.read_cost(value.byte_size()));
                 self.emit(Event::Read {
                     task,
                     var: *var,
@@ -1954,7 +1896,7 @@ impl Kernel {
             }
             Op::Write { var, value, site } => {
                 self.world.vars[var.index()].value = value.clone();
-                self.charge(self.costs.write_cost(value.byte_size()));
+                self.charge(OP_COSTS.write_cost(value.byte_size()));
                 self.emit(Event::Write {
                     task,
                     var: *var,
@@ -1972,7 +1914,7 @@ impl Kernel {
                     )))),
                     None => {
                         rec.holder = Some(task);
-                        self.charge(self.costs.lock);
+                        self.charge(OP_COSTS.lock);
                         self.emit(Event::LockAcquire {
                             task,
                             lock: *lock,
@@ -1990,7 +1932,7 @@ impl Kernel {
                     ))));
                 }
                 rec.holder = None;
-                self.charge(self.costs.lock);
+                self.charge(OP_COSTS.lock);
                 self.emit(Event::LockRelease {
                     task,
                     lock: *lock,
@@ -2014,7 +1956,7 @@ impl Kernel {
                     }
                     lrec.holder = None;
                     self.world.cvars[cvar.index()].waiters.push(task);
-                    self.charge(self.costs.lock);
+                    self.charge(OP_COSTS.lock);
                     self.emit(Event::CondWait {
                         task,
                         cvar: *cvar,
@@ -2035,7 +1977,7 @@ impl Kernel {
                         ))),
                         None => {
                             rec.holder = Some(task);
-                            self.charge(self.costs.lock);
+                            self.charge(OP_COSTS.lock);
                             self.emit(Event::LockAcquire {
                                 task,
                                 lock: *lock,
@@ -2075,7 +2017,7 @@ impl Kernel {
                 for &w in &woken {
                     self.wake(w);
                 }
-                self.charge(self.costs.lock);
+                self.charge(OP_COSTS.lock);
                 self.emit(Event::CondNotify {
                     task,
                     cvar: *cvar,
@@ -2095,7 +2037,7 @@ impl Kernel {
                     // before the drop script / congestion roll, and without
                     // consuming RNG, so the same env replays identically.
                     if self.partitioned(task, *chan) {
-                        self.charge(self.costs.msg_cost(bytes));
+                        self.charge(OP_COSTS.msg_cost(bytes));
                         self.emit(Event::SendDropped {
                             task,
                             chan: *chan,
@@ -2112,7 +2054,7 @@ impl Kernel {
                         }
                     };
                     if dropped {
-                        self.charge(self.costs.msg_cost(bytes));
+                        self.charge(OP_COSTS.msg_cost(bytes));
                         self.emit(Event::SendDropped {
                             task,
                             chan: *chan,
@@ -2125,7 +2067,7 @@ impl Kernel {
                 self.world.chans[chan.index()]
                     .queue
                     .push_back(value.clone());
-                self.charge(self.costs.msg_cost(bytes));
+                self.charge(OP_COSTS.msg_cost(bytes));
                 self.emit(Event::Send {
                     task,
                     chan: *chan,
@@ -2143,7 +2085,7 @@ impl Kernel {
             } => {
                 if let Some(h) = &mut self.nondet_override {
                     if let Some(v) = h.override_recv(task, *chan) {
-                        self.charge(self.costs.msg_cost(v.byte_size()));
+                        self.charge(OP_COSTS.msg_cost(v.byte_size()));
                         self.emit(Event::Recv {
                             task,
                             chan: *chan,
@@ -2155,7 +2097,7 @@ impl Kernel {
                 }
                 let rec = &mut self.world.chans[chan.index()];
                 if let Some(v) = rec.queue.pop_front() {
-                    self.charge(self.costs.msg_cost(v.byte_size()));
+                    self.charge(OP_COSTS.msg_cost(v.byte_size()));
                     self.emit(Event::Recv {
                         task,
                         chan: *chan,
@@ -2187,7 +2129,7 @@ impl Kernel {
             }
             Op::CloseChan { chan, site } => {
                 self.world.chans[chan.index()].closed = true;
-                self.charge(self.costs.msg_base);
+                self.charge(OP_COSTS.msg_base);
                 let _ = site;
                 self.wake_chan_waiters(*chan);
                 Attempt::Done(Ok(Value::Unit))
@@ -2195,7 +2137,7 @@ impl Kernel {
             Op::ReadInput { port, site } => {
                 if let Some(h) = &mut self.nondet_override {
                     if let Some(v) = h.override_input(task, *port) {
-                        self.charge(self.costs.io);
+                        self.charge(OP_COSTS.io);
                         self.world
                             .inputs_seen
                             .push((self.world.ports[port.index()].name.clone(), v.clone()));
@@ -2210,7 +2152,7 @@ impl Kernel {
                 }
                 let rec = &mut self.world.ports[port.index()];
                 if let Some(v) = rec.queue.pop_front() {
-                    self.charge(self.costs.io);
+                    self.charge(OP_COSTS.io);
                     self.world
                         .inputs_seen
                         .push((self.world.ports[port.index()].name.clone(), v.clone()));
@@ -2228,7 +2170,7 @@ impl Kernel {
                 Attempt::Block(BlockOn::Port(*port))
             }
             Op::WriteOutput { port, value, site } => {
-                self.charge(self.costs.io);
+                self.charge(OP_COSTS.io);
                 let rec = OutputRecord {
                     time: self.world.time,
                     task,
@@ -2246,7 +2188,7 @@ impl Kernel {
                 Attempt::Done(Ok(Value::Unit))
             }
             Op::Probe { name, value, site } => {
-                self.charge(self.costs.probe);
+                self.charge(OP_COSTS.probe);
                 self.emit(Event::Probe {
                     task,
                     name: (*name).to_owned(),
@@ -2259,7 +2201,7 @@ impl Kernel {
                 let total = self.world.counters.entry((*name).to_owned()).or_insert(0);
                 *total += *delta;
                 let total = *total;
-                self.charge(self.costs.probe);
+                self.charge(OP_COSTS.probe);
                 self.emit(Event::Counter {
                     task,
                     name: (*name).to_owned(),
@@ -2276,7 +2218,7 @@ impl Kernel {
                     None => self.world.rng.next_u64(),
                 };
                 let v = if *bound == 0 { raw } else { raw % *bound };
-                self.charge(self.costs.rng);
+                self.charge(OP_COSTS.rng);
                 self.emit(Event::RngDraw {
                     task,
                     value: raw,
@@ -2300,7 +2242,7 @@ impl Kernel {
                 Some(u) => Attempt::Block(BlockOn::Timer { until: u }),
             },
             Op::Yield { site } => {
-                self.charge(self.costs.yield_);
+                self.charge(OP_COSTS.yield_);
                 self.emit(Event::Yield {
                     task,
                     site: (*site).into(),
@@ -2312,7 +2254,7 @@ impl Kernel {
                 let new_used = rec.mem_used + *bytes;
                 if let Some(budget) = rec.mem_budget {
                     if new_used > budget {
-                        self.charge(self.costs.alloc);
+                        self.charge(OP_COSTS.alloc);
                         self.emit(Event::AllocFail {
                             task,
                             requested: *bytes,
@@ -2326,7 +2268,7 @@ impl Kernel {
                     }
                 }
                 self.world.tasks[task.index()].mem_used = new_used;
-                self.charge(self.costs.alloc);
+                self.charge(OP_COSTS.alloc);
                 self.emit(Event::Alloc {
                     task,
                     bytes: *bytes,
@@ -2337,7 +2279,7 @@ impl Kernel {
             Op::Free { bytes, site } => {
                 let rec = &mut self.world.tasks[task.index()];
                 rec.mem_used = rec.mem_used.saturating_sub(*bytes);
-                self.charge(self.costs.alloc);
+                self.charge(OP_COSTS.alloc);
                 let _ = site;
                 Attempt::Done(Ok(Value::Unit))
             }
@@ -2347,7 +2289,7 @@ impl Kernel {
                 }
                 let trec = &self.world.tasks[target.index()];
                 if matches!(trec.phase, Phase::Exited { .. }) || trec.killed {
-                    self.charge(self.costs.yield_);
+                    self.charge(OP_COSTS.yield_);
                     self.emit(Event::Joined {
                         task,
                         target: *target,
@@ -2365,15 +2307,12 @@ impl Kernel {
                     reason: reason.clone(),
                     site: (*site).to_owned(),
                 });
-                self.charge(self.costs.yield_);
+                self.charge(OP_COSTS.yield_);
                 self.emit(Event::Crash {
                     task,
                     reason: reason.clone(),
                     site: (*site).into(),
                 });
-                if self.stop_on_crash && self.world.stop.is_none() {
-                    self.world.stop = Some(StopReason::Stopped);
-                }
                 Attempt::Done(Ok(Value::Unit))
             }
             Op::StopRun { site } => {
@@ -2400,9 +2339,6 @@ impl Kernel {
             reason,
             site: site.to_owned().into(),
         });
-        if self.stop_on_crash && self.world.stop.is_none() {
-            self.world.stop = Some(StopReason::Stopped);
-        }
     }
 
     /// Charges a successful op: advances the execution clock and the step
@@ -2441,17 +2377,25 @@ mod tests {
     use super::*;
     use crate::policy::RandomPolicy;
 
-    fn kernel() -> Kernel {
-        Kernel::new(
-            1,
-            OpCosts::default(),
-            EnvConfig::clean(),
-            Box::new(RandomPolicy::new(1)),
+    /// A kernel over a fresh seed-1 world under `cfg`, with `observers`.
+    fn kernel_with(mut cfg: RunConfig, observers: Vec<Box<dyn Observer>>) -> Kernel {
+        let world = WorldState::new(1, &cfg.env);
+        Kernel::new(world, Box::new(RandomPolicy::new(1)), observers, &mut cfg)
+    }
+
+    /// A kernel under `env` and otherwise default configuration.
+    fn kernel_in(env: EnvConfig) -> Kernel {
+        kernel_with(
+            RunConfig {
+                env,
+                ..RunConfig::default()
+            },
             Vec::new(),
-            None,
-            true,
-            false,
         )
+    }
+
+    fn kernel() -> Kernel {
+        kernel_in(EnvConfig::clean())
     }
 
     fn kernel_with_task() -> (Kernel, TaskId) {
@@ -2584,19 +2528,10 @@ mod tests {
 
     #[test]
     fn congestion_drops_network_sends() {
-        let mut k = Kernel::new(
-            1,
-            OpCosts::default(),
-            EnvConfig {
-                drop_per_mille: 1000,
-                ..EnvConfig::clean()
-            },
-            Box::new(RandomPolicy::new(1)),
-            Vec::new(),
-            None,
-            true,
-            false,
-        );
+        let mut k = kernel_in(EnvConfig {
+            drop_per_mille: 1000,
+            ..EnvConfig::clean()
+        });
         let t = k.add_task("t", "g", None);
         let c = k.add_chan("net", ChanClass::Network);
         let mut s = Op::Send {
@@ -2612,8 +2547,6 @@ mod tests {
         let dropped = k
             .world
             .trace
-            .as_ref()
-            .unwrap()
             .iter()
             .any(|(_, e)| matches!(e, Event::SendDropped { .. }));
         assert!(dropped);
@@ -2621,19 +2554,10 @@ mod tests {
 
     #[test]
     fn local_channels_never_drop() {
-        let mut k = Kernel::new(
-            1,
-            OpCosts::default(),
-            EnvConfig {
-                drop_per_mille: 1000,
-                ..EnvConfig::clean()
-            },
-            Box::new(RandomPolicy::new(1)),
-            Vec::new(),
-            None,
-            true,
-            false,
-        );
+        let mut k = kernel_in(EnvConfig {
+            drop_per_mille: 1000,
+            ..EnvConfig::clean()
+        });
         let t = k.add_task("t", "g", None);
         let c = k.add_chan("loc", ChanClass::Local);
         let mut s = Op::Send {
@@ -2649,16 +2573,7 @@ mod tests {
     fn alloc_respects_budget() {
         let mut env = EnvConfig::clean();
         env.mem_budget.insert("g".into(), 100);
-        let mut k = Kernel::new(
-            1,
-            OpCosts::default(),
-            env,
-            Box::new(RandomPolicy::new(1)),
-            Vec::new(),
-            None,
-            true,
-            false,
-        );
+        let mut k = kernel_in(env);
         let t = k.add_task("t", "g", None);
         let mut a = Op::Alloc {
             bytes: 60,
@@ -2803,16 +2718,7 @@ mod tests {
             a: "server0".into(),
             b: "client".into(),
         });
-        let mut k = Kernel::new(
-            1,
-            OpCosts::default(),
-            env,
-            Box::new(RandomPolicy::new(1)),
-            Vec::new(),
-            None,
-            true,
-            false,
-        );
+        let mut k = kernel_in(env);
         let client = k.add_task("loader", "client0", None);
         let server = k.add_task("handler", "server0", None);
         let to_server = k.add_chan("server0.data", ChanClass::Network);
@@ -2845,8 +2751,6 @@ mod tests {
         let drops = k
             .world
             .trace
-            .as_ref()
-            .unwrap()
             .iter()
             .filter(|(_, e)| matches!(e, Event::SendDropped { .. }))
             .count();
@@ -2868,16 +2772,7 @@ mod tests {
             time: 3,
             group: "node1".into(),
         });
-        let mut k = Kernel::new(
-            1,
-            OpCosts::default(),
-            env,
-            Box::new(RandomPolicy::new(1)),
-            Vec::new(),
-            None,
-            true,
-            false,
-        );
+        let mut k = kernel_in(env);
         k.add_task("a", "node1", None);
         assert_eq!(k.next_pending_time(), Some(3));
         k.world.time = 3;
@@ -2945,6 +2840,7 @@ mod tests {
         assert!(matches!(k.exec_op(t1, &mut j), Attempt::Done(Ok(_))));
     }
 
+    /// A crash op records the crash and leaves the run going.
     #[test]
     fn crash_op_records_and_optionally_stops() {
         let (mut k, t) = kernel_with_task();
@@ -2955,13 +2851,6 @@ mod tests {
         assert!(matches!(k.exec_op(t, &mut c), Attempt::Done(Ok(_))));
         assert_eq!(k.world.crashes.len(), 1);
         assert!(k.world.stop.is_none());
-        k.stop_on_crash = true;
-        let mut c2 = Op::Crash {
-            reason: "boom2".into(),
-            site: "s",
-        };
-        let _ = k.exec_op(t, &mut c2);
-        assert!(k.world.stop.is_some());
     }
 
     #[test]
@@ -3001,8 +2890,6 @@ mod tests {
         let draws = k
             .world
             .trace
-            .as_ref()
-            .unwrap()
             .iter()
             .filter(|(_, e)| matches!(e, Event::RngDraw { .. }))
             .count();
@@ -3017,15 +2904,12 @@ mod tests {
                 Some(7)
             }
         }
-        let mut k = Kernel::new(
-            1,
-            OpCosts::default(),
-            EnvConfig::clean(),
-            Box::new(RandomPolicy::new(1)),
+        let mut k = kernel_with(
+            RunConfig {
+                nondet_override: Some(Box::new(FixedRng)),
+                ..RunConfig::default()
+            },
             Vec::new(),
-            Some(Box::new(FixedRng)),
-            false,
-            false,
         );
         let t = k.add_task("t", "g", None);
         let mut r = Op::Rng {
@@ -3046,15 +2930,12 @@ mod tests {
                 Some(Value::Int(99))
             }
         }
-        let mut k = Kernel::new(
-            1,
-            OpCosts::default(),
-            EnvConfig::clean(),
-            Box::new(RandomPolicy::new(1)),
+        let mut k = kernel_with(
+            RunConfig {
+                nondet_override: Some(Box::new(FixedRead)),
+                ..RunConfig::default()
+            },
             Vec::new(),
-            Some(Box::new(FixedRead)),
-            false,
-            false,
         );
         let t = k.add_task("t", "g", None);
         let v = k.add_var("x", Value::Int(1));
@@ -3116,16 +2997,7 @@ mod tests {
                 self
             }
         }
-        let mut k = Kernel::new(
-            1,
-            OpCosts::default(),
-            EnvConfig::clean(),
-            Box::new(RandomPolicy::new(1)),
-            vec![Box::new(Pricey)],
-            None,
-            false,
-            false,
-        );
+        let mut k = kernel_with(RunConfig::default(), vec![Box::new(Pricey)]);
         let t = k.add_task("t", "g", None);
         let v = k.add_var("x", Value::Int(0));
         let mut w = Op::Write {

@@ -76,7 +76,7 @@ pub mod value;
 
 pub use config::{
     ChanClass, CheckpointPlan, CrashEvent, EnvConfig, InputScript, NoOverride, NondetOverride,
-    OpCosts, PartitionEvent, RestartEvent, RunConfig, TimedInput,
+    PartitionEvent, RestartEvent, RunConfig, TimedInput,
 };
 pub use conflict::OpDesc;
 pub use driver::{

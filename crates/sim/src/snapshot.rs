@@ -388,12 +388,12 @@ impl<T: Serialize> LogText for ChunkedLog<T> {
 }
 
 /// The world's history logs in manifest order, each with its name: the
-/// trace when the run collects one, the six fixed logs, then one syscall
-/// log per task.
+/// seven fixed logs, the trace first, then one syscall log per task.
 fn history_logs<'a>(
     w: &'a WorldState,
 ) -> impl Iterator<Item = (Cow<'static, str>, &'a dyn LogText)> + 'a {
-    let fixed: [(&'static str, &'a dyn LogText); 6] = [
+    let fixed: [(&'static str, &'a dyn LogText); 7] = [
+        ("trace", &w.trace),
         ("outputs", &w.outputs),
         ("inputs_seen", &w.inputs_seen),
         ("crashes", &w.crashes),
@@ -401,11 +401,9 @@ fn history_logs<'a>(
         ("decision_enabled", &w.decision_enabled),
         ("decision_hashes", &w.decision_hashes),
     ];
-    let trace = w.trace.as_ref().map(|t| ("trace", t as &dyn LogText));
     let syslogs = w.sys_log.iter().enumerate();
-    trace
+    fixed
         .into_iter()
-        .chain(fixed)
         .map(|(name, log)| (Cow::Borrowed(name), log))
         .chain(syslogs.map(|(i, log)| (Cow::Owned(format!("syslog-{i}")), log as &dyn LogText)))
 }
@@ -725,11 +723,7 @@ pub fn decode_snapshot(
     }
     let live = manifest.live.0;
     let mut logs = manifest.logs;
-    let trace = if logs.iter().any(|l| l.name == "trace") {
-        Some(decode_log(&mut logs, "trace", fetch)?)
-    } else {
-        None
-    };
+    let trace = decode_log(&mut logs, "trace", fetch)?;
     let outputs = decode_log(&mut logs, "outputs", fetch)?;
     let inputs_seen = decode_log(&mut logs, "inputs_seen", fetch)?;
     let crashes = decode_log(&mut logs, "crashes", fetch)?;
@@ -1061,6 +1055,35 @@ mod tests {
         assert_eq!(
             err,
             DecodeError::Manifest("log entry has `tail` before `name`".to_owned())
+        );
+    }
+
+    /// Every run writes its trace, so a manifest without the `trace` log
+    /// is damaged, not a run that skipped it: decode names the missing log.
+    #[test]
+    fn manifest_without_its_trace_log_is_rejected() {
+        let out = run_program(
+            &RACER,
+            checkpointed_cfg(),
+            Box::new(RandomPolicy::new(7)),
+            vec![],
+        );
+        let snap = out.snapshots.first().expect("run took snapshots");
+        let text = edit_manifest(snap, |fields| {
+            let Content::Seq(logs) = field(fields, "logs") else {
+                panic!("logs encode as a sequence");
+            };
+            logs.retain(|entry| {
+                let Content::Map(entry) = entry else {
+                    panic!("a log entry encodes as a map");
+                };
+                entry[0].1.as_str() != Some("trace")
+            });
+        });
+        let err = decode(snap, &text).expect_err("a trace-less manifest must fail decode");
+        assert_eq!(
+            err,
+            DecodeError::Manifest("manifest is missing log `trace`".to_owned())
         );
     }
 

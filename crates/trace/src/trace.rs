@@ -54,10 +54,6 @@ impl Trace {
     }
 
     /// Extracts the trace from a finished run.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the run was configured with `collect_trace: false`.
     pub fn from_run(out: &RunOutput) -> Self {
         Self::from_events(out.trace().to_vec())
     }

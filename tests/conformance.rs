@@ -338,7 +338,7 @@ fn debugging_efficiency_is_monotone_in_the_inference_budget() {
     assert!(found, "64 candidates must be enough to re-find the failure");
 }
 
-/// The headline acceptance criterion: on the msgserver workload across the
+/// The headline acceptance check: on the msgserver workload across the
 /// default seed grid, DPOR reproduces exhaustive search's failure set while
 /// executing at most half the interleavings.
 #[test]

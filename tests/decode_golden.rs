@@ -116,7 +116,6 @@ fn inputs() -> Vec<Input> {
         &program,
         RunConfig {
             seed: 3,
-            collect_trace: true,
             hash_decisions: true,
             checkpoints: Some(CheckpointPlan::new(64, u64::MAX)),
             ..RunConfig::default()

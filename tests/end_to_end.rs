@@ -250,3 +250,24 @@ fn all_root_causes_have_witness_executions() {
         );
     }
 }
+
+/// `dd explore` walks the recorded run: every schedule it tries keeps the
+/// trace's kernel seed and environment, so the reproduction it reports is
+/// never one that a different seed or an injected fault stood in for.
+#[test]
+fn explore_walks_the_recorded_seed_and_environment() {
+    for name in ["msgserver", "hyperstore", "failover"] {
+        let session = debug_determinism::core::Session::new(
+            dd_cli::workload_by_name(name).expect("registered"),
+        )
+        .with_budget(InferenceBudget::dpor(64, 8));
+        let trace = session.record().expect("records");
+        let exploration = session.explore(&trace);
+        let spec = exploration
+            .result
+            .spec
+            .unwrap_or_else(|| panic!("{name}: explore reproduced nothing"));
+        assert_eq!(spec.seed, trace.header.seed, "{name}: kernel seed");
+        assert_eq!(spec.env, trace.header.env, "{name}: environment");
+    }
+}

@@ -573,14 +573,13 @@ fn streamed_json_equals_the_content_tree_json_on_real_artifacts() {
         &program,
         RunConfig {
             seed: 3,
-            collect_trace: true,
             hash_decisions: true,
             ..RunConfig::default()
         },
         Box::new(RandomPolicy::new(3)),
         vec![],
     );
-    let events = out.trace.as_ref().expect("trace collected");
+    let events = out.trace();
     assert!(events.len() > 100);
     let workload = workload_by_name("msgserver").expect("registered");
     let trace: JsonlTrace = Session::new(workload).record().expect("records");

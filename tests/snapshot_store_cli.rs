@@ -9,6 +9,8 @@
 //!   short to have stored anything;
 //! - corrupt store artifacts (garbled chunk, truncated manifest, garbled
 //!   index) exit `4` and name the offending file, never panic;
+//! - a store an earlier recording left at the trace's path exits `4` and
+//!   names the store, rather than being restored into the wrong run;
 //! - `dd snapshots` lists the store.
 
 use std::path::{Path, PathBuf};
@@ -249,4 +251,41 @@ fn explore_warm_seeds_from_the_store() {
     ]);
     assert_eq!(code(&out), 0, "{}", stderr(&out));
     assert!(stdout(&out).contains("warm-start"), "{}", stdout(&out));
+}
+
+#[test]
+fn stale_store_of_an_earlier_recording_exits_four_and_names_it() {
+    let trace = scratch("stale.jsonl");
+    record_spilled("msgserver", &trace);
+    // Re-recording without `--spill` leaves the first recording's store.
+    let path = trace.to_str().unwrap();
+    let out = dd(&[
+        "record",
+        "msgserver",
+        "--seed",
+        "5",
+        "--sched-seed",
+        "9",
+        "--out",
+        path,
+    ]);
+    assert_eq!(code(&out), 0, "{}", stderr(&out));
+    let store = format!("{path}.snapshots");
+    for verb in [
+        &["replay", path, "--from", "200"][..],
+        &["explore", path, "--warm"][..],
+    ] {
+        let out = dd(verb);
+        let err = stderr(&out);
+        assert_eq!(
+            code(&out),
+            4,
+            "{verb:?}: stdout: {} stderr: {err}",
+            stdout(&out)
+        );
+        assert!(
+            err.contains(&store) && err.contains("snapshot "),
+            "{verb:?}: error must name the store and the snapshot: {err}"
+        );
+    }
 }
