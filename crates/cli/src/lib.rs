@@ -754,7 +754,8 @@ fn store_dir_for(trace_path: &str) -> PathBuf {
 }
 
 /// Loads stored snapshot `id` for use with `trace`. It must belong to the
-/// recorded run: its world's digest is the one the trace recorded before
+/// recorded run: its world's digest, which loading has already verified
+/// against the manifest and kept, is the one the trace recorded before
 /// the snapshot's decision. A store another recording left at the same
 /// path fails here, with an error naming the store and the snapshot.
 fn load_for_trace(

@@ -437,11 +437,12 @@ fn backtrack_points(out: &RunOutput, max_depth: usize) -> Vec<(usize, Add)> {
         return Vec::new();
     }
 
-    // Footprint of each decision's transition: the op the chosen task was
-    // parked on when granted (known even when the attempt blocked).
+    // Footprint of each in-horizon decision's transition: the op the chosen
+    // task was parked on when granted (known even when the attempt blocked).
     let exec_op: Vec<OpDesc> = decisions
         .iter()
         .zip(enabled)
+        .take(horizon)
         .map(|(d, en)| {
             en.iter()
                 .find(|(t, _)| *t == d.chosen)

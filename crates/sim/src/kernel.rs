@@ -66,8 +66,10 @@ use crate::rng::DetRng;
 use crate::snapshot::{SnapshotMark, SnapshotSink};
 use crate::value::Value;
 use serde::{Deserialize, Serialize};
+use std::cell::RefCell;
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BTreeSet, BinaryHeap, VecDeque};
+use std::sync::OnceLock;
 
 /// What a blocked task is waiting for.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -402,8 +404,27 @@ fn hash_elem_bytes(_: &u64) -> u64 {
 /// stable hash (the golden-hash suites use the same constants), hand-rolled
 /// rather than `DefaultHasher` so digests are reproducible across Rust
 /// versions and platforms — promoted trace fixtures commit these values.
+///
+/// Words are fed as their 8 little-endian bytes, but hashing a zero byte is
+/// a bare multiply by the prime, so [`u64`](Self::u64) folds a word's
+/// high zero bytes into one multiply by a power of the prime. A word below
+/// 256 costs one xor and one multiply, and every digest stays byte-at-a-time
+/// FNV-1a's.
 #[derive(Debug, Clone, Copy)]
 struct StateHasher(u64);
+
+const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+
+/// `FNV_PRIME.pow(k)` for `k` in `0..=8`.
+const FNV_PRIME_POW: [u64; 9] = {
+    let mut pow = [1u64; 9];
+    let mut k = 1;
+    while k < pow.len() {
+        pow[k] = pow[k - 1].wrapping_mul(FNV_PRIME);
+        k += 1;
+    }
+    pow
+};
 
 impl StateHasher {
     fn new() -> Self {
@@ -411,18 +432,28 @@ impl StateHasher {
     }
 
     fn bytes(&mut self, bytes: &[u8]) {
+        let mut h = self.0;
         for &b in bytes {
-            self.0 ^= b as u64;
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+            h = (h ^ b as u64).wrapping_mul(FNV_PRIME);
         }
+        self.0 = h;
     }
 
-    fn u64(&mut self, v: u64) {
-        self.bytes(&v.to_le_bytes());
+    fn u64(&mut self, mut v: u64) {
+        let mut h = self.0;
+        let mut left = 8;
+        while v > 0xff {
+            h = (h ^ (v & 0xff)).wrapping_mul(FNV_PRIME);
+            v >>= 8;
+            left -= 1;
+        }
+        // `v` is the highest non-zero byte (or 0 for a zero word): hash it,
+        // then the `left - 1` zero bytes above it, in one multiply.
+        self.0 = (h ^ v).wrapping_mul(FNV_PRIME_POW[left]);
     }
 
     fn i64(&mut self, v: i64) {
-        self.bytes(&v.to_le_bytes());
+        self.u64(v as u64);
     }
 
     fn str(&mut self, s: &str) {
@@ -926,14 +957,23 @@ impl WorldState {
                 h.value(v);
             }
         }
-        // BinaryHeap iteration order is unspecified; hash the sorted view.
-        let mut timers: Vec<(u64, u32)> = self.timers.iter().map(|r| r.0).collect();
-        timers.sort_unstable();
-        h.u64(timers.len() as u64);
-        for (when, seq) in timers {
-            h.u64(when);
-            h.u64(seq as u64);
+        // BinaryHeap iteration order is unspecified; hash the sorted view,
+        // sorted in a buffer each thread reuses across digests (a receive
+        // that completes before its deadline leaves its timer queued, so
+        // dozens are common).
+        thread_local! {
+            static TIMERS: RefCell<Vec<(u64, u32)>> = const { RefCell::new(Vec::new()) };
         }
+        TIMERS.with_borrow_mut(|timers| {
+            timers.clear();
+            timers.extend(self.timers.iter().map(|r| r.0));
+            timers.sort_unstable();
+            h.u64(timers.len() as u64);
+            for &(when, seq) in timers.iter() {
+                h.u64(when);
+                h.u64(seq as u64);
+            }
+        });
         h.u64(self.pending_inputs.len() as u64);
         for p in &self.pending_inputs {
             h.u64(p.time);
@@ -1029,6 +1069,8 @@ impl WorldState {
 pub struct WorldSnapshot {
     pub(crate) world: WorldState,
     pub(crate) policy: Box<dyn SchedulePolicy>,
+    /// `world`'s digest, once something has asked for it.
+    pub(crate) digest: OnceLock<u64>,
 }
 
 impl WorldSnapshot {
@@ -1050,8 +1092,11 @@ impl WorldSnapshot {
 
     /// The state digest of the snapshot's world: the digest a hashed run
     /// records before decision [`at_decision`](Self::at_decision).
+    /// Computed on first use and kept: an offered world's digest serves
+    /// both its manifest and the run's decision, and a decoded snapshot
+    /// keeps the digest its integrity check computed.
     pub fn digest(&self) -> u64 {
-        self.world.digest()
+        *self.digest.get_or_init(|| self.world.digest())
     }
 
     /// The decision path that leads to this snapshot: the chosen candidate
@@ -1091,6 +1136,7 @@ impl WorldSnapshot {
         WorldSnapshot {
             world: self.world.unshared(),
             policy: self.policy.clone_box(),
+            digest: self.digest.clone(),
         }
     }
 }
@@ -1100,6 +1146,7 @@ impl Clone for WorldSnapshot {
         WorldSnapshot {
             world: self.world.clone(),
             policy: self.policy.clone_box(),
+            digest: self.digest.clone(),
         }
     }
 }
@@ -1151,6 +1198,10 @@ pub(crate) struct Kernel {
     pub spilled: Vec<SnapshotMark>,
     /// Sink write failures, in occurrence order (the run keeps going).
     pub spill_errors: Vec<String>,
+    /// The digest of `world` as it stands, when the offer just made at
+    /// this decision point computed one: the decision that follows
+    /// records it rather than hashing the same world again.
+    offered_digest: Option<u64>,
     /// Decision index the world stood at when this kernel was built: `0`
     /// for a fresh world, the snapshot's decision for a restored one. The
     /// driver skips re-snapshotting at this index — a resumed run's caller,
@@ -1352,6 +1403,7 @@ impl Kernel {
             sink: cfg.snapshot_sink.take(),
             spilled: Vec::new(),
             spill_errors: Vec::new(),
+            offered_digest: None,
         }
     }
 
@@ -1363,13 +1415,15 @@ impl Kernel {
         WorldSnapshot {
             world: self.world.clone(),
             policy: self.policy.clone_box(),
+            digest: OnceLock::new(),
         }
     }
 
     /// Offers the world and policy to the attached sink, lent for the call
     /// rather than cloned: both move into a [`WorldSnapshot`] and back once
     /// the sink returns. A kept offer's mark goes onto `spilled`, a write
-    /// failure onto `spill_errors`.
+    /// failure onto `spill_errors`. A digest the sink computed is kept for
+    /// the decision that follows.
     ///
     /// Must only be called at a decision point, with a sink attached. Kept
     /// out of line, so the driver loop every run executes does not grow by
@@ -1381,9 +1435,11 @@ impl Kernel {
         let snap = WorldSnapshot {
             world: std::mem::replace(&mut self.world, WorldState::new(0, &EnvConfig::clean())),
             policy: std::mem::replace(&mut self.policy, Box::new(RoundRobinPolicy::new())),
+            digest: OnceLock::new(),
         };
         let offered = sink.offer(&snap);
         (self.world, self.policy) = (snap.world, snap.policy);
+        self.offered_digest = snap.digest.into_inner();
         match offered {
             Ok(Some(id)) => self.spilled.push(SnapshotMark {
                 decision: self.world.decision_seq,
@@ -1570,8 +1626,14 @@ impl Kernel {
         // divergence localisation sees the drift rather than the abort.
         // Never emits an event and never charges cost: golden traces must
         // not move.
+        let offered = self.offered_digest.take();
         if self.world.hash_decisions {
-            let digest = self.world.digest();
+            let digest = offered.unwrap_or_else(|| self.world.digest());
+            debug_assert!(
+                offered.is_none_or(|d| d == self.world.digest()),
+                "the offered world's digest is stale at decision {}",
+                self.world.decision_seq
+            );
             self.world.decision_hashes.push(digest);
         }
         let decided = self.policy.decide(&point);
@@ -2392,6 +2454,111 @@ mod tests {
             },
             Vec::new(),
         )
+    }
+
+    /// Byte-at-a-time FNV-1a from state `h`: the definition `StateHasher`
+    /// must reproduce.
+    fn fnv_bytes(mut h: u64, bytes: &[u8]) -> u64 {
+        for &b in bytes {
+            h ^= b as u64;
+            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+        h
+    }
+
+    /// The bytes `StateHasher::value` feeds for `v`: 8-byte little-endian
+    /// words and length-prefixed strings and byte strings.
+    fn value_bytes(v: &Value, out: &mut Vec<u8>) {
+        let mut word = |w: u64| out.extend(w.to_le_bytes());
+        match v {
+            Value::Unit => word(0),
+            Value::Bool(b) => {
+                word(1);
+                word(*b as u64);
+            }
+            Value::Int(i) => {
+                word(2);
+                word(*i as u64);
+            }
+            Value::Str(s) => {
+                word(3);
+                word(s.len() as u64);
+                out.extend(s.as_bytes());
+            }
+            Value::Bytes(b) => {
+                word(4);
+                word(b.len() as u64);
+                out.extend(b);
+            }
+            Value::List(vs) => {
+                word(5);
+                word(vs.len() as u64);
+                for v in vs {
+                    value_bytes(v, out);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn state_hasher_equals_byte_at_a_time_fnv1a() {
+        let mut words = vec![0, 1, 255, 256, u64::MAX, -1i64 as u64, i64::MIN as u64];
+        for k in 1..=7 {
+            words.push((1u64 << (8 * k)) - 1);
+            words.push(1u64 << (8 * k));
+        }
+        // Raw draws are nearly all 8 significant bytes; each also goes in
+        // shifted right by its low six bits, to cover every fold length.
+        let mut rng = crate::rng::SplitMix64::new(0x5EED);
+        for _ in 0..10_000 {
+            let x = rng.next_u64();
+            words.extend([x, x >> (x & 63)]);
+        }
+
+        // One running hasher, checked after every word: a fold must be
+        // right from any state, not only from the offset basis.
+        let mut h = StateHasher::new();
+        let mut reference = StateHasher::new().finish();
+        for &w in &words {
+            h.u64(w);
+            reference = fnv_bytes(reference, &w.to_le_bytes());
+            assert_eq!(h.finish(), reference, "u64 {w:#x}");
+            h.i64(w as i64);
+            reference = fnv_bytes(reference, &w.to_le_bytes());
+            assert_eq!(h.finish(), reference, "i64 {}", w as i64);
+        }
+
+        let long = "x".repeat(300);
+        for s in ["", "a", "server1.log", "\0\0", "héllo", long.as_str()] {
+            let mut h = StateHasher::new();
+            h.str(s);
+            let mut bytes = (s.len() as u64).to_le_bytes().to_vec();
+            bytes.extend(s.as_bytes());
+            assert_eq!(h.finish(), fnv_bytes(StateHasher::new().finish(), &bytes));
+        }
+
+        let value = Value::List(vec![
+            Value::Unit,
+            Value::Bool(false),
+            Value::Bool(true),
+            Value::Int(-1),
+            Value::Int(i64::MIN),
+            Value::Int(i64::MAX),
+            Value::Int(-256),
+            Value::Int(300),
+            Value::Str("k".into()),
+            Value::Bytes(vec![]),
+            Value::Bytes(vec![0, 0, 1, 0, 255]),
+            Value::List(vec![
+                Value::List(vec![]),
+                Value::List(vec![Value::Int(-2), Value::Bytes(vec![0; 260])]),
+            ]),
+        ]);
+        let mut h = StateHasher::new();
+        h.value(&value);
+        let mut bytes = Vec::new();
+        value_bytes(&value, &mut bytes);
+        assert_eq!(h.finish(), fnv_bytes(StateHasher::new().finish(), &bytes));
     }
 
     fn kernel() -> Kernel {

@@ -47,7 +47,10 @@
 //! `WorldState::digest` at encode time, and [`decode_snapshot`] recomputes
 //! it after reassembly — a truncated or garbled artifact fails decode
 //! instead of resuming from a corrupt world. A [`DecodeError`] says which
-//! artifact is at fault: the manifest, or one sealed chunk.
+//! artifact is at fault: the manifest, or one sealed chunk. Each side
+//! digests a world once: the writer takes [`WorldSnapshot::digest`], which
+//! the kernel then records for the offered decision, and the decoded
+//! snapshot keeps the digest it verified.
 
 use crate::error::StopReason;
 use crate::event::{Event, EventMeta};
@@ -547,10 +550,10 @@ impl SnapshotWriter {
     /// artifact's decisions; exploration forks with a search policy).
     pub fn write(&mut self, snap: &WorldSnapshot) {
         let w = &snap.world;
-        self.encode(w);
+        self.encode(w, snap.digest());
         if cfg!(debug_assertions) {
             let mut fresh = SnapshotWriter::new();
-            fresh.encode(w);
+            fresh.encode(w, snap.digest());
             debug_assert_eq!(
                 self.manifest, fresh.manifest,
                 "manifest at decision {} differs from a fresh writer's",
@@ -574,17 +577,14 @@ impl SnapshotWriter {
         &self.manifest
     }
 
-    fn encode(&mut self, w: &WorldState) {
+    fn encode(&mut self, w: &WorldState, digest: u64) {
         let out = &mut self.manifest;
         out.clear();
         write!(
             out,
             "{{\"version\":{SNAPSHOT_FORMAT_VERSION},\"decision\":{},\"step\":{},\"time\":{},\
              \"digest\":{},\"live\":",
-            w.decision_seq,
-            w.steps,
-            w.time,
-            w.digest()
+            w.decision_seq, w.steps, w.time, digest
         )
         .expect("writing to a String cannot fail");
         self.live.encode(w, out);
@@ -781,7 +781,11 @@ pub fn decode_snapshot(
             manifest.digest
         )));
     }
-    Ok(WorldSnapshot { world, policy })
+    Ok(WorldSnapshot {
+        world,
+        policy,
+        digest: digest.into(),
+    })
 }
 
 #[cfg(test)]
@@ -897,6 +901,8 @@ mod tests {
         let decoded = decode(snap, &manifest_text(snap)).expect("roundtrip decodes");
         assert_eq!(decoded.at_decision(), snap.at_decision());
         assert_eq!(decoded.world.digest(), snap.world.digest());
+        // The digest decode verified is kept, so `digest()` costs nothing.
+        assert_eq!(decoded.digest.get(), Some(&snap.world.digest()));
 
         // The restored world resumes to the same behaviour as the original.
         let a = resume_program(&RACER, checkpointed_cfg(), snap, None, vec![]);

@@ -205,7 +205,9 @@ fn runs_without_a_plan_take_no_snapshots() {
 type OfferLog = Arc<Mutex<Vec<(SnapshotMark, Result<Option<u64>, String>)>>>;
 
 /// A sink that keeps, declines and fails its offers in rotation, logging
-/// each offer's position in the run with its answer.
+/// each offer's position in the run with its answer. Like a store, it
+/// digests every offer it does not decline, and the run then records that
+/// digest for the decision instead of hashing the world again.
 struct Rotating {
     log: OfferLog,
 }
@@ -219,6 +221,9 @@ impl SnapshotSink for Rotating {
             1 => Ok(None),
             _ => Err(format!("offer {n} failed")),
         };
+        if !matches!(answer, Ok(None)) {
+            snap.digest();
+        }
         let mark = SnapshotMark {
             decision: snap.at_decision(),
             step: snap.steps(),

@@ -88,8 +88,13 @@ pub fn model_suite(workload: &dyn Workload) -> Vec<Box<dyn DeterminismModel>> {
 /// changes the hash. The single definition every workspace-level suite
 /// (golden table, conformance, checkpoint determinism) compares against.
 pub fn fnv(json: &str) -> u64 {
+    fnv_bytes(json.bytes())
+}
+
+/// FNV-1a over a byte stream.
+pub fn fnv_bytes(bytes: impl IntoIterator<Item = u8>) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in json.bytes() {
+    for b in bytes {
         h ^= b as u64;
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
     }

@@ -464,6 +464,53 @@ mod fault_schedule_determinism {
         }
     }
 
+    /// Seed-42 buggy-failover state-digest streams, one per
+    /// `failover_env_candidates` entry (same order as `FAULT_GOLDEN`): the
+    /// decision count and FNV-1a over every pre-decision digest, then the
+    /// final one, each as an 8-byte little-endian word.
+    const FAULT_DIGEST_GOLDEN: &[(usize, u64)] = &[
+        (1088, 0xcf71_fab0_61d5_8ad2), // crash during migration window
+        (1173, 0x9921_bbcc_4a21_0283), // partition during load, heals pre-migration
+        (1586, 0x2632_ffe5_584f_7840), // crash + restart
+        (1173, 0xe973_a7f3_0f96_9080), // clean
+    ];
+
+    /// The trace hashes above cover no state digest, and the production
+    /// digests pinned elsewhere (JSONL goldens, promoted fixtures, the
+    /// benchmark's seed-1 counters) run no partition and no restart. This
+    /// pins the digest's fault-plane sections: pending, active and healed
+    /// partitions, pending, due and fired restarts, crash and restart
+    /// counts.
+    #[test]
+    fn golden_fault_digest_streams_hold() {
+        let cfg = HyperConfig::default();
+        let program = HyperstoreProgram::buggy_failover(cfg);
+        assert_eq!(FAULT_DIGEST_GOLDEN.len(), FAULT_GOLDEN.len());
+        let actual: Vec<(usize, u64)> = (0..FAULT_DIGEST_GOLDEN.len())
+            .map(|i| {
+                let out = run_program(
+                    &program,
+                    RunConfig {
+                        hash_decisions: true,
+                        ..fault_cfg(i)
+                    },
+                    Box::new(RandomPolicy::new(42)),
+                    vec![],
+                );
+                let last = out.final_state_hash.expect("hashed run has a final digest");
+                let words = out.decision_hashes.iter().copied().chain([last]);
+                let bytes = words.flat_map(u64::to_le_bytes);
+                (out.decision_hashes.len(), common::fnv_bytes(bytes))
+            })
+            .collect();
+        assert_eq!(
+            actual, FAULT_DIGEST_GOLDEN,
+            "fault-environment digest streams moved (decision count, FNV-1a of the \
+             digests): a state-digest change that is not a deliberate format \
+             migration must keep every value"
+        );
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(12))]
 
