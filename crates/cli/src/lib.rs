@@ -97,12 +97,9 @@ pub fn workload_by_name(name: &str) -> Option<Arc<dyn Workload>> {
 /// FNV-1a over bytes — the workspace-standard stable digest, used to print
 /// golden trace hashes.
 pub fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+    let mut h = dd_sim::StateHasher::new();
+    h.bytes(bytes);
+    h.finish()
 }
 
 const USAGE: &str = "\

@@ -92,30 +92,6 @@ pub fn evaluate_model_on(
     (report, recording, replay)
 }
 
-/// Evaluates a suite of models on one workload.
-pub fn evaluate_suite(
-    workload: &dyn Workload,
-    models: &[&dyn DeterminismModel],
-    budget: &InferenceBudget,
-) -> Vec<ModelReport> {
-    models
-        .iter()
-        .map(|m| evaluate_model(workload, *m, budget).0)
-        .collect()
-}
-
-/// Renders reports as a text table (one row per model).
-pub fn format_table(reports: &[ModelReport]) -> String {
-    let mut s = String::new();
-    s.push_str(&ModelReport::header());
-    s.push('\n');
-    for r in reports {
-        s.push_str(&r.row());
-        s.push('\n');
-    }
-    s
-}
-
 /// Empirically verifies which declared root causes are reachable: for each
 /// cause of the original failure, searches the workload's nondeterminism
 /// space for an execution that (a) exhibits the failure and (b) activates
@@ -227,7 +203,7 @@ mod tests {
             inference_explored: 0,
             value_divergences: 0,
         };
-        let table = format_table(&[report]);
+        let table = format!("{}\n{}", ModelReport::header(), report.row());
         assert!(table.contains("value"));
         assert!(table.contains("3.20x"));
         assert!(table.lines().count() == 2);

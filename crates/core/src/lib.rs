@@ -28,8 +28,8 @@ pub mod workload;
 
 pub use driver::{BehaviorCheck, Exploration, Session};
 pub use experiment::{
-    enumerate_root_causes, evaluate_model, evaluate_model_on, evaluate_suite,
-    find_cause_equivalent_executions, format_table, CauseWitness, ModelReport,
+    enumerate_root_causes, evaluate_model, evaluate_model_on, find_cause_equivalent_executions,
+    CauseWitness, ModelReport,
 };
 pub use metrics::{
     debugging_efficiency, debugging_fidelity, debugging_utility, FidelityReport, UtilityReport,

@@ -440,11 +440,6 @@ impl DebugModel {
         DebugModel { cfg, training }
     }
 
-    /// Builds the model from an existing training result.
-    pub fn with_training(training: Training, cfg: RcseConfig) -> Self {
-        DebugModel { cfg, training }
-    }
-
     /// The training result (plane map, invariants, profile).
     pub fn training(&self) -> &Training {
         &self.training

@@ -39,8 +39,8 @@
 use crate::lock;
 use crate::recordings::costs;
 use dd_sim::{
-    DecisionPoint, Event, EventMeta, Observer, OpDesc, SchedulePolicy, StopReason, TaskId, Value,
-    VarId,
+    DecisionPoint, Event, EventMeta, Observer, OpDesc, SchedulePolicy, StateHasher, StopReason,
+    TaskId, Value, VarId,
 };
 use dd_trace::{ChargeAcc, CostModel, LogStats, Trace};
 use serde::{Deserialize, Serialize};
@@ -468,15 +468,10 @@ impl dd_sim::NondetOverride for OutcomeFeed {
 /// a guided replay and as the acceptance constraint of the DPOR fallback
 /// search.
 pub fn pinned_completion_digest(trace: &Trace, pin: &PinSet) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = OFFSET;
+    let mut h = StateHasher::new();
     let mut mix = |words: &[u64]| {
-        for w in words {
-            for b in w.to_le_bytes() {
-                h ^= u64::from(b);
-                h = h.wrapping_mul(PRIME);
-            }
+        for &w in words {
+            h.u64(w);
         }
     };
     for e in trace.iter() {
@@ -515,7 +510,7 @@ pub fn pinned_completion_digest(trace: &Trace, pin: &PinSet) -> u64 {
             _ => {}
         }
     }
-    h
+    h.finish()
 }
 
 // ---------------------------------------------------------------------------

@@ -297,7 +297,7 @@ impl RunFetcher for ParallelRuns<'_, '_> {
     }
 }
 
-/// [`explore_tree`](crate::dpor::explore_tree) with the run executions
+/// [`explore_tree`] with the run executions
 /// spread over the budget's [`workers`](InferenceBudget::workers) threads.
 ///
 /// `workers <= 1` falls through to the sequential explorer — which is also

@@ -32,20 +32,23 @@
 //! The whole rebuild of one task is a single synchronous poll.
 
 use crate::config::{RunConfig, OP_COSTS};
+use crate::conflict::OpDesc;
 use crate::error::{SimError, SimResult, StopReason};
 use crate::event::{DecisionKind, Event, EventMeta, Observer};
 use crate::history::ChunkedLog;
 use crate::ids::TaskId;
-use crate::kernel::{
-    Attempt, CrashRecord, DecisionRecord, EnabledSet, Kernel, OutputRecord, Phase, PortDir,
-    SysLogEntry, WorldSnapshot, WorldState,
-};
+use crate::kernel::Kernel;
+use crate::ops::Attempt;
 use crate::policy::SchedulePolicy;
 use crate::program::{
     Builder, Program, RecoveryBuilder, Request, TaskCtx, TaskFn, TaskFuture, TaskSlot,
 };
 use crate::snapshot::SnapshotMark;
 use crate::value::Value;
+use crate::world::{
+    CrashRecord, DecisionRecord, EnabledSet, OutputRecord, Phase, PortDir, SysLogEntry, TaskRec,
+    WorldSnapshot, WorldState,
+};
 use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
 use std::collections::BTreeMap;
@@ -342,19 +345,10 @@ pub fn run_program(
     let mut kernel = Kernel::new(world, policy, observers, &mut cfg);
 
     // Setup: declare objects and initial tasks, then load the script.
-    let mut b = Builder::new(&mut kernel);
-    program.setup(&mut b);
-    let initial = std::mem::take(&mut b.spawns);
+    let cells = set_up(program, Builder::new(&mut kernel));
     if let Err(msg) = kernel.load_inputs(cfg.inputs.iter().map(|(k, v)| (k.to_owned(), v.to_vec())))
     {
         panic!("{}: {msg}", program.name());
-    }
-
-    let mut cells: Vec<TaskCell> = (0..kernel.world.tasks.len())
-        .map(|_| TaskCell::new(None))
-        .collect();
-    for (tid, f) in initial {
-        cells[tid.index()].body = Some(f);
     }
     run_to_completion(program, kernel, cells, &cfg, 0, 0)
 }
@@ -391,28 +385,19 @@ pub fn resume_program(
     // Rebind setup: re-collect the initial task bodies against the restored
     // world without re-declaring anything (and without re-loading inputs —
     // the pending script is part of the world).
-    let mut b = Builder::rebind(&mut kernel);
-    program.setup(&mut b);
-    let initial = std::mem::take(&mut b.spawns);
-
-    let mut cells: Vec<TaskCell> = (0..kernel.world.tasks.len())
-        .map(|_| TaskCell::new(None))
-        .collect();
-    for (tid, f) in initial {
-        cells[tid.index()].body = Some(f);
-    }
+    let mut cells = set_up(program, Builder::rebind(&mut kernel));
     // Restart-spawned tasks have no spawning parent whose syscall log could
     // hand their bodies back, so regenerate them by re-invoking the
     // program's recovery entry point in the original firing order (recovery
     // is deterministic, like setup; names are validated as a divergence
     // tripwire).
-    let fired = kernel.world.restarts_fired.clone();
+    let fired = kernel.world.live.restarts_fired.clone();
     for (group, base) in fired {
         let mut rb = RecoveryBuilder::new(&group);
         program.recover(&group, &mut rb);
         for (j, (name, f)) in rb.spawns.into_iter().enumerate() {
             let idx = base as usize + j;
-            match kernel.world.tasks.get(idx).map(|t| t.name.as_str()) {
+            match kernel.world.live.tasks.get(idx).map(|t| t.name.as_str()) {
                 Some(have) if have == name => {}
                 have => panic!(
                     "resume rebind diverged: recovery for group {group:?} declared \
@@ -424,6 +409,18 @@ pub fn resume_program(
     }
     rebuild(&mut kernel, &mut cells);
     run_to_completion(program, kernel, cells, &cfg, resumed_steps, resumed_ticks)
+}
+
+/// Runs `program`'s setup through `b` and returns one engine cell per task
+/// of the world, holding the body factories setup declared.
+fn set_up(program: &dyn Program, mut b: Builder<'_>) -> Vec<TaskCell> {
+    program.setup(&mut b);
+    let tasks = b.kernel.world.live.tasks.len();
+    let mut cells: Vec<TaskCell> = (0..tasks).map(|_| TaskCell::new(None)).collect();
+    for (tid, f) in b.spawns {
+        cells[tid.index()].body = Some(f);
+    }
+    cells
 }
 
 /// Drives the run to completion and assembles the [`RunOutput`].
@@ -438,9 +435,9 @@ fn run_to_completion(
     drive(&mut kernel, &mut cells, cfg, program);
     drop(cells);
 
+    let live = &kernel.world.live;
     let registry = Registry {
-        tasks: kernel
-            .world
+        tasks: live
             .tasks
             .iter()
             .map(|t| TaskMeta {
@@ -448,11 +445,10 @@ fn run_to_completion(
                 group: t.group.clone(),
             })
             .collect(),
-        vars: kernel.world.vars.iter().map(|v| v.name.clone()).collect(),
-        locks: kernel.world.locks.iter().map(|l| l.name.clone()).collect(),
-        cvars: kernel.world.cvars.iter().map(|c| c.name.clone()).collect(),
-        chans: kernel
-            .world
+        vars: live.vars.iter().map(|v| v.name.clone()).collect(),
+        locks: live.locks.iter().map(|l| l.name.clone()).collect(),
+        cvars: live.cvars.iter().map(|c| c.name.clone()).collect(),
+        chans: live
             .chans
             .iter()
             .map(|c| ChanMeta {
@@ -460,8 +456,7 @@ fn run_to_completion(
                 class: c.class,
             })
             .collect(),
-        ports: kernel
-            .world
+        ports: live
             .ports
             .iter()
             .map(|p| PortMeta {
@@ -471,10 +466,10 @@ fn run_to_completion(
             .collect(),
     };
     let stats = RunStats {
-        steps: kernel.world.steps,
-        exec_ticks: kernel.world.time,
+        steps: live.steps,
+        exec_ticks: live.time,
         wall_ticks: kernel.wall_time(),
-        events: kernel.world.events,
+        events: live.events,
         decisions: kernel.world.decisions.len() as u64,
         resumed_steps,
         resumed_ticks,
@@ -482,20 +477,21 @@ fn run_to_completion(
     };
     // The final digest plays the role of the hash one past the last
     // decision; computed before the counters are moved into the summary.
-    let final_state_hash = kernel.world.hash_decisions.then(|| kernel.world.digest());
+    let final_state_hash = live.hash_decisions.then(|| kernel.world.digest());
+    let stop = live.stop.clone().unwrap_or(StopReason::Quiescent);
     // The I/O summary materializes contiguous vectors once, at run end;
     // during the run these lived in chunk-shared history logs so that
     // snapshots never paid for them.
     let io = IoSummary {
         outputs: kernel.world.outputs.to_vec(),
         inputs: kernel.world.inputs_seen.to_vec(),
-        counters: std::mem::take(&mut kernel.world.counters),
+        counters: std::mem::take(&mut kernel.world.live.counters),
         crashes: kernel.world.crashes.to_vec(),
-        group_crashes: std::mem::take(&mut kernel.world.crash_counts),
-        group_restarts: std::mem::take(&mut kernel.world.restart_counts),
+        group_crashes: std::mem::take(&mut kernel.world.live.crash_counts),
+        group_restarts: std::mem::take(&mut kernel.world.live.restart_counts),
     };
     RunOutput {
-        stop: kernel.world.stop.clone().unwrap_or(StopReason::Quiescent),
+        stop,
         stats,
         io,
         registry,
@@ -522,11 +518,8 @@ fn respawn_restarted(
     alive: &mut Vec<u32>,
     program: &dyn Program,
 ) {
-    if st.world.restarts_due.is_empty() {
-        return;
-    }
-    for group in std::mem::take(&mut st.world.restarts_due) {
-        let base = st.world.tasks.len() as u32;
+    for group in std::mem::take(&mut st.world.live.restarts_due) {
+        let base = st.world.live.tasks.len() as u32;
         let mut rb = RecoveryBuilder::new(&group);
         program.recover(&group, &mut rb);
         let mut tasks = Vec::new();
@@ -536,12 +529,12 @@ fn respawn_restarted(
             alive.push(tid.0);
             tasks.push(tid);
         }
-        debug_assert_eq!(cells.len(), st.world.tasks.len());
+        debug_assert_eq!(cells.len(), st.world.live.tasks.len());
         st.emit(Event::GroupRestarted {
             group: group.clone(),
             tasks,
         });
-        st.world.restarts_fired.push((group, base));
+        st.world.live.restarts_fired.push((group, base));
     }
 }
 
@@ -554,65 +547,56 @@ fn drive(st: &mut Kernel, cells: &mut Vec<TaskCell>, cfg: &RunConfig, program: &
     // and quadratic total work for spawn-heavy workloads. Exited and
     // killed tasks never run again, so pruning is sound; new tasks get
     // strictly increasing ids, so appending keeps the order sorted.
-    let mut alive: Vec<u32> = st
-        .world
-        .tasks
-        .iter()
-        .enumerate()
-        .filter(|(_, t)| !matches!(t.phase, Phase::Exited { .. }) && !t.killed)
-        .map(|(i, _)| i as u32)
+    let is_alive = |t: &TaskRec| !matches!(t.phase, Phase::Exited { .. }) && !t.killed;
+    let mut alive: Vec<u32> = (0..st.world.live.tasks.len() as u32)
+        .filter(|&i| is_alive(&st.world.live.tasks[i as usize]))
         .collect();
     loop {
-        if st.world.stop.is_some() {
+        if st.world.live.stop.is_some() {
             break;
         }
         st.deliver_due();
         respawn_restarted(st, cells, &mut alive, program);
-        if st.world.steps >= cfg.max_steps {
-            st.world.stop = Some(StopReason::MaxSteps);
+        if st.world.live.steps >= cfg.max_steps {
+            st.world.live.stop = Some(StopReason::MaxSteps);
             break;
         }
-        if st.world.time >= cfg.max_time {
-            st.world.stop = Some(StopReason::MaxTime);
+        if st.world.live.time >= cfg.max_time {
+            st.world.live.stop = Some(StopReason::MaxTime);
             break;
         }
 
-        alive.retain(|&i| {
-            let t = &st.world.tasks[i as usize];
-            !matches!(t.phase, Phase::Exited { .. }) && !t.killed
-        });
+        alive.retain(|&i| is_alive(&st.world.live.tasks[i as usize]));
         let runnable: Vec<TaskId> = alive
             .iter()
-            .filter(|&&i| st.world.tasks[i as usize].phase == Phase::Ready)
+            .filter(|&&i| st.world.live.tasks[i as usize].phase == Phase::Ready)
             .map(|&i| TaskId(i))
             .collect();
 
         if runnable.is_empty() {
             if alive.is_empty() {
-                st.world.stop = Some(StopReason::Quiescent);
+                st.world.live.stop = Some(StopReason::Quiescent);
                 break;
             }
             // Advance virtual time to the next pending wake source.
             if let Some(t) = st.next_pending_time() {
-                if t > st.world.time {
-                    st.world.time = t;
-                }
+                st.world.live.time = st.world.live.time.max(t);
                 st.deliver_due();
                 continue;
             }
             let blocked: Vec<TaskId> = alive
                 .iter()
-                .filter(|&&i| matches!(st.world.tasks[i as usize].phase, Phase::Blocked(_)))
+                .filter(|&&i| matches!(st.world.live.tasks[i as usize].phase, Phase::Blocked(_)))
                 .map(|&i| TaskId(i))
                 .collect();
-            st.world.stop = Some(StopReason::Deadlock { blocked });
+            st.world.live.stop = Some(StopReason::Deadlock { blocked });
             break;
         }
 
         // A recorded (multi-candidate) decision is about to be made and no
         // task is granted or running: the canonical checkpoint position.
         if let Some(plan) = st.checkpoints {
-            let d = st.world.decision_seq;
+            let d = st.world.live.decision_seq;
             let already = if st.sink.is_some() {
                 st.spilled.last().is_some_and(|m| m.decision >= d)
             } else {
@@ -640,14 +624,13 @@ fn drive(st: &mut Kernel, cells: &mut Vec<TaskCell>, cfg: &RunConfig, program: &
             // Past the last possible snapshot point the syscall log has no
             // consumer (restores replay a *snapshot's* log, never the final
             // one) — stop paying to grow it.
-            if st.world.record_syslog && d > plan.max_decision {
-                st.world.record_syslog = false;
+            if st.world.live.record_syslog && d > plan.max_decision {
+                st.world.live.record_syslog = false;
             }
         }
 
-        let chosen = match st.decide(DecisionKind::NextTask, &runnable) {
-            Some(c) => c,
-            None => break, // Policy error; stop reason already set.
+        let Some(chosen) = st.decide(DecisionKind::NextTask, &runnable) else {
+            break; // Policy error; stop reason already set.
         };
         let known = cells.len();
         step_granted(st, cells, chosen);
@@ -663,12 +646,12 @@ fn drive(st: &mut Kernel, cells: &mut Vec<TaskCell>, cfg: &RunConfig, program: &
 /// slice, or parked spawn), then poll its body until it parks again.
 fn step_granted(st: &mut Kernel, cells: &mut Vec<TaskCell>, chosen: TaskId) {
     let i = chosen.index();
-    st.world.tasks[i].phase = Phase::Granted;
+    st.world.live.tasks[i].phase = Phase::Granted;
 
     if !cells[i].started {
         // First grant: invoke the body factory and run the first slice.
         cells[i].started = true;
-        st.world.tasks[i].phase = Phase::Running;
+        st.world.live.tasks[i].phase = Phase::Running;
         let body = cells[i]
             .body
             .take()
@@ -694,7 +677,7 @@ fn step_granted(st: &mut Kernel, cells: &mut Vec<TaskCell>, chosen: TaskId) {
         let Request::Spawn { name, group, f } = req else {
             unreachable!("op requests are drained at announce time");
         };
-        if st.world.tasks.len() as u64 >= st.max_tasks {
+        let reply = if st.world.live.tasks.len() as u64 >= st.max_tasks {
             // Tasks are cheap coroutines, so the ceiling is a policy choice:
             // fail the spawn cleanly (no event, no cost, no new task) and
             // let the spawner decide how to degrade.
@@ -702,48 +685,44 @@ fn step_granted(st: &mut Kernel, cells: &mut Vec<TaskCell>, chosen: TaskId) {
                 limit: st.max_tasks,
             };
             st.log_syscall(chosen, SysLogEntry::Ret(Err(err.clone())));
-            st.world.tasks[i].pending = None;
-            st.world.tasks[i].phase = Phase::Running;
-            cells[i].slot.borrow_mut().spawn_reply = Some(Err(err));
-            poll_task(st, cells, chosen);
-            return;
-        }
-        let child = st.add_task(&name, &group, Some(chosen));
-        st.charge(OP_COSTS.spawn);
-        st.log_syscall(chosen, SysLogEntry::Spawn(child));
-        st.world.tasks[i].pending = None;
-        st.world.tasks[i].phase = Phase::Running;
-        cells.push(TaskCell::new(Some(f)));
-        debug_assert_eq!(cells.len(), st.world.tasks.len());
-        cells[i].slot.borrow_mut().spawn_reply = Some(Ok(child));
-        poll_task(st, cells, chosen);
-        return;
-    }
-
-    // Granted an announced operation: execute it against the kernel.
-    let mut op = st.world.tasks[i]
-        .pending_op
-        .take()
-        .expect("granted task has neither a spawn request nor a pending op");
-    match st.exec_op(chosen, &mut op) {
-        Attempt::Done(res) => {
-            // The clone is only worth paying when the log keeps it.
-            if st.world.record_syslog {
-                st.log_syscall(chosen, SysLogEntry::Ret(res.clone()));
+            Err(err)
+        } else {
+            let child = st.add_task(&name, &group, Some(chosen));
+            st.charge(OP_COSTS.spawn);
+            st.log_syscall(chosen, SysLogEntry::Spawn(child));
+            cells.push(TaskCell::new(Some(f)));
+            debug_assert_eq!(cells.len(), st.world.live.tasks.len());
+            Ok(child)
+        };
+        cells[i].slot.borrow_mut().spawn_reply = Some(reply);
+    } else {
+        // Granted an announced operation: execute it against the kernel.
+        let mut op = st.world.live.tasks[i]
+            .pending_op
+            .take()
+            .expect("granted task has neither a spawn request nor a pending op");
+        match st.exec_op(chosen, &mut op) {
+            Attempt::Done(res) => {
+                // The clone is only worth paying when the log keeps it.
+                if st.world.live.record_syslog {
+                    st.log_syscall(chosen, SysLogEntry::Ret(res.clone()));
+                }
+                cells[i].slot.borrow_mut().reply = Some(res);
             }
-            st.world.tasks[i].pending = None;
-            st.world.tasks[i].phase = Phase::Running;
-            cells[i].slot.borrow_mut().reply = Some(res);
-            poll_task(st, cells, chosen);
-        }
-        Attempt::Block(b) => {
-            // Put the op back — it carries accumulated op-local state (a
-            // resolved deadline, a condvar wait past its enter stage) that
-            // the retry after wake-up must see.
-            st.world.tasks[i].pending_op = Some(op);
-            st.world.tasks[i].phase = Phase::Blocked(b);
+            Attempt::Block(b) => {
+                // Put the op back — it carries accumulated op-local state (a
+                // resolved deadline, a condvar wait past its enter stage)
+                // that the retry after wake-up must see.
+                st.world.live.tasks[i].pending_op = Some(op);
+                st.world.live.tasks[i].phase = Phase::Blocked(b);
+                return;
+            }
         }
     }
+    // The spawn or operation completed: the body runs on with its result.
+    st.world.live.tasks[i].pending = None;
+    st.world.live.tasks[i].phase = Phase::Running;
+    poll_task(st, cells, chosen);
 }
 
 /// Polls a task's coroutine once (running user code up to the next
@@ -755,8 +734,8 @@ fn poll_task(st: &mut Kernel, cells: &mut [TaskCell], tid: TaskId) {
     };
     {
         let mut slot = cells[i].slot.borrow_mut();
-        slot.now = st.world.time;
-        slot.cancelled = st.world.cancelling || st.world.tasks[i].killed;
+        slot.now = st.world.live.time;
+        slot.cancelled = st.world.live.cancelling || st.world.live.tasks[i].killed;
     }
     let mut cx = Context::from_waker(Waker::noop());
     let polled = catch_unwind(AssertUnwindSafe(|| fut.as_mut().poll(&mut cx)));
@@ -767,28 +746,28 @@ fn poll_task(st: &mut Kernel, cells: &mut [TaskCell], tid: TaskId) {
     // Clock peeks are not scheduling points, but a replayed body must see
     // the values the original saw — log one entry per observation.
     for _ in 0..now_obs {
-        let t = st.world.time;
+        let t = st.world.live.time;
         st.log_syscall(tid, SysLogEntry::Now(t));
     }
     match polled {
         Err(payload) => finish_task(st, cells, tid, Err(payload)),
         Ok(Poll::Ready(res)) => finish_task(st, cells, tid, Ok(res)),
         Ok(Poll::Pending) => match request {
-            Some(Request::Op(op)) => {
-                // Announce: park at the sync point. The pending footprint is
-                // what the driver snapshots at decision points.
-                st.world.tasks[i].pending = Some(op.desc());
-                st.world.tasks[i].pending_op = Some(op);
-                st.world.tasks[i].phase = Phase::Ready;
-                cells[i].fut = Some(fut);
-            }
-            Some(req @ Request::Spawn { .. }) => {
-                // Spawning changes the enabled set itself; its footprint is
-                // global. The payload stays in the mailbox until granted.
-                cells[i].slot.borrow_mut().request = Some(req);
-                st.world.tasks[i].pending = Some(crate::conflict::OpDesc::Global);
-                st.world.tasks[i].pending_op = None;
-                st.world.tasks[i].phase = Phase::Ready;
+            Some(request) => {
+                let (pending, pending_op) = match request {
+                    // Announce: park at the sync point. The pending footprint
+                    // is what the driver snapshots at decision points.
+                    Request::Op(op) => (op.desc(), Some(op)),
+                    // Spawning changes the enabled set itself; its footprint
+                    // is global. The payload stays in the mailbox until
+                    // granted.
+                    req @ Request::Spawn { .. } => {
+                        cells[i].slot.borrow_mut().request = Some(req);
+                        (OpDesc::Global, None)
+                    }
+                };
+                let t = &mut st.world.live.tasks[i];
+                (t.pending, t.pending_op, t.phase) = (Some(pending), pending_op, Phase::Ready);
                 cells[i].fut = Some(fut);
             }
             None => {
@@ -818,7 +797,7 @@ fn finish_task(
     let i = tid.index();
     cells[i].fut = None;
     cells[i].body = None;
-    if matches!(st.world.tasks[i].phase, Phase::Exited { .. }) {
+    if matches!(st.world.live.tasks[i].phase, Phase::Exited { .. }) {
         return;
     }
     let ok = match result {
@@ -835,11 +814,8 @@ fn finish_task(
             false
         }
     };
-    let joiners = std::mem::take(&mut st.world.tasks[i].joiners);
-    for j in joiners {
-        st.wake(j);
-    }
-    st.world.tasks[i].phase = Phase::Exited { ok };
+    st.wake_joiners(tid);
+    st.world.live.tasks[i].phase = Phase::Exited { ok };
     st.emit(Event::TaskExit { task: tid, ok });
 }
 
@@ -849,10 +825,10 @@ fn finish_task(
 /// deterministic order the thread-based engine enforced with its serialized
 /// cancellation sweep.
 fn wind_down(st: &mut Kernel, cells: &mut [TaskCell]) {
-    st.world.cancelling = true;
+    st.world.live.cancelling = true;
     for i in 0..cells.len() {
         let tid = TaskId(i as u32);
-        if matches!(st.world.tasks[i].phase, Phase::Exited { .. }) {
+        if matches!(st.world.live.tasks[i].phase, Phase::Exited { .. }) {
             continue;
         }
         if !cells[i].started {
@@ -871,7 +847,7 @@ fn wind_down(st: &mut Kernel, cells: &mut [TaskCell]) {
             slot.spawn_reply = Some(Err(SimError::Cancelled));
         }
         poll_task(st, cells, tid);
-        if !matches!(st.world.tasks[i].phase, Phase::Exited { .. }) {
+        if !matches!(st.world.live.tasks[i].phase, Phase::Exited { .. }) {
             // The body swallowed Cancelled and parked again (every request
             // now fails fast, so this is a refusal to unwind). Retire it.
             finish_task(
@@ -898,10 +874,10 @@ fn wind_down(st: &mut Kernel, cells: &mut [TaskCell]) {
 fn rebuild(st: &mut Kernel, cells: &mut [TaskCell]) {
     for i in 0..cells.len() {
         let tid = TaskId(i as u32);
-        let exited = matches!(st.world.tasks[i].phase, Phase::Exited { .. });
+        let exited = matches!(st.world.live.tasks[i].phase, Phase::Exited { .. });
         // At a decision point every started non-exited task is parked at an
         // announced operation, so `pending` doubles as the started flag.
-        if !exited && st.world.tasks[i].pending.is_none() {
+        if !exited && st.world.live.tasks[i].pending.is_none() {
             continue; // Never started; takes the normal first-grant path.
         }
         cells[i].started = true;
@@ -916,7 +892,7 @@ fn rebuild(st: &mut Kernel, cells: &mut [TaskCell]) {
         {
             let mut slot = cells[i].slot.borrow_mut();
             slot.ff = log.iter().cloned().collect();
-            slot.now = st.world.time;
+            slot.now = st.world.live.time;
             slot.cancelled = false;
         }
         let Some(body) = cells[i].body.take() else {
@@ -927,25 +903,24 @@ fn rebuild(st: &mut Kernel, cells: &mut [TaskCell]) {
             slot: Rc::clone(&cells[i].slot),
             tid,
         };
-        let fut = match catch_unwind(AssertUnwindSafe(|| body(ctx))) {
+        let mut fut = match catch_unwind(AssertUnwindSafe(|| body(ctx))) {
             Ok(f) => f,
             Err(_) => {
                 diverge(st, tid, "body factory panicked during fast-forward");
                 return;
             }
         };
-        let mut fut = fut;
         let mut cx = Context::from_waker(Waker::noop());
         let polled = catch_unwind(AssertUnwindSafe(|| fut.as_mut().poll(&mut cx)));
-        let (request, divergence, ff_left, now_obs, spawned) = {
+        let (request, divergence, ff_left, spawned) = {
             let mut slot = cells[i].slot.borrow_mut();
             let ff_left = slot.ff.len();
             slot.ff.clear();
+            slot.now_obs = 0; // Replay consumed the logged observations instead.
             (
                 slot.request.take(),
                 slot.divergence.take(),
                 ff_left,
-                std::mem::take(&mut slot.now_obs),
                 std::mem::take(&mut slot.spawned),
             )
         };
@@ -954,7 +929,6 @@ fn rebuild(st: &mut Kernel, cells: &mut [TaskCell]) {
         for (child, f) in spawned {
             cells[child.index()].body = Some(f);
         }
-        let _ = now_obs; // Replay consumed the logged observations instead.
         if let Some(detail) = divergence {
             diverge(st, tid, &detail);
             return;
@@ -1004,9 +978,9 @@ fn rebuild(st: &mut Kernel, cells: &mut [TaskCell]) {
 
 /// Flags a fast-forward mismatch and stops the run at the first divergence.
 fn diverge(st: &mut Kernel, tid: TaskId, detail: &str) {
-    if st.world.stop.is_none() {
-        st.world.stop = Some(StopReason::ReplayDivergence {
-            step: st.world.decision_seq,
+    if st.world.live.stop.is_none() {
+        st.world.live.stop = Some(StopReason::ReplayDivergence {
+            step: st.world.live.decision_seq,
             detail: format!("fast-forward divergence for {tid}: {detail}"),
         });
     }

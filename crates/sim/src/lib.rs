@@ -15,6 +15,18 @@
 //! overhead is measurable without perturbing program semantics (no probe
 //! effect).
 //!
+//! # Layout
+//!
+//! Each module holds one decision. The machine state a run evolves and its
+//! resumable [`WorldSnapshot`]s live in `world`; what each operation does
+//! in `ops`; the per-decision state digest ([`StateHasher`]) in `digest`;
+//! the timed environment events (inputs, timers, crashes, partitions,
+//! restarts) in `faults`; and the execution shell around the world —
+//! policy, observers, decisions, events, snapshot hand-off — in [`kernel`].
+//! [`driver`] polls the task coroutines, [`snapshot`] encodes and decodes
+//! stored snapshots, and `snapshot_cost` prices a snapshot clone
+//! ([`SnapshotCost`]) for the ABL-9 sweep.
+//!
 //! # Examples
 //!
 //! ```
@@ -62,23 +74,29 @@
 
 pub mod config;
 pub mod conflict;
+mod digest;
 pub mod driver;
 pub mod error;
 pub mod event;
+mod faults;
 pub mod history;
 pub mod ids;
 pub mod kernel;
+mod ops;
 pub mod policy;
 pub mod program;
 pub mod rng;
 pub mod snapshot;
+mod snapshot_cost;
 pub mod value;
+mod world;
 
 pub use config::{
     ChanClass, CheckpointPlan, CrashEvent, EnvConfig, InputScript, NoOverride, NondetOverride,
     PartitionEvent, RestartEvent, RunConfig, TimedInput,
 };
 pub use conflict::OpDesc;
+pub use digest::StateHasher;
 pub use driver::{
     resume_program, run_program, ChanMeta, IoSummary, PortMeta, Registry, RunOutput, RunStats,
     TaskMeta,

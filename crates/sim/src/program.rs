@@ -20,8 +20,10 @@
 use crate::config::ChanClass;
 use crate::error::{SimError, SimResult};
 use crate::ids::{ChanId, CondvarId, LockId, PortId, Site, TaskId, VarId};
-use crate::kernel::{Kernel, Op, PortDir, SysLogEntry};
+use crate::kernel::Kernel;
+use crate::ops::{CvStage, Op};
 use crate::value::{SimData, Value};
+use crate::world::{PortDir, SysLogEntry};
 use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::future::Future;
@@ -380,6 +382,7 @@ impl<'k> Builder<'k> {
                 name,
                 self.kernel
                     .world
+                    .live
                     .vars
                     .get(id.index())
                     .map(|v| v.name.as_str()),
@@ -399,6 +402,7 @@ impl<'k> Builder<'k> {
                 name,
                 self.kernel
                     .world
+                    .live
                     .locks
                     .get(id.index())
                     .map(|l| l.name.as_str()),
@@ -418,6 +422,7 @@ impl<'k> Builder<'k> {
                 name,
                 self.kernel
                     .world
+                    .live
                     .cvars
                     .get(id.index())
                     .map(|c| c.name.as_str()),
@@ -437,6 +442,7 @@ impl<'k> Builder<'k> {
                 name,
                 self.kernel
                     .world
+                    .live
                     .chans
                     .get(id.index())
                     .map(|c| c.name.as_str()),
@@ -465,6 +471,7 @@ impl<'k> Builder<'k> {
                 name,
                 self.kernel
                     .world
+                    .live
                     .ports
                     .get(id.index())
                     .map(|p| p.name.as_str()),
@@ -489,6 +496,7 @@ impl<'k> Builder<'k> {
                 name,
                 self.kernel
                     .world
+                    .live
                     .tasks
                     .get(tid.index())
                     .map(|t| t.name.as_str()),
@@ -599,7 +607,7 @@ impl TaskCtx {
         self.syscall(Op::CvWait {
             cvar: cv.0,
             lock: m.0,
-            stage: crate::kernel::CvStage::Enter,
+            stage: CvStage::Enter,
             site,
         })
         .await

@@ -37,11 +37,12 @@
 //! writes a manifest or a chunk.
 //!
 //! Decoding does not depend on the writer. It reads a typed manifest: its
-//! live state is a mirror of the world's non-log fields, and each log's
-//! tail is that log's element vector, decoded according to the log's
-//! `name` (which the writer always emits before the tail). Chunk text
+//! live state decodes straight into the world's own live-state type, and
+//! each log's tail is that log's element vector, decoded according to the
+//! log's `name` (which the writer always emits before the tail). Chunk text
 //! decodes straight into the log's element type. Decoding builds no
-//! intermediate document tree.
+//! intermediate document tree. The live fields are declared once, in the
+//! world module, for the world, the decoder and the writer alike.
 //!
 //! Integrity: the manifest embeds the world's FNV-1a
 //! `WorldState::digest` at encode time, and [`decode_snapshot`] recomputes
@@ -52,20 +53,16 @@
 //! the kernel then records for the offered decision, and the decoded
 //! snapshot keeps the digest it verified.
 
-use crate::error::StopReason;
 use crate::event::{Event, EventMeta};
 use crate::history::ChunkedLog;
-use crate::kernel::{
-    ChanRec, CrashRecord, CvarRec, DecisionRecord, EnabledSet, LockRec, OutputRecord, PendingInput,
-    PortRec, SysLogEntry, TaskRec, VarRec, WorldSnapshot, WorldState,
-};
 use crate::policy::SchedulePolicy;
-use crate::rng::DetRng;
 use crate::value::Value;
+use crate::world::{
+    live_fields, ChanRec, CrashRecord, DecisionRecord, EnabledSet, Live, OutputRecord, PortRec,
+    SysLogEntry, TaskRec, VarRec, WorldSnapshot, WorldState,
+};
 use serde::{Deserialize, Deserializer, Kind, Serialize};
 use std::borrow::Cow;
-use std::cmp::Reverse;
-use std::collections::{BTreeMap, BTreeSet, BinaryHeap, VecDeque};
 use std::fmt::Write as _;
 
 /// Version tag of the snapshot manifest format.
@@ -148,21 +145,10 @@ pub trait SnapshotSink: Send {
     fn offer(&mut self, snap: &WorldSnapshot) -> Result<Option<u64>, String>;
 }
 
-/// Declares the live (non-log) fields of a [`WorldState`] once, in
-/// manifest order: [`LiveFields`], the owned mirror decode reads them into,
-/// and [`LiveCache`], which encodes them from the world as the map
-/// [`LiveFields`] decodes. A field written `field: Vec<E> => E` is encoded
-/// element by element through an [`ElementCache`]; every other field is
-/// encoded whole at every snapshot.
-macro_rules! live_fields {
-    ($($field:ident: $ty:ty $(=> $elem:ty)?,)*) => {
-        /// The live (non-log) half of a [`WorldState`], in a decodable
-        /// mirror.
-        #[derive(Deserialize)]
-        struct LiveFields {
-            $($field: $ty,)*
-        }
-
+/// Declares [`LiveCache`] from the world's live-state fields: one
+/// [`ElementCache`] per vector the writer encodes element by element.
+macro_rules! live_cache {
+    ($($(#[$doc:meta])* $field:ident: $ty:ty $(=> $elem:ty)?,)*) => {
         /// A [`SnapshotWriter`]'s encoder of the live state: one
         /// [`ElementCache`] per vector encoded element by element.
         #[derive(Debug, Default)]
@@ -171,12 +157,12 @@ macro_rules! live_fields {
         }
 
         impl LiveCache {
-            /// Appends the JSON map of `w`'s live state to `out`.
-            fn encode(&mut self, w: &WorldState, out: &mut String) {
+            /// Appends the JSON map of `live` to `out`.
+            fn encode(&mut self, live: &Live, out: &mut String) {
                 out.push('{');
                 $(
                     out.push_str(concat!("\"", stringify!($field), "\":"));
-                    encode_live_field!(self, w, out, $field $(, $elem)?);
+                    encode_live_field!(self, live, out, $field $(, $elem)?);
                     out.push(',');
                 )*
                 // The closing brace replaces the last field's comma.
@@ -190,53 +176,23 @@ macro_rules! live_fields {
 /// One live field's JSON, appended by a [`LiveCache`]: through its element
 /// cache when the field has one, else encoded whole.
 macro_rules! encode_live_field {
-    ($cache:ident, $w:ident, $out:ident, $field:ident) => {
-        push_json($out, &$w.$field)
+    ($cache:ident, $live:ident, $out:ident, $field:ident) => {
+        push_json($out, &$live.$field)
     };
-    ($cache:ident, $w:ident, $out:ident, $field:ident, $elem:ty) => {
-        $cache.$field.encode(&$w.$field, $out)
+    ($cache:ident, $live:ident, $out:ident, $field:ident, $elem:ty) => {
+        $cache.$field.encode(&$live.$field, $out)
     };
 }
 
-live_fields! {
-    tasks: Vec<TaskRec> => TaskRec,
-    vars: Vec<VarRec> => VarRec,
-    locks: Vec<LockRec>,
-    cvars: Vec<CvarRec>,
-    chans: Vec<ChanRec> => ChanRec,
-    ports: Vec<PortRec> => PortRec,
-    time: u64,
-    wall_extra: u64,
-    steps: u64,
-    events: u64,
-    rng: DetRng,
-    timers: BinaryHeap<Reverse<(u64, u32)>>,
-    pending_inputs: VecDeque<PendingInput>,
-    pending_crashes: VecDeque<(u64, String)>,
-    pending_partitions: VecDeque<(u64, String, String)>,
-    pending_heals: VecDeque<(u64, String, String)>,
-    active_partitions: BTreeSet<(String, String)>,
-    pending_restarts: VecDeque<(u64, String)>,
-    restarts_due: Vec<String>,
-    restarts_fired: Vec<(String, u32)>,
-    crash_counts: BTreeMap<String, u64>,
-    restart_counts: BTreeMap<String, u64>,
-    counters: BTreeMap<String, i64>,
-    cancelling: bool,
-    stop: Option<StopReason>,
-    decision_seq: u64,
-    net_sends: u64,
-    record_syslog: bool,
-    hash_decisions: bool,
-}
+live_fields!(live_cache);
 
 /// The live (non-log) machine state of a [`SnapshotManifest`]; decode
 /// errors name the live state.
-pub struct LiveState(LiveFields);
+pub struct LiveState(Live);
 
 impl Deserialize for LiveState {
     fn deserialize(de: &mut dyn Deserializer) -> Result<Self, serde::Error> {
-        LiveFields::deserialize(de)
+        Live::deserialize(de)
             .map(LiveState)
             .map_err(|e| serde::Error::custom(format!("live state: {e}")))
     }
@@ -557,7 +513,7 @@ impl SnapshotWriter {
             debug_assert_eq!(
                 self.manifest, fresh.manifest,
                 "manifest at decision {} differs from a fresh writer's",
-                w.decision_seq
+                w.live.decision_seq
             );
             for (cache, (name, log)) in self.logs.iter().zip(history_logs(w)) {
                 if let Some(text) = &cache.chunk {
@@ -584,10 +540,10 @@ impl SnapshotWriter {
             out,
             "{{\"version\":{SNAPSHOT_FORMAT_VERSION},\"decision\":{},\"step\":{},\"time\":{},\
              \"digest\":{},\"live\":",
-            w.decision_seq, w.steps, w.time, digest
+            w.live.decision_seq, w.live.steps, w.live.time, digest
         )
         .expect("writing to a String cannot fail");
-        self.live.encode(w, out);
+        self.live.encode(&w.live, out);
         out.push_str(",\"logs\":[");
         let mut count = 0;
         for (pos, (name, log)) in history_logs(w).enumerate() {
@@ -713,7 +669,7 @@ pub fn decode_snapshot(
     fetch: &mut dyn FnMut(&str, u64) -> Result<String, String>,
     policy: Box<dyn SchedulePolicy>,
 ) -> Result<WorldSnapshot, DecodeError> {
-    let manifest: SnapshotManifest =
+    let mut manifest: SnapshotManifest =
         serde_json::from_str(manifest).map_err(|e| DecodeError::Manifest(e.to_string()))?;
     if manifest.version != SNAPSHOT_FORMAT_VERSION {
         return Err(DecodeError::Manifest(format!(
@@ -722,56 +678,19 @@ pub fn decode_snapshot(
         )));
     }
     let live = manifest.live.0;
-    let mut logs = manifest.logs;
-    let trace = decode_log(&mut logs, "trace", fetch)?;
-    let outputs = decode_log(&mut logs, "outputs", fetch)?;
-    let inputs_seen = decode_log(&mut logs, "inputs_seen", fetch)?;
-    let crashes = decode_log(&mut logs, "crashes", fetch)?;
-    let decisions = decode_log(&mut logs, "decisions", fetch)?;
-    let decision_enabled = decode_log(&mut logs, "decision_enabled", fetch)?;
-    let decision_hashes = decode_log(&mut logs, "decision_hashes", fetch)?;
-    let mut sys_log = Vec::with_capacity(live.tasks.len());
-    for i in 0..live.tasks.len() {
-        sys_log.push(decode_log(&mut logs, &format!("syslog-{i}"), fetch)?);
-    }
+    let logs = &mut manifest.logs;
     let world = WorldState {
-        tasks: live.tasks,
-        vars: live.vars,
-        locks: live.locks,
-        cvars: live.cvars,
-        chans: live.chans,
-        ports: live.ports,
-        time: live.time,
-        wall_extra: live.wall_extra,
-        steps: live.steps,
-        events: live.events,
-        rng: live.rng,
-        timers: live.timers,
-        pending_inputs: live.pending_inputs,
-        pending_crashes: live.pending_crashes,
-        pending_partitions: live.pending_partitions,
-        pending_heals: live.pending_heals,
-        active_partitions: live.active_partitions,
-        pending_restarts: live.pending_restarts,
-        restarts_due: live.restarts_due,
-        restarts_fired: live.restarts_fired,
-        crash_counts: live.crash_counts,
-        restart_counts: live.restart_counts,
-        trace,
-        outputs,
-        inputs_seen,
-        counters: live.counters,
-        crashes,
-        decisions,
-        decision_enabled,
-        cancelling: live.cancelling,
-        stop: live.stop,
-        decision_seq: live.decision_seq,
-        net_sends: live.net_sends,
-        sys_log,
-        record_syslog: live.record_syslog,
-        decision_hashes,
-        hash_decisions: live.hash_decisions,
+        trace: decode_log(logs, "trace", fetch)?,
+        outputs: decode_log(logs, "outputs", fetch)?,
+        inputs_seen: decode_log(logs, "inputs_seen", fetch)?,
+        crashes: decode_log(logs, "crashes", fetch)?,
+        decisions: decode_log(logs, "decisions", fetch)?,
+        decision_enabled: decode_log(logs, "decision_enabled", fetch)?,
+        decision_hashes: decode_log(logs, "decision_hashes", fetch)?,
+        sys_log: (0..live.tasks.len())
+            .map(|i| decode_log(logs, &format!("syslog-{i}"), fetch))
+            .collect::<Result<_, _>>()?,
+        live,
     };
     let digest = world.digest();
     if digest != manifest.digest {
@@ -956,17 +875,20 @@ mod tests {
         let snap = &out.snapshots[out.snapshots.len() / 2];
         let w = &snap.world;
         assert!(
-            !w.active_partitions.is_empty(),
+            !w.live.active_partitions.is_empty(),
             "partition should still be active at the snapshot"
         );
-        assert!(!w.pending_heals.is_empty());
-        assert!(!w.pending_partitions.is_empty());
-        assert_eq!(w.restart_counts.get("workers"), Some(&1));
-        assert!(!w.restarts_fired.is_empty());
+        assert!(!w.live.pending_heals.is_empty());
+        assert!(!w.live.pending_partitions.is_empty());
+        assert_eq!(w.live.restart_counts.get("workers"), Some(&1));
+        assert!(!w.live.restarts_fired.is_empty());
 
         let decoded = decode(snap, &manifest_text(snap)).expect("fault-state roundtrip decodes");
-        assert_eq!(decoded.world.active_partitions, w.active_partitions);
-        assert_eq!(decoded.world.restarts_fired, w.restarts_fired);
+        assert_eq!(
+            decoded.world.live.active_partitions,
+            w.live.active_partitions
+        );
+        assert_eq!(decoded.world.live.restarts_fired, w.live.restarts_fired);
         assert_eq!(decoded.world.digest(), w.digest());
 
         let a = resume_program(&RACER, faulted_cfg(), snap, None, vec![]);

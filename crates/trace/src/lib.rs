@@ -10,9 +10,8 @@
 //!   [`InputLog`], [`FailureSnapshot`], [`EventLog`]): what each determinism
 //!   model persists — relaxation means smaller artifacts.
 //! - Recorder observers ([`ScheduleRecorder`], [`ValueRecorder`],
-//!   [`OutputRecorder`], [`InputRecorder`], [`SelectiveRecorder`],
-//!   [`SiteProfiler`]): the building blocks `dd-replay` and `dd-core`
-//!   assemble into determinism models.
+//!   [`OutputRecorder`], [`InputRecorder`]): the building blocks `dd-replay`
+//!   and `dd-core` assemble into determinism models.
 //! - On-disk artifacts ([`JsonlTrace`], [`SnapshotStore`]): the `dd` trace
 //!   file and the spilled snapshot store. Every other artifact is JSON
 //!   text that its caller reads and writes with `serde_json`.
@@ -32,10 +31,7 @@ pub use logs::{
     EpochMark, EventLog, FailureSnapshot, InputEntry, InputLog, OutputLog, ScheduleLog, ValEntry,
     ValKind, ValueCursor, ValueCursorStats, ValueLog, SCHEDULE_LOG_VERSION,
 };
-pub use recorder::{
-    InputRecorder, OutputRecorder, RecordFilter, ScheduleRecorder, SelectiveRecorder, SiteProfiler,
-    ValueRecorder,
-};
+pub use recorder::{InputRecorder, OutputRecorder, ScheduleRecorder, ValueRecorder};
 pub use store::{
     LogRef, RetentionPolicy, SnapEntry, SnapshotStore, StoreError, STORE_FORMAT_VERSION,
 };

@@ -7,10 +7,7 @@
 //! [`RunOutput::observer`](dd_sim::RunOutput::observer).
 
 use crate::cost::{log_size, ChargeAcc, CostModel, LogStats};
-use crate::logs::{
-    EventLog, InputEntry, InputLog, OutputLog, ScheduleLog, ValEntry, ValKind, ValueLog,
-};
-use crate::trace::TraceEvent;
+use crate::logs::{InputEntry, InputLog, OutputLog, ScheduleLog, ValEntry, ValKind, ValueLog};
 use dd_sim::{observer_boilerplate, Event, EventMeta, Observer, RecordedDecision, Value};
 use std::collections::BTreeMap;
 
@@ -56,13 +53,6 @@ impl ScheduleRecorder {
     pub fn absorb_epochs(&mut self, snapshots: &[dd_sim::WorldSnapshot]) {
         self.log
             .merge_epochs(snapshots.iter().map(crate::EpochMark::of));
-    }
-
-    /// Merges another recorder's epoch marks into this one (the
-    /// concurrent-recorder join: each worker's recorder saw only its own
-    /// executions' snapshot slice).
-    pub fn merge_epochs_from(&mut self, other: &ScheduleLog) {
-        self.log.merge_epochs(other.epochs.iter().copied());
     }
 
     /// Recording statistics.
@@ -303,113 +293,6 @@ impl Observer for InputRecorder {
     observer_boilerplate!();
 }
 
-/// A dynamic predicate deciding whether an event is recorded.
-pub type RecordFilter = Box<dyn FnMut(&EventMeta, &Event) -> bool + Send>;
-
-/// Records the subset of events matching a filter — the generic selective
-/// recorder RCSE builds on.
-pub struct SelectiveRecorder {
-    name: &'static str,
-    cost: CostModel,
-    acc: ChargeAcc,
-    filter: RecordFilter,
-    log: EventLog,
-    stats: LogStats,
-}
-
-impl SelectiveRecorder {
-    /// Creates a selective recorder.
-    pub fn new(name: &'static str, cost: CostModel, filter: RecordFilter) -> Self {
-        SelectiveRecorder {
-            name,
-            cost,
-            acc: ChargeAcc::default(),
-            filter,
-            log: EventLog::default(),
-            stats: LogStats::default(),
-        }
-    }
-
-    /// The recorded events.
-    pub fn log(&self) -> &EventLog {
-        &self.log
-    }
-
-    /// Consumes the recorded events.
-    pub fn take_log(&mut self) -> EventLog {
-        std::mem::take(&mut self.log)
-    }
-
-    /// Recording statistics.
-    pub fn stats(&self) -> LogStats {
-        self.stats
-    }
-}
-
-impl Observer for SelectiveRecorder {
-    fn name(&self) -> &'static str {
-        self.name
-    }
-
-    fn on_event(&mut self, meta: &EventMeta, event: &Event) -> u64 {
-        if (self.filter)(meta, event) {
-            let bytes = log_size(event);
-            self.stats.add(bytes);
-            self.log.events.push(TraceEvent {
-                meta: *meta,
-                event: event.clone(),
-            });
-            self.acc.add(self.cost.cost_milli(bytes))
-        } else {
-            0
-        }
-    }
-
-    observer_boilerplate!();
-}
-
-/// A profiling observer counting per-site records and bytes (free — it
-/// models offline profiling, not production recording).
-#[derive(Default)]
-pub struct SiteProfiler {
-    per_site: BTreeMap<String, LogStats>,
-}
-
-impl SiteProfiler {
-    /// Creates an empty profiler.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Per-site statistics accumulated so far.
-    pub fn per_site(&self) -> &BTreeMap<String, LogStats> {
-        &self.per_site
-    }
-
-    /// Consumes the accumulated statistics.
-    pub fn take(&mut self) -> BTreeMap<String, LogStats> {
-        std::mem::take(&mut self.per_site)
-    }
-}
-
-impl Observer for SiteProfiler {
-    fn name(&self) -> &'static str {
-        "site-profiler"
-    }
-
-    fn on_event(&mut self, _meta: &EventMeta, event: &Event) -> u64 {
-        if let Some(site) = event.site() {
-            self.per_site
-                .entry(site.to_owned())
-                .or_default()
-                .add(event.payload_bytes());
-        }
-        0
-    }
-
-    observer_boilerplate!();
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -461,49 +344,6 @@ mod tests {
     }
 
     #[test]
-    fn selective_recorder_filters() {
-        let mut r = SelectiveRecorder::new(
-            "ctrl",
-            CostModel::per_record(1),
-            Box::new(|_m, e| e.site().is_some_and(|s| s.starts_with("ctl::"))),
-        );
-        r.on_event(
-            &meta(),
-            &Event::Yield {
-                task: TaskId(0),
-                site: "ctl::x".into(),
-            },
-        );
-        r.on_event(
-            &meta(),
-            &Event::Yield {
-                task: TaskId(0),
-                site: "data::y".into(),
-            },
-        );
-        assert_eq!(r.log().len(), 1);
-    }
-
-    #[test]
-    fn site_profiler_aggregates_bytes() {
-        let mut p = SiteProfiler::new();
-        for _ in 0..3 {
-            p.on_event(
-                &meta(),
-                &Event::Send {
-                    task: TaskId(0),
-                    chan: dd_sim::ChanId(0),
-                    value: Value::Bytes(vec![0; 10]),
-                    site: "net::send".into(),
-                },
-            );
-        }
-        let stats = p.per_site()["net::send"];
-        assert_eq!(stats.records, 3);
-        assert_eq!(stats.bytes, 42);
-    }
-
-    #[test]
     fn output_recorder_captures_counters() {
         let mut r = OutputRecorder::new(CostModel::per_record(1));
         r.on_event(
@@ -534,10 +374,10 @@ mod tests {
         a.log.epochs = vec![mark(2), mark(4)];
         let mut b = ScheduleRecorder::new(CostModel::free());
         b.log.epochs = vec![mark(4), mark(6)];
-        a.merge_epochs_from(b.log());
+        a.log.merge_epochs(b.log().epochs.iter().copied());
         assert_eq!(a.log().epochs, vec![mark(2), mark(4), mark(6)]);
         // Merging is idempotent: folding the same slice again is a no-op.
-        a.merge_epochs_from(b.log());
+        a.log.merge_epochs(b.log().epochs.iter().copied());
         assert_eq!(a.log().epochs, vec![mark(2), mark(4), mark(6)]);
     }
 }

@@ -73,20 +73,6 @@ impl Trace {
         self.events.iter()
     }
 
-    /// Iterates over events issued by `task`.
-    pub fn by_task(&self, task: TaskId) -> impl Iterator<Item = &TraceEvent> {
-        self.events
-            .iter()
-            .filter(move |e| e.event.task() == Some(task))
-    }
-
-    /// Iterates over events whose site starts with `prefix`.
-    pub fn by_site_prefix<'a>(&'a self, prefix: &'a str) -> impl Iterator<Item = &'a TraceEvent> {
-        self.events
-            .iter()
-            .filter(move |e| e.event.site().is_some_and(|s| s.starts_with(prefix)))
-    }
-
     /// Extracts all shared-memory accesses, in program order.
     pub fn accesses(&self) -> Vec<AccessRecord> {
         self.events
@@ -125,17 +111,6 @@ impl Trace {
             .collect()
     }
 
-    /// Returns the messages carried on the named channel id, in order.
-    pub fn sends_on(&self, chan: dd_sim::ChanId) -> Vec<&dd_sim::Value> {
-        self.events
-            .iter()
-            .filter_map(|e| match &e.event {
-                Event::Send { chan: c, value, .. } if *c == chan => Some(value),
-                _ => None,
-            })
-            .collect()
-    }
-
     /// Returns all probe samples with the given name, in order.
     pub fn probes(&self, name: &str) -> Vec<(TaskId, &dd_sim::Value)> {
         self.events
@@ -152,13 +127,6 @@ impl Trace {
             .collect()
     }
 
-    /// Returns the first crash event, if any.
-    pub fn first_crash(&self) -> Option<&TraceEvent> {
-        self.events
-            .iter()
-            .find(|e| matches!(e.event, Event::Crash { .. }))
-    }
-
     /// Counts events matching a predicate.
     pub fn count_matching(&self, pred: impl Fn(&Event) -> bool) -> usize {
         self.events.iter().filter(|e| pred(&e.event)).count()
@@ -172,17 +140,6 @@ impl Trace {
     /// Finds the first event matching a predicate.
     pub fn find(&self, pred: impl Fn(&Event) -> bool) -> Option<&TraceEvent> {
         self.events.iter().find(|e| pred(&e.event))
-    }
-
-    /// Finds the last event matching a predicate.
-    pub fn rfind(&self, pred: impl Fn(&Event) -> bool) -> Option<&TraceEvent> {
-        self.events.iter().rev().find(|e| pred(&e.event))
-    }
-
-    /// Total payload bytes moved by the program (the denominator of
-    /// data-rate statistics).
-    pub fn total_payload_bytes(&self) -> u64 {
-        self.events.iter().map(|e| e.event.payload_bytes()).sum()
     }
 
     /// The execution-clock duration covered by this trace.
@@ -263,26 +220,19 @@ mod tests {
     }
 
     #[test]
-    fn filters_by_task_and_site() {
-        let t = sample();
-        assert_eq!(t.by_task(TaskId(0)).count(), 2);
-        assert_eq!(t.by_site_prefix("b::").count(), 2);
-    }
-
-    #[test]
     fn probes_and_crashes() {
         let t = sample();
         let p = t.probes("qlen");
         assert_eq!(p.len(), 1);
         assert_eq!(p[0].1.as_int(), Some(7));
-        assert!(t.first_crash().is_some());
+        assert!(t.find(|e| matches!(e, Event::Crash { .. })).is_some());
     }
 
     #[test]
     fn duration_and_bytes() {
         let t = sample();
         assert_eq!(t.duration(), 6);
-        assert!(t.total_payload_bytes() >= 16);
+        assert!(t.iter().map(|e| e.event.payload_bytes()).sum::<u64>() >= 16);
     }
 
     #[test]
@@ -291,14 +241,5 @@ mod tests {
         let s = serde_json::to_string(&t).unwrap();
         let back: Trace = serde_json::from_str(&s).unwrap();
         assert_eq!(t, back);
-    }
-
-    #[test]
-    fn find_and_rfind() {
-        let t = sample();
-        let first = t.find(|e| matches!(e, Event::Read { .. })).unwrap();
-        assert_eq!(first.meta.step, 0);
-        let last = t.rfind(|e| e.task() == Some(TaskId(0))).unwrap();
-        assert_eq!(last.meta.step, 2);
     }
 }

@@ -213,10 +213,12 @@ type StorePin = (&'static str, usize, u64, u64);
 
 /// Stores that keep every snapshot (`--spill-keep 1000000`), so every
 /// manifest a recording writes is pinned: an offer at every msgserver
-/// decision; failover's tasks and syscall logs appearing mid-run after
-/// crash and restart, with fault-plane live state; and offers far enough
-/// apart that a log's tail seals into a chunk between two of them, or
-/// several chunks seal at once.
+/// decision; failover's tasks and syscall logs appearing mid-run after its
+/// production crash; offers far enough apart that a log's tail seals into
+/// a chunk between two of them, or several chunks seal at once; and a
+/// failover run with a partition and a restart, whose manifests carry every
+/// fault-plane field non-empty in at least one snapshot (pending and active
+/// partitions, pending heals and restarts, fired restarts, restart counts).
 const KEPT_STORES: &[StorePin] = &[
     (
         "msgserver --spill-every 1",
@@ -231,30 +233,36 @@ const KEPT_STORES: &[StorePin] = &[
         0x9fe9257a858a55fb,
     ),
     ("failover --spill-every 300", 30, 642163, 0x15efb46d32b6dbf7),
+    (
+        "failover --partition 40:200:server0:server2 --restart 1070:server1 --spill-every 8",
+        242,
+        14959724,
+        0xa86c6316bfa57a55,
+    ),
 ];
 
 #[test]
 fn every_manifest_of_a_store_that_keeps_all_is_pinned() {
     let dir = scratch("kept");
     let mut actual = Vec::new();
-    for (name, workload, every) in [
-        ("msgserver --spill-every 1", "msgserver", "1"),
-        ("failover --spill-every 4", "failover", "4"),
-        ("failover --spill-every 300", "failover", "300"),
+    let faults = [
+        "--partition",
+        "40:200:server0:server2",
+        "--restart",
+        "1070:server1",
+    ];
+    for (name, workload, every, extra) in [
+        ("msgserver --spill-every 1", "msgserver", "1", &[][..]),
+        ("failover --spill-every 4", "failover", "4", &[]),
+        ("failover --spill-every 300", "failover", "300", &[]),
+        (KEPT_STORES[3].0, "failover", "8", &faults),
     ] {
         let trace = dir.join(format!("{workload}-{every}.jsonl"));
         let trace_arg = trace.to_str().expect("utf-8 path");
-        dd(&[
-            "record",
-            workload,
-            "--out",
-            trace_arg,
-            "--spill",
-            "--spill-every",
-            every,
-            "--spill-keep",
-            "1000000",
-        ]);
+        let mut args = vec!["record", workload, "--out", trace_arg];
+        args.extend(extra);
+        args.extend(["--spill", "--spill-every", every, "--spill-keep", "1000000"]);
+        dd(&args);
         let store = PathBuf::from(format!("{trace_arg}.snapshots"));
         let mut files = Vec::new();
         files_under(&store, &store, &mut files);
