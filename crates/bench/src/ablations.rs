@@ -12,20 +12,20 @@
 //!   msgserver race — interleavings executed vs pruned, failures found.
 //! - [`checkpoint_sweep`] (ABL-7): what checkpointed (fork-based) DFS saves
 //!   over from-scratch DFS — kernel operations executed vs skipped via
-//!   snapshot restore, and wall time — on all four workloads.
-//! - [`scaling_sweep`] (ABL-8): how the multi-worker explorer scales with
-//!   worker count — identical walks, wall-clock only — scratch vs
-//!   checkpointed, shallow vs deep horizons.
+//!   snapshot restore — on all four workloads.
 //! - [`fidelity_sweep`] (ABL-10): the recording-cost axis — every
 //!   determinism model on every workload, reporting bytes recorded and
 //!   DF/DE/DU, with the two order-logging fidelities (message-order and
 //!   race-complete) placed between value and perfect determinism.
 //! - [`task_scale_sweep`] (ABL-11): task-count scaling of the coroutine
-//!   engine — the max-task-count spawn-storm curve plus the deep-msgserver
-//!   checkpointed-DFS wall clock against the thread-engine baseline.
+//!   engine — the max-task-count spawn-storm curve.
 //! - [`fault_sweep`] (ABL-13): the fault grid — both failover hyperstore
 //!   builds under every candidate fault schedule; the fixed build must
 //!   never lose an acknowledged row.
+//!
+//! Every column is deterministic, so a rerun reproduces each table byte for
+//! byte. Wall-clock cost is measured by the separate `benchmark/` package
+//! (`ddbench`).
 
 use dd_core::{InferenceBudget, ModelKind, OutputLiteModel, RcseConfig, Session, Workload};
 use dd_hyperstore::{HyperConfig, HyperstoreWorkload};
@@ -269,6 +269,8 @@ pub struct CheckpointPoint {
     pub depth: u32,
     /// Interleavings executed.
     pub executed: u64,
+    /// Sibling branches DPOR pruned.
+    pub pruned: u64,
     /// Kernel operations executed.
     pub steps_executed: u64,
     /// Kernel operations skipped via snapshot restore.
@@ -277,8 +279,6 @@ pub struct CheckpointPoint {
     /// when every kernel operation was inherited from snapshots (the ratio
     /// is unbounded; rendered as `-`).
     pub speedup: Option<f64>,
-    /// Host wall-clock milliseconds for the whole walk.
-    pub wall_ms: u64,
     /// Distinct failure ids found (must match between modes).
     pub failures: usize,
 }
@@ -297,9 +297,7 @@ pub struct CheckpointPoint {
 ///   its budget near the horizon, so restored prefixes carry a large share
 ///   of each run — this is where checkpointing pays (the acceptance gate:
 ///   ≥ 30 % fewer kernel operations than scratch).
-///
-/// `modes` filters rows (`["scratch", "checkpointed"]` runs both).
-pub fn checkpoint_sweep(modes: &[&str]) -> Vec<CheckpointPoint> {
+pub fn checkpoint_sweep() -> Vec<CheckpointPoint> {
     let workloads: Vec<(Box<dyn Workload>, u32, u64)> = vec![
         (Box::new(SumWorkload), 4, 1_000),
         (
@@ -333,149 +331,23 @@ pub fn checkpoint_sweep(modes: &[&str]) -> Vec<CheckpointPoint> {
     for (w, depth, budget_n) in &workloads {
         let scenario = w.scenario();
         let strategy = SearchStrategy::Dpor { max_depth: *depth };
-        for &mode in modes {
-            let budget = match mode {
-                "scratch" => InferenceBudget::executions(*budget_n),
-                "checkpointed" => InferenceBudget::executions(*budget_n)
-                    .with_checkpoints(InferenceBudget::DEFAULT_CHECKPOINT_INTERVAL),
-                other => panic!("unknown ABL-7 mode {other:?} (scratch|checkpointed)"),
-            };
-            let t0 = std::time::Instant::now();
+        for (mode, interval) in [
+            ("scratch", 0),
+            ("checkpointed", InferenceBudget::DEFAULT_CHECKPOINT_INTERVAL),
+        ] {
+            let budget = InferenceBudget::executions(*budget_n).with_checkpoints(interval);
             let (failures, stats) = enumerate_failures(&scenario, &budget, strategy);
             points.push(CheckpointPoint {
                 workload: w.name().to_owned(),
                 mode: mode.to_owned(),
                 depth: *depth,
                 executed: stats.explored,
+                pruned: stats.pruned,
                 steps_executed: stats.steps_executed,
                 steps_skipped: stats.steps_skipped,
                 speedup: stats.replay_speedup(),
-                wall_ms: t0.elapsed().as_millis() as u64,
                 failures: failures.len(),
             });
-        }
-    }
-    points
-}
-
-/// One worker-scaling sweep point (ABL-8).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ScalingPoint {
-    /// Workload name.
-    pub workload: String,
-    /// `"scratch"` or `"checkpointed"`.
-    pub mode: String,
-    /// Branching-depth bound of the DFS.
-    pub depth: u32,
-    /// Worker threads the parallel explorer used (`1` = the sequential
-    /// coordinator path).
-    pub workers: u32,
-    /// Interleavings executed (identical across worker counts).
-    pub executed: u64,
-    /// Branches pruned by DPOR (identical across worker counts).
-    pub pruned: u64,
-    /// Distinct failure ids found (identical across worker counts).
-    pub failures: usize,
-    /// Host wall-clock milliseconds for the whole walk.
-    pub wall_ms: u64,
-    /// Wall-clock scaling vs this row's 1-worker cell — `None` when the
-    /// sweep did not include `workers = 1`.
-    pub scaling: Option<f64>,
-}
-
-/// ABL-8: worker-scaling sweep — `SearchStrategy::Dpor` on a budget of
-/// 1/2/4/8 workers, scratch vs checkpointed, on all four workloads plus the
-/// deep-horizon msgserver row.
-///
-/// The determinism contract makes the table three-quarters boring on
-/// purpose: `executed`, `pruned` and `failures` must be identical down
-/// every worker column (the sweep panics if they are not — the same
-/// property CI's `determinism-matrix` job and the parallel-determinism
-/// proptests gate), so the only number that moves is wall-clock. Expect
-/// the deep msgserver row to scale and the shallow depth-4 rows not to:
-/// with every branch point in a run's first few decisions, the next branch
-/// is only discovered by executing the previous run — a serial chain no
-/// worker pool can shorten (subtree granularity; see README "Parallel
-/// exploration").
-///
-/// `deep_only` restricts the sweep to the deep-horizon msgserver row (the
-/// CI perf-smoke configuration).
-pub fn scaling_sweep(workers_list: &[u32], deep_only: bool) -> Vec<ScalingPoint> {
-    let mut workloads: Vec<(Box<dyn Workload>, u32, u64)> = Vec::new();
-    if !deep_only {
-        workloads.push((Box::new(SumWorkload), 4, 1_000));
-        workloads.push((
-            Box::new(
-                MsgServerWorkload::discover(MsgServerConfig::default(), 64)
-                    .expect("msgserver failing seed"),
-            ),
-            4,
-            1_000,
-        ));
-        workloads.push((Box::new(BufOverflowWorkload), 4, 1_000));
-        workloads.push((
-            Box::new(
-                HyperstoreWorkload::discover(HyperConfig::default(), 200)
-                    .expect("hyperstore failing seed"),
-            ),
-            4,
-            1_000,
-        ));
-    }
-    // The deep-horizon regime where independent subtrees dominate.
-    workloads.push((
-        Box::new(
-            MsgServerWorkload::discover(MsgServerConfig::default(), 64)
-                .expect("msgserver failing seed"),
-        ),
-        256,
-        150,
-    ));
-
-    let mut points = Vec::new();
-    for (w, depth, budget_n) in &workloads {
-        let scenario = w.scenario();
-        for mode in ["scratch", "checkpointed"] {
-            let budget = match mode {
-                "scratch" => InferenceBudget::executions(*budget_n),
-                _ => InferenceBudget::executions(*budget_n)
-                    .with_checkpoints(InferenceBudget::DEFAULT_CHECKPOINT_INTERVAL),
-            };
-            let mut base_wall: Option<std::time::Duration> = None;
-            let mut base_results: Option<(std::collections::BTreeSet<String>, u64, u64)> = None;
-            for &workers in workers_list {
-                let strategy = SearchStrategy::Dpor { max_depth: *depth };
-                let t0 = std::time::Instant::now();
-                let (failures, stats) =
-                    enumerate_failures(&scenario, &budget.with_workers(workers), strategy);
-                let wall = t0.elapsed();
-                match &base_results {
-                    None => base_results = Some((failures.clone(), stats.explored, stats.pruned)),
-                    Some((f, e, p)) => assert!(
-                        *f == failures && *e == stats.explored && *p == stats.pruned,
-                        "{} / {mode}: {workers}-worker walk diverged from the \
-                         {}-worker walk — the determinism contract is broken",
-                        w.name(),
-                        workers_list[0],
-                    ),
-                }
-                if workers == 1 {
-                    base_wall = Some(wall);
-                }
-                points.push(ScalingPoint {
-                    workload: w.name().to_owned(),
-                    mode: mode.to_owned(),
-                    depth: *depth,
-                    workers,
-                    executed: stats.explored,
-                    pruned: stats.pruned,
-                    failures: failures.len(),
-                    wall_ms: wall.as_millis() as u64,
-                    // Ratio of full-precision durations: sub-millisecond
-                    // rows must not collapse to a 0.00x baseline.
-                    scaling: base_wall.map(|b| b.as_secs_f64() / wall.as_secs_f64().max(1e-9)),
-                });
-            }
         }
     }
     points
@@ -602,36 +474,16 @@ pub fn invariant_sweep(run_counts: &[usize]) -> Vec<InvariantPoint> {
         .collect()
 }
 
-/// One task-scale sweep point (ABL-11).
+/// One task-scale sweep point (ABL-11): one spawn storm.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct TaskScalePoint {
-    /// Row name: `spawn-storm` or `deep-msgserver-checkpointed`.
-    pub row: String,
-    /// Tasks spawned over the run's lifetime (storm rows) or the DFS
-    /// interleaving budget (the msgserver row).
+    /// Tasks spawned over the run's lifetime.
     pub tasks: u64,
-    /// Scheduling decisions taken (storm rows) or kernel operations
-    /// executed (the msgserver row).
+    /// Scheduling decisions taken.
     pub steps: u64,
-    /// Host wall-clock milliseconds.
-    pub wall_ms: u64,
-    /// The run reached its natural end (quiescence / budget exhausted)
-    /// without hitting a ceiling.
+    /// The run reached quiescence with every child spawned and no crash.
     pub completed: bool,
-    /// Committed thread-per-task-engine wall clock for the same
-    /// configuration, where one exists (the msgserver row).
-    pub baseline_wall_ms: Option<u64>,
-    /// `baseline_wall_ms / wall_ms` — how much faster the coroutine
-    /// engine drives the identical walk.
-    pub speedup_vs_baseline: Option<f64>,
 }
-
-/// Deep-msgserver checkpointed-DFS wall clock recorded by the
-/// thread-per-task engine (the pre-coroutine `BENCH_checkpoint.json`
-/// baseline: depth-256 DPOR, 150-execution budget, default checkpoint
-/// interval, single worker). ABL-11's acceptance gate holds the coroutine
-/// engine to ≥ 1.5× faster on this exact walk.
-pub const THREAD_ENGINE_DEEP_MSGSERVER_WALL_MS: u64 = 439;
 
 /// A root task that spawns `n` trivially-exiting children — the maximal
 /// spawn-churn stress for the engine's task table and live-task list.
@@ -659,78 +511,40 @@ impl dd_sim::Program for SpawnStorm {
     }
 }
 
-/// ABL-11: task-count scaling of the coroutine engine.
-///
-/// Two claims, one table:
-///
-/// - *Max-task-count curve* (`spawn-storm` rows): tasks are heap-allocated
-///   state machines, so a run can own 10^5 of them — two orders of
-///   magnitude past where the thread-per-task engine exhausted OS thread
-///   handles. Near-linear `wall_ms` across the curve also pins the
-///   driver's O(live)-per-step scheduling scan (a quadratic regression
-///   shows up as a bent curve long before it times anything out).
-/// - *Deep-msgserver row*: the ABL-7 deep checkpointed walk (the regime
-///   snapshot restore targets), timed under the coroutine engine and
-///   compared against the committed thread-engine baseline
-///   ([`THREAD_ENGINE_DEEP_MSGSERVER_WALL_MS`]). Same schedule tree, same
-///   failure set — the delta is pure engine overhead: no thread spawns,
-///   no parking handshakes, no re-attachment on snapshot restore.
+/// ABL-11: task-count scaling of the coroutine engine — the max-task-count
+/// curve. Tasks are heap-allocated state machines, so a run can own 10^5
+/// of them — two orders of magnitude past where the thread-per-task engine
+/// exhausted OS thread handles. `tests/task_scale_gate.rs` times this sweep
+/// to check that the curve stays near-linear.
 pub fn task_scale_sweep(storm_sizes: &[u32]) -> Vec<TaskScalePoint> {
-    let mut points = Vec::new();
-    for &n in storm_sizes {
-        let cfg = dd_sim::RunConfig {
-            max_steps: (n as u64 + 2) * 4,
-            ..dd_sim::RunConfig::with_seed(7)
-        };
-        let t0 = std::time::Instant::now();
-        let out = dd_sim::run_program(
-            &SpawnStorm { n },
-            cfg,
-            Box::new(dd_sim::RandomPolicy::new(7)),
-            vec![],
-        );
-        let wall_ms = t0.elapsed().as_millis() as u64;
-        let spawned = out
-            .io
-            .outputs_on("spawned")
-            .first()
-            .and_then(|v| v.as_int())
-            .unwrap_or(0);
-        points.push(TaskScalePoint {
-            row: "spawn-storm".to_owned(),
-            tasks: n as u64,
-            steps: out.decisions.len() as u64,
-            wall_ms,
-            completed: out.stop == dd_sim::StopReason::Quiescent
-                && spawned == i64::from(n)
-                && out.io.crashes.is_empty(),
-            baseline_wall_ms: None,
-            speedup_vs_baseline: None,
-        });
-    }
-
-    // The ABL-7 deep regime, checkpointed mode, single worker.
-    let w = MsgServerWorkload::discover(MsgServerConfig::default(), 64)
-        .expect("msgserver failing seed");
-    let scenario = w.scenario();
-    let budget = InferenceBudget::executions(150)
-        .with_checkpoints(InferenceBudget::DEFAULT_CHECKPOINT_INTERVAL);
-    let strategy = SearchStrategy::Dpor { max_depth: 256 };
-    let t0 = std::time::Instant::now();
-    let (failures, stats) = enumerate_failures(&scenario, &budget, strategy);
-    let wall_ms = t0.elapsed().as_millis() as u64;
-    points.push(TaskScalePoint {
-        row: "deep-msgserver-checkpointed".to_owned(),
-        tasks: stats.explored,
-        steps: stats.steps_executed,
-        wall_ms,
-        completed: !failures.is_empty(),
-        baseline_wall_ms: Some(THREAD_ENGINE_DEEP_MSGSERVER_WALL_MS),
-        speedup_vs_baseline: Some(
-            THREAD_ENGINE_DEEP_MSGSERVER_WALL_MS as f64 / (wall_ms.max(1)) as f64,
-        ),
-    });
-    points
+    storm_sizes
+        .iter()
+        .map(|&n| {
+            let cfg = dd_sim::RunConfig {
+                max_steps: (n as u64 + 2) * 4,
+                ..dd_sim::RunConfig::with_seed(7)
+            };
+            let out = dd_sim::run_program(
+                &SpawnStorm { n },
+                cfg,
+                Box::new(dd_sim::RandomPolicy::new(7)),
+                vec![],
+            );
+            let spawned = out
+                .io
+                .outputs_on("spawned")
+                .first()
+                .and_then(|v| v.as_int())
+                .unwrap_or(0);
+            TaskScalePoint {
+                tasks: n as u64,
+                steps: out.decisions.len() as u64,
+                completed: out.stop == dd_sim::StopReason::Quiescent
+                    && spawned == i64::from(n)
+                    && out.io.crashes.is_empty(),
+            }
+        })
+        .collect()
 }
 
 /// One fault-grid sweep point (ABL-13): one build under one fault
@@ -758,8 +572,6 @@ pub struct FaultPoint {
     pub crashes: u64,
     /// See `crashes`.
     pub restarts: u64,
-    /// Host wall-clock milliseconds for the whole cell.
-    pub wall_ms: u64,
 }
 
 /// Names a fault schedule by which event kinds it carries.
@@ -806,7 +618,6 @@ pub fn fault_sweep(seeds_per_cell: u64) -> Vec<FaultPoint> {
     let mut points = Vec::new();
     for (build, program) in &builds {
         for env in failover_env_candidates(&cfg) {
-            let t0 = std::time::Instant::now();
             let mut p = FaultPoint {
                 build: (*build).to_owned(),
                 schedule: fault_schedule_name(&env),
@@ -817,7 +628,6 @@ pub fn fault_sweep(seeds_per_cell: u64) -> Vec<FaultPoint> {
                 lost_rows: 0,
                 crashes: 0,
                 restarts: 0,
-                wall_ms: 0,
             };
             for seed in 0..seeds_per_cell {
                 let rc = dd_sim::RunConfig {
@@ -845,7 +655,6 @@ pub fn fault_sweep(seeds_per_cell: u64) -> Vec<FaultPoint> {
                 p.crashes += out.io.group_crashes.values().sum::<u64>();
                 p.restarts += out.io.group_restarts.values().sum::<u64>();
             }
-            p.wall_ms = t0.elapsed().as_millis() as u64;
             points.push(p);
         }
     }

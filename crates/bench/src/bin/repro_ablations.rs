@@ -1,25 +1,37 @@
-//! Regenerates the ablation studies (ABL-1 … ABL-9 in DESIGN.md).
+//! Regenerates the ablation studies (ABL-1 … ABL-13, ABL-8 retired; README
+//! "Regenerating the figures").
 //!
-//! Usage: `cargo run --release --bin repro-ablations [-- <which>] [flags]`
-//! where `<which>` is one of `threshold`, `window`, `budget`, `scale`,
-//! `strategies`, `invariants`, `checkpoint`, `scaling`, `snapshot`,
-//! `fidelity`, `taskscale`, `store`, `faults`, or omitted for all.
+//! Usage: `cargo run --release --bin repro-ablations [-- <which>]` where
+//! `<which>` is one of `threshold`, `window`, `budget`, `scale`,
+//! `strategies`, `invariants`, `checkpoint`, `snapshot`, `fidelity`,
+//! `taskscale`, `store`, `faults`, or `all` (the default). Any other
+//! argument exits 3, `dd`'s usage status, without running anything.
 //!
 //! Every sweep renders its table *and* writes machine-readable
-//! `BENCH_<name>.json` at the workspace root (override the directory with
-//! `DD_BENCH_DIR`), so the perf trajectory is tracked in-repo.
-//!
-//! - `--strategy=scratch` / `--strategy=checkpointed` restricts the ABL-7
-//!   table to a single row per workload (useful for CI perf smoke).
-//! - `--workers=1,4` restricts the ABL-8 worker grid (default `1,2,4,8`).
-//! - `--deep` restricts ABL-8 to the deep-horizon msgserver row (the CI
-//!   perf-smoke configuration).
+//! `BENCH_<name>.json` at the workspace root, so the numbers are tracked
+//! in-repo.
 
 use dd_bench::{
     budget_sweep, checkpoint_sweep, emit_bench, fault_sweep, fidelity_sweep, invariant_sweep,
-    scale_sweep, scaling_sweep, snapshot_cost_sweep, snapshot_store_sweep, strategy_sweep,
-    task_scale_sweep, threshold_sweep, window_sweep,
+    scale_sweep, snapshot_cost_sweep, snapshot_store_sweep, strategy_sweep, task_scale_sweep,
+    threshold_sweep, window_sweep,
 };
+
+/// The sweeps `repro-ablations` accepts by name, in run order.
+const SWEEPS: [&str; 12] = [
+    "threshold",
+    "window",
+    "budget",
+    "scale",
+    "strategies",
+    "invariants",
+    "checkpoint",
+    "snapshot",
+    "fidelity",
+    "taskscale",
+    "store",
+    "faults",
+];
 
 /// Renders an optional ratio as `12.34x`, or `-` when undefined.
 fn ratio(r: Option<f64>) -> String {
@@ -31,26 +43,17 @@ fn ratio(r: Option<f64>) -> String {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let which = args
-        .iter()
-        .find(|a| !a.starts_with("--"))
-        .cloned()
-        .unwrap_or_else(|| "all".into());
-    let strategy_filter: Option<String> = args
-        .iter()
-        .find_map(|a| a.strip_prefix("--strategy=").map(str::to_owned));
-    let workers_grid: Vec<u32> = args
-        .iter()
-        .find_map(|a| a.strip_prefix("--workers="))
-        .map(|list| {
-            list.split(',')
-                .map(|w| w.parse().expect("--workers takes a comma-separated list"))
-                .collect()
-        })
-        .unwrap_or_else(|| vec![1, 2, 4, 8]);
-    let deep_only = args.iter().any(|a| a == "--deep");
+    let which = match args.as_slice() {
+        [] => "all",
+        [w] if w == "all" || SWEEPS.contains(&w.as_str()) => w.as_str(),
+        _ => {
+            eprintln!("usage: repro-ablations [all|{}]", SWEEPS.join("|"));
+            std::process::exit(3);
+        }
+    };
+    let run = |name: &str| which == "all" || which == name;
 
-    if which == "threshold" || which == "all" {
+    if run("threshold") {
         println!("ABL-1 — control-plane data-rate threshold sweep (hyperstore)");
         println!(
             "{:>12} {:>10} {:>10} {:>9} {:>6}",
@@ -66,7 +69,7 @@ fn main() {
         emit_bench("threshold", &points);
         println!();
     }
-    if which == "window" || which == "all" {
+    if run("window") {
         println!("ABL-2 — trigger quiet-window sweep (msgserver, lockset trigger)");
         println!("{:>8} {:>9} {:>6}", "window", "overhead", "DF");
         let points = window_sweep(&[0, 100, 500, 2_000, 10_000]);
@@ -76,7 +79,7 @@ fn main() {
         emit_bench("window", &points);
         println!();
     }
-    if which == "budget" || which == "all" {
+    if run("budget") {
         println!("ABL-3 — inference-budget sweep (output determinism, hyperstore)");
         println!(
             "{:>8} {:>11} {:>9} {:>8} {:>8}",
@@ -92,7 +95,7 @@ fn main() {
         emit_bench("budget", &points);
         println!();
     }
-    if which == "scale" || which == "all" {
+    if run("scale") {
         println!("ABL-5 — payload-size sweep (hyperstore): value pays per byte, RCSE does not");
         println!("{:>9} {:>9} {:>9}", "row-bytes", "value", "RCSE");
         let points = scale_sweep(&[64, 128, 256, 512, 1024]);
@@ -105,7 +108,7 @@ fn main() {
         emit_bench("scale", &points);
         println!();
     }
-    if which == "strategies" || which == "all" {
+    if run("strategies") {
         println!("ABL-6 — search-strategy comparison (msgserver, bounded schedule tree)");
         println!(
             "{:>16} {:>9} {:>7} {:>9} {:>12}",
@@ -121,7 +124,7 @@ fn main() {
         emit_bench("strategies", &points);
         println!();
     }
-    if which == "invariants" || which == "all" {
+    if run("invariants") {
         println!("ABL-4 — invariant-training sweep (hyperstore commit_owned)");
         println!("{:>6} {:>11} {:>14}", "runs", "invariants", "commit-owned?");
         let points = invariant_sweep(&[1, 2, 4, 6]);
@@ -134,36 +137,32 @@ fn main() {
         emit_bench("invariants", &points);
         println!();
     }
-    if which == "checkpoint" || which == "all" {
-        let modes: Vec<&str> = match strategy_filter.as_deref() {
-            Some(m) => vec![m],
-            None => vec!["scratch", "checkpointed"],
-        };
+    if run("checkpoint") {
         println!("ABL-7 — scratch vs checkpointed DFS (DPOR tree, all workloads)");
         println!(
-            "{:>18} {:>13} {:>6} {:>7} {:>10} {:>10} {:>8} {:>8} {:>9}",
+            "{:>18} {:>13} {:>6} {:>7} {:>7} {:>10} {:>10} {:>8} {:>9}",
             "workload",
             "mode",
             "depth",
             "runs",
+            "pruned",
             "steps-exec",
             "steps-skip",
             "speedup",
-            "wall-ms",
             "failures"
         );
-        let points = checkpoint_sweep(&modes);
+        let points = checkpoint_sweep();
         for p in &points {
             println!(
-                "{:>18} {:>13} {:>6} {:>7} {:>10} {:>10} {:>8} {:>8} {:>9}",
+                "{:>18} {:>13} {:>6} {:>7} {:>7} {:>10} {:>10} {:>8} {:>9}",
                 p.workload,
                 p.mode,
                 p.depth,
                 p.executed,
+                p.pruned,
                 p.steps_executed,
                 p.steps_skipped,
                 ratio(p.speedup),
-                p.wall_ms,
                 p.failures
             );
         }
@@ -183,69 +182,16 @@ fn main() {
         );
         println!(">= 30% fewer kernel operations than scratch).");
     }
-    if which == "scaling" || which == "all" {
-        println!("ABL-8 — worker-scaling sweep (Dpor on a worker pool, scratch vs checkpointed)");
-        println!(
-            "{:>18} {:>13} {:>6} {:>8} {:>7} {:>7} {:>9} {:>8} {:>8}",
-            "workload",
-            "mode",
-            "depth",
-            "workers",
-            "runs",
-            "pruned",
-            "failures",
-            "wall-ms",
-            "scaling"
-        );
-        let points = scaling_sweep(&workers_grid, deep_only);
-        for p in &points {
-            println!(
-                "{:>18} {:>13} {:>6} {:>8} {:>7} {:>7} {:>9} {:>8} {:>8}",
-                p.workload,
-                p.mode,
-                p.depth,
-                p.workers,
-                p.executed,
-                p.pruned,
-                p.failures,
-                p.wall_ms,
-                ratio(p.scaling),
-            );
-        }
-        emit_bench("scaling", &points);
-        println!();
-        println!(
-            "reading ABL-8: runs/pruned/failures are identical down every worker column — the"
-        );
-        println!(
-            "parallel walk is byte-equivalent to the sequential one by construction (the sweep"
-        );
-        println!("panics otherwise). scaling = 1-worker wall / this wall. Scaling is bounded by");
-        println!("subtree granularity: one-run trees (sum, bufoverflow) have nothing to overlap;");
-        println!("shallow (depth-4) horizons overlap whole re-executions but gain no fork savings");
-        println!("(no snapshot fits inside a 4-decision prefix); the deep msgserver row compounds");
-        println!("both effects and is the acceptance regime (>= 1.5x at 4 workers on multicore");
-        println!("hardware, re-checked by the CI perf-smoke job).");
-    }
-    if which == "snapshot" || which == "all" {
+    if run("snapshot") {
         println!("ABL-9 — snapshot cost: copy-on-write history sharing (per deepest snapshot)");
         println!(
-            "{:>18} {:>8} {:>6} {:>6} {:>11} {:>11} {:>9} {:>9} {:>9} {:>7}",
-            "row",
-            "events",
-            "decs",
-            "snaps",
-            "bytes-clone",
-            "bytes-deep",
-            "reduce",
-            "ns-clone",
-            "ns-deep",
-            "shared"
+            "{:>18} {:>8} {:>6} {:>6} {:>11} {:>11} {:>9} {:>7}",
+            "row", "events", "decs", "snaps", "bytes-clone", "bytes-deep", "reduce", "shared"
         );
         let points = snapshot_cost_sweep();
         for p in &points {
             println!(
-                "{:>18} {:>8} {:>6} {:>6} {:>11} {:>11} {:>8.2}x {:>9} {:>9} {:>7}",
+                "{:>18} {:>8} {:>6} {:>6} {:>11} {:>11} {:>8.2}x {:>7}",
                 p.row,
                 p.trace_events,
                 p.decisions,
@@ -253,8 +199,6 @@ fn main() {
                 p.bytes_cloned,
                 p.bytes_deep,
                 p.reduction,
-                p.ns_clone,
-                p.ns_deep,
                 p.shared_chunks
             );
         }
@@ -272,9 +216,8 @@ fn main() {
         println!(
             "deep row is the gated regime (>= 2x fewer bytes, see tests/snapshot_cost_gate.rs)."
         );
-        println!("Wall-clock columns are advisory on shared runners; bytes are deterministic.");
     }
-    if which == "fidelity" || which == "all" {
+    if run("fidelity") {
         println!("ABL-10 — recording-fidelity sweep (every model, all four workloads)");
         println!(
             "{:>18} {:>14} {:>9} {:>9} {:>7} {:>7} {:>7} {:>10}",
@@ -303,57 +246,30 @@ fn main() {
         println!("perfect, same failure set.");
         println!();
     }
-    if which == "taskscale" || which == "all" {
-        println!("ABL-11 — task-count scaling (coroutine engine)");
-        println!(
-            "{:>28} {:>9} {:>9} {:>8} {:>10} {:>12} {:>9}",
-            "row", "tasks", "steps", "wall-ms", "completed", "baseline-ms", "speedup"
-        );
+    if run("taskscale") {
+        println!("ABL-11 — task-count scaling (coroutine engine, spawn storms)");
+        println!("{:>9} {:>9} {:>10}", "tasks", "steps", "completed");
         let points = task_scale_sweep(&[1_000, 10_000, 100_000]);
         for p in &points {
-            println!(
-                "{:>28} {:>9} {:>9} {:>8} {:>10} {:>12} {:>9}",
-                p.row,
-                p.tasks,
-                p.steps,
-                p.wall_ms,
-                p.completed,
-                p.baseline_wall_ms
-                    .map_or_else(|| "-".to_owned(), |b| b.to_string()),
-                ratio(p.speedup_vs_baseline),
-            );
+            println!("{:>9} {:>9} {:>10}", p.tasks, p.steps, p.completed);
         }
         emit_bench("taskscale", &points);
         println!();
-        println!("reading ABL-11: spawn-storm rows pin the max-task-count curve — tasks are heap");
-        println!("state machines, so 10^5 of them complete where thread-per-task ran out of OS");
-        println!(
-            "handles; near-linear wall-ms across the curve also checks the O(live) scheduling"
-        );
-        println!("scan. The deep-msgserver row re-times the ABL-7 deep checkpointed walk against");
-        println!("the committed thread-engine baseline (acceptance: >= 1.5x on a single core,");
-        println!("re-checked by the CI perf-smoke wall-clock gate).");
+        println!("reading ABL-11: the rows pin the max-task-count curve — tasks are heap state");
+        println!("machines, so 10^5 of them complete where thread-per-task ran out of OS handles.");
+        println!("tests/task_scale_gate.rs times the same storms to check the curve stays");
+        println!("near-linear (the O(live) scheduling scan).");
     }
-    if which == "store" || which == "all" {
+    if run("store") {
         println!("ABL-12 — persistent snapshot store (spill-to-disk, deep msgserver)");
         println!(
-            "{:>30} {:>6} {:>7} {:>10} {:>11} {:>7} {:>6} {:>7} {:>10} {:>10} {:>10}",
-            "row",
-            "decs",
-            "stored",
-            "disk-B",
-            "full-B",
-            "delta",
-            "bound",
-            "meas-D",
-            "restore-ns",
-            "warm-ns",
-            "scratch-ns"
+            "{:>30} {:>6} {:>7} {:>10} {:>11} {:>7} {:>6} {:>7} {:>10}",
+            "row", "decs", "stored", "disk-B", "full-B", "delta", "bound", "meas-D", "warm-from"
         );
         let points = snapshot_store_sweep();
         for p in &points {
             println!(
-                "{:>30} {:>6} {:>7} {:>10} {:>11} {:>6.2}x {:>6} {:>7} {:>10} {:>10} {:>10}",
+                "{:>30} {:>6} {:>7} {:>10} {:>11} {:>6.2}x {:>6} {:>7} {:>10}",
                 p.row,
                 p.decisions,
                 p.stored,
@@ -362,9 +278,7 @@ fn main() {
                 p.delta,
                 p.bound,
                 p.measured_bound,
-                p.restore_ns,
-                p.warm_ns,
-                p.scratch_ns
+                p.warm_from
             );
         }
         emit_bench("snapshot_store", &points);
@@ -373,16 +287,15 @@ fn main() {
         println!("chunk sharing; full-B prices every stored snapshot standalone — the delta");
         println!("column is what delta encoding saves. meas-D is the worst replay distance");
         println!("anywhere in the run recomputed from the cold index and must stay <= bound");
-        println!("(property-tested in dd-trace). warm-ns restores the mid-run snapshot and");
-        println!("fast-forwards the rest (`dd replay --from`, digest-identical to scratch);");
-        println!("scratch-ns replays from zero. At simulator scale the cold JSON decode can");
-        println!("outweigh re-executing a few hundred decisions, so wall columns are advisory;");
-        println!("the deterministic win is the restored (never re-executed) prefix.");
+        println!("(property-tested in dd-trace). warm-from is the mid-run snapshot that");
+        println!("`dd replay --from` restores; the replay from there is digest-identical to a");
+        println!("scratch replay, and the prefix before it is never re-executed. ddbench's");
+        println!("spill-restore workload measures what the restore costs in time.");
     }
-    if which == "faults" || which == "all" {
+    if run("faults") {
         println!("ABL-13 — fault grid (failover hyperstore, both builds, 8 seeds/cell)");
         println!(
-            "{:>16} {:>16} {:>6} {:>7} {:>9} {:>9} {:>9} {:>8} {:>9} {:>8}",
+            "{:>16} {:>16} {:>6} {:>7} {:>9} {:>9} {:>9} {:>8} {:>9}",
             "build",
             "schedule",
             "seeds",
@@ -391,13 +304,12 @@ fn main() {
             "ranges-un",
             "lost-rows",
             "crashes",
-            "restarts",
-            "wall-ms"
+            "restarts"
         );
         let points = fault_sweep(8);
         for p in &points {
             println!(
-                "{:>16} {:>16} {:>6} {:>7} {:>9} {:>9} {:>9} {:>8} {:>9} {:>8}",
+                "{:>16} {:>16} {:>6} {:>7} {:>9} {:>9} {:>9} {:>8} {:>9}",
                 p.build,
                 p.schedule,
                 p.seeds,
@@ -406,8 +318,7 @@ fn main() {
                 p.ranges_unavailable,
                 p.lost_rows,
                 p.crashes,
-                p.restarts,
-                p.wall_ms
+                p.restarts
             );
         }
         emit_bench("hyperstore_faults", &points);

@@ -1,17 +1,21 @@
 //! Regenerates Fig. 1: the relaxation trend across the workload suite.
 //!
-//! Usage: `cargo run --release --bin repro-fig1 [-- --json]`
+//! Usage: `cargo run --release --bin repro-fig1 [-- --json]`. Any other
+//! argument exits 3, `dd`'s usage status, without running anything.
 
 use dd_bench::{emit_bench, fig1, render_fig1};
 use dd_core::InferenceBudget;
 
 fn main() {
-    let json = std::env::args().any(|a| a == "--json");
-    let budget = InferenceBudget::builder()
-        .max_executions(64)
-        .build()
-        .expect("static budget is coherent");
-    let points = fig1(&budget);
+    let json = match std::env::args().skip(1).collect::<Vec<_>>().as_slice() {
+        [] => false,
+        [flag] if flag == "--json" => true,
+        _ => {
+            eprintln!("usage: repro-fig1 [--json]");
+            std::process::exit(3);
+        }
+    };
+    let points = fig1(&InferenceBudget::executions(64));
     if json {
         println!(
             "{}",

@@ -1,17 +1,21 @@
 //! Regenerates Fig. 2: the Hypertable issue-63 case study.
 //!
-//! Usage: `cargo run --release --bin repro-fig2 [-- --json]`
+//! Usage: `cargo run --release --bin repro-fig2 [-- --json]`. Any other
+//! argument exits 3, `dd`'s usage status, without running anything.
 
 use dd_bench::{emit_bench, fig2, render_fig2};
 use dd_core::InferenceBudget;
 
 fn main() {
-    let json = std::env::args().any(|a| a == "--json");
-    let budget = InferenceBudget::builder()
-        .max_executions(96)
-        .build()
-        .expect("static budget is coherent");
-    let result = fig2(&budget);
+    let json = match std::env::args().skip(1).collect::<Vec<_>>().as_slice() {
+        [] => false,
+        [flag] if flag == "--json" => true,
+        _ => {
+            eprintln!("usage: repro-fig2 [--json]");
+            std::process::exit(3);
+        }
+    };
+    let result = fig2(&InferenceBudget::executions(96));
     if json {
         println!(
             "{}",

@@ -1,51 +1,41 @@
 //! Machine-readable benchmark artifacts: `BENCH_<name>.json`.
 //!
-//! Every sweep writes its rows next to the rendered table so the repo
-//! carries a perf trajectory CI (and future PRs) can diff: the file lands
-//! at the workspace root (or `$DD_BENCH_DIR`) as
-//! `{"bench": "<name>", "rows": [...]}` with one object per table row,
-//! field names matching the sweep's point struct.
+//! Every sweep writes its rows next to the rendered table, at the
+//! workspace root, as `{"bench": "<name>", "rows": [...]}` with one object
+//! per table row, field names matching the sweep's point struct. The files
+//! are committed, and CI regenerates them and fails on any difference.
 
 use serde::Serialize;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
-/// The workspace root (where the committed `BENCH_*.json` baseline
-/// lives): the nearest ancestor of this crate's manifest directory that
-/// holds a `Cargo.lock`. Falls back to the current directory when the
-/// source tree is not present at runtime (installed binaries).
+/// The workspace root (where the committed `BENCH_*.json` files live): the
+/// nearest ancestor of this crate's manifest directory that holds a
+/// `Cargo.lock`. Falls back to the current directory when the source tree
+/// is not present at runtime (installed binaries).
 fn workspace_root() -> PathBuf {
-    std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+    Path::new(env!("CARGO_MANIFEST_DIR"))
         .ancestors()
         .find(|d| d.join("Cargo.lock").is_file())
-        .map(std::path::Path::to_path_buf)
+        .map(Path::to_path_buf)
         .unwrap_or_else(|| PathBuf::from("."))
 }
 
-/// Writes `BENCH_<name>.json` into `$DD_BENCH_DIR` (default: the
-/// workspace root, regardless of the invocation directory — that is where
-/// the committed perf baseline lives). Returns the path written, or the
-/// I/O error (callers treat failure as non-fatal: the rendered table is
-/// already on stdout).
-pub fn write_bench_json<T: Serialize>(name: &str, rows: &[T]) -> std::io::Result<PathBuf> {
-    let dir = std::env::var("DD_BENCH_DIR")
-        .map(PathBuf::from)
-        .unwrap_or_else(|_| workspace_root());
-    let path = dir.join(format!("BENCH_{name}.json"));
+/// Writes `BENCH_<name>.json` at the workspace root, regardless of the
+/// invocation directory, and prints the path written. A failed write exits
+/// the process with status 1: a run that leaves the committed file stale
+/// must not pass as a regeneration.
+pub fn emit_bench<T: Serialize>(name: &str, rows: &[T]) {
+    let path = workspace_root().join(format!("BENCH_{name}.json"));
     let body = format!(
         "{{\"bench\":{},\"rows\":{}}}\n",
         serde_json::to_string(name).expect("bench name serializes"),
         serde_json::to_string(rows).expect("bench rows serialize"),
     );
-    std::fs::write(&path, body)?;
-    Ok(path)
-}
-
-/// [`write_bench_json`] plus a one-line confirmation on stdout; failures
-/// are reported but never abort the sweep (rendered tables remain the
-/// source of truth on read-only filesystems).
-pub fn emit_bench<T: Serialize>(name: &str, rows: &[T]) {
-    match write_bench_json(name, rows) {
-        Ok(path) => println!("wrote {}", path.display()),
-        Err(e) => eprintln!("BENCH_{name}.json not written: {e}"),
+    match std::fs::write(&path, body) {
+        Ok(()) => println!("wrote {}", path.display()),
+        Err(e) => {
+            eprintln!("{}: not written: {e}", path.display());
+            std::process::exit(1);
+        }
     }
 }

@@ -1,7 +1,7 @@
 //! # dd-bench — the experiment harness
 //!
 //! Regenerates every figure in the paper's evaluation, plus the ablations
-//! DESIGN.md calls out:
+//! README "Regenerating the figures" lists:
 //!
 //! - [`fig1()`](fig1::fig1): the relaxation trend (Fig. 1) — recording overhead vs
 //!   debugging utility for every determinism model across the workload
@@ -14,8 +14,10 @@
 //!   inference-budget sweep, invariant-training sweep.
 //!
 //! Binaries `repro-fig1`, `repro-fig2` and `repro-ablations` print the
-//! series. Wall-clock cost is measured by the separate `benchmark/` package
-//! (`ddbench`), which times every model's record and replay.
+//! series and write them to the committed `BENCH_*.json` files. Every
+//! column is deterministic, so CI regenerates the files and fails on any
+//! difference. Wall-clock cost is measured by the separate `benchmark/`
+//! package (`ddbench`), which times every model's record and replay.
 
 pub mod ablations;
 pub mod emit;
@@ -26,12 +28,11 @@ pub mod snapshot_store;
 
 pub use ablations::{
     budget_sweep, checkpoint_sweep, fault_sweep, fidelity_sweep, invariant_sweep, scale_sweep,
-    scaling_sweep, strategy_sweep, task_scale_sweep, threshold_sweep, window_sweep, BudgetPoint,
-    CheckpointPoint, FaultPoint, FidelityPoint, InvariantPoint, ScalePoint, ScalingPoint,
-    StrategyPoint, TaskScalePoint, ThresholdPoint, WindowPoint,
-    THREAD_ENGINE_DEEP_MSGSERVER_WALL_MS,
+    strategy_sweep, task_scale_sweep, threshold_sweep, window_sweep, BudgetPoint, CheckpointPoint,
+    FaultPoint, FidelityPoint, InvariantPoint, ScalePoint, StrategyPoint, TaskScalePoint,
+    ThresholdPoint, WindowPoint,
 };
-pub use emit::{emit_bench, write_bench_json};
+pub use emit::emit_bench;
 pub use fig1::{fig1, render_fig1, Fig1Point};
 pub use fig2::{fig2, render_fig2, Fig2Result, Fig2Row};
 pub use snapshot_cost::{deep_msgserver_point, snapshot_cost_sweep, SnapshotCostPoint};

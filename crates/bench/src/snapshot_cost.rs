@@ -19,8 +19,12 @@
 //!   history elements.)
 //! - **Deep-msgserver gate**: on the deep-horizon msgserver row (the PR-3
 //!   checkpointed-DFS acceptance workload) the clone must copy at least 2×
-//!   fewer bytes than the deep clone. CI's perf-smoke re-checks this from
-//!   `BENCH_snapshot_cost.json`; `tests/snapshot_cost_gate.rs` gates it.
+//!   fewer bytes than the deep clone. `tests/snapshot_cost_gate.rs` gates
+//!   it.
+//!
+//! The byte counts are `size_of`-based estimates
+//! ([`dd_sim::SnapshotCost`]), so a change to a world struct's layout
+//! moves them.
 
 use dd_core::Workload;
 use dd_sim::{
@@ -52,10 +56,6 @@ pub struct SnapshotCostPoint {
     pub bytes_deep: u64,
     /// `bytes_deep / bytes_cloned`.
     pub reduction: f64,
-    /// Mean host nanoseconds per shared-history clone.
-    pub ns_clone: u64,
-    /// Mean host nanoseconds per deep (unshared) clone.
-    pub ns_deep: u64,
     /// Sealed history chunks the deepest snapshot shares with the
     /// second-deepest one (0 = nothing shared — e.g. the whole history
     /// still fits in one unsealed tail).
@@ -106,15 +106,6 @@ impl Program for Stretcher {
     }
 }
 
-/// Mean nanoseconds per invocation of `f`, over `reps` invocations.
-fn mean_ns(reps: u32, mut f: impl FnMut()) -> u64 {
-    let t0 = std::time::Instant::now();
-    for _ in 0..reps {
-        f();
-    }
-    (t0.elapsed().as_nanos() / reps.max(1) as u128) as u64
-}
-
 /// Builds one table row from a finished checkpointed run.
 fn point_of(
     row: String,
@@ -123,15 +114,6 @@ fn point_of(
 ) -> Option<SnapshotCostPoint> {
     let deepest = snapshots.last()?;
     let cost = deepest.cost();
-    // Wall-clock is advisory (1-core CI runners); byte counts are the
-    // deterministic signal. Clone timing includes the policy box clone,
-    // mirroring what the explorer's pool actually pays.
-    let ns_clone = mean_ns(32, || {
-        std::hint::black_box(deepest.clone());
-    });
-    let ns_deep = mean_ns(8, || {
-        std::hint::black_box(deepest.deep_clone());
-    });
     Some(SnapshotCostPoint {
         row,
         trace_events: out.trace().len() as u64,
@@ -141,8 +123,6 @@ fn point_of(
         bytes_cloned: cost.cloned_bytes(),
         bytes_deep: cost.deep_bytes(),
         reduction: cost.reduction(),
-        ns_clone,
-        ns_deep,
         shared_chunks: snapshots
             .len()
             .checked_sub(2)
@@ -153,7 +133,7 @@ fn point_of(
 }
 
 /// The deep-horizon msgserver row: the same workload, spec and checkpoint
-/// plan as the ABL-7/ABL-8 deep rows (snapshot every decision inside a
+/// plan as the ABL-7 deep rows (snapshot every decision inside a
 /// 256-deep horizon), measured on the production run's snapshot pool.
 pub fn deep_msgserver_point() -> SnapshotCostPoint {
     let w = MsgServerWorkload::discover(MsgServerConfig::default(), 64)

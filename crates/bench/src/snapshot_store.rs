@@ -19,12 +19,10 @@
 //! - **Warm replay skips the prefix**: `warm-from` recorded decisions are
 //!   restored rather than re-executed on the `dd replay --from` path, and
 //!   the result is digest-identical to a scratch replay (asserted per
-//!   row). `restore-ns`/`warm-ns`/`scratch-ns` break the wall-clock down;
-//!   note that at simulator scale the JSON decode of a cold snapshot can
-//!   cost more than re-executing a few hundred decisions, so the wall
-//!   columns are advisory — the deterministic win is the skipped-prefix
-//!   column, which is what matters when a decision is expensive (the
-//!   regime the paper's checkpointing argument targets).
+//!   row). The skipped prefix is what matters when a decision is expensive
+//!   (the regime the paper's checkpointing argument targets); what the
+//!   restore costs in wall-clock time is measured by `ddbench`'s
+//!   `spill-restore` workload.
 
 use dd_core::Workload;
 use dd_replay::{replay_trace, replay_trace_from, Scenario};
@@ -59,13 +57,6 @@ pub struct SnapshotStorePoint {
     /// Decision of the snapshot nearest mid-run (the warm replay's seek
     /// target).
     pub warm_from: u64,
-    /// Host nanoseconds to decode that snapshot from cold files.
-    pub restore_ns: u64,
-    /// Host nanoseconds for restore + strict fast-forward of the remainder
-    /// (the `dd replay --from` path).
-    pub warm_ns: u64,
-    /// Host nanoseconds for a scratch strict replay of the whole trace.
-    pub scratch_ns: u64,
 }
 
 /// A throwaway store directory under the system temp dir, unique per
@@ -131,23 +122,16 @@ fn point_of(
         .nearest_at_or_before(decisions / 2)
         .expect("a deep spilled run stores a mid-run snapshot");
     let (id, warm_from) = (entry.id, entry.decision);
-    let t0 = std::time::Instant::now();
     let snap = store
         .load(id, Box::new(RandomPolicy::new(0)))
         .expect("stored snapshot restores");
-    let restore_ns = t0.elapsed().as_nanos() as u64;
     let warm_report = replay_trace_from(scenario, &trace, &snap);
-    let warm_ns = t0.elapsed().as_nanos() as u64;
     assert!(
         warm_report.identical(),
         "warm replay diverged: {:?}",
         warm_report.divergence
     );
-
-    let t1 = std::time::Instant::now();
-    let scratch_report = replay_trace(scenario, &trace, vec![]);
-    let scratch_ns = t1.elapsed().as_nanos() as u64;
-    assert!(scratch_report.identical());
+    assert!(replay_trace(scenario, &trace, vec![]).identical());
 
     let point = SnapshotStorePoint {
         row,
@@ -159,9 +143,6 @@ fn point_of(
         bound: policy.bound,
         measured_bound,
         warm_from,
-        restore_ns,
-        warm_ns,
-        scratch_ns,
     };
     let _ = std::fs::remove_dir_all(&dir);
     point

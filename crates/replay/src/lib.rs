@@ -17,8 +17,9 @@
 //! same pieces.
 //!
 //! Inference is explicit bounded [`search`] over a scenario's
-//! [`NondetSpace`] — the substitution for symbolic execution documented in
-//! DESIGN.md. Its cost is measured and feeds debugging efficiency. The
+//! [`NondetSpace`] — this reproduction's substitution for symbolic
+//! execution (README, "Search strategies"). Its cost is measured and feeds
+//! debugging efficiency. The
 //! systematic strategies can run multi-worker
 //! ([`InferenceBudget::workers`], see [`parallel`]) with byte-identical
 //! results for any worker count. DPOR's conflict analysis takes its

@@ -55,13 +55,13 @@
 //! Speculative runs the budget cut off before consumption are wasted
 //! wall-clock only; they are never charged. The scaling limit is *subtree
 //! granularity* — parallelism comes from independent pending branches, so
-//! a near-trivial tree (the one-run sum/bufoverflow rows of ABL-8) has
+//! a near-trivial tree (the one-run sum and bufoverflow walks) has
 //! nothing to overlap, a deep chain-shaped region serializes on branch
 //! discovery (each next branch is only exposed by executing the previous
 //! run), and at shallow horizons every speculative run is a full
 //! re-execution (no snapshot sits inside a 4-decision prefix), so workers
 //! overlap whole runs but fork savings contribute nothing. The deep-wide
-//! regime — the ABL-8 deep-horizon msgserver row — is where both effects
+//! regime — the deep-horizon msgserver walk — is where both effects
 //! compound: many pending subtrees in flight, each forked from a deep
 //! snapshot.
 

@@ -11,7 +11,9 @@ use std::collections::HashMap;
 /// Cost constants per determinism model.
 ///
 /// Calibrated so the published overhead *ordering* holds on the bundled
-/// workloads (see DESIGN.md and the calibration test in `dd-bench`):
+/// workloads (pinned by `BENCH_fig1.json` and by
+/// `overhead_ordering_matches_fig2` in
+/// `crates/hyperstore/tests/fig2_models.rs`):
 /// CREW-style perfect determinism ≫ value logging ≫ output/input logging ≫
 /// schedule logging ≫ failure recording (free).
 pub mod costs {

@@ -6,10 +6,12 @@
 //! `wall_ticks / exec_ticks` (see [`dd_sim::RunStats::overhead_factor`]).
 //!
 //! Constants are calibrated so the published overhead *ordering* holds on
-//! our workloads (see DESIGN.md): CREW-style perfect determinism is the most
-//! expensive, value logging next, output/schedule logging cheap, failure
-//! recording free. Absolute factors are a documented substitution for the
-//! authors' hardware measurements.
+//! our workloads: CREW-style perfect determinism is the most expensive,
+//! value logging next, output/schedule logging cheap, failure recording
+//! free. `BENCH_fig1.json` and `overhead_ordering_matches_fig2` in
+//! `crates/hyperstore/tests/fig2_models.rs` pin the ordering. Absolute
+//! factors are a documented substitution for the authors' hardware
+//! measurements.
 
 use dd_sim::Event;
 use serde::{Deserialize, Serialize};

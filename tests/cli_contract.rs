@@ -8,7 +8,8 @@
 //! - `4` — I/O or parse error on the trace artifact.
 //!
 //! These run the real binary (`CARGO_BIN_EXE_dd`), so they also pin the
-//! user-visible wording the README walkthrough quotes.
+//! user-visible wording the README walkthrough quotes. The `repro-*`
+//! binaries share the usage status `3`.
 
 use debug_determinism::sim::TaskId;
 use debug_determinism::trace::JsonlTrace;
@@ -149,6 +150,33 @@ fn usage_errors_exit_three() {
         3,
         "--emit-test is required"
     );
+}
+
+/// A mistyped sweep name or flag must not run a default and exit 0: CI
+/// regenerates the committed `BENCH_*.json` files with these binaries, and
+/// a run that writes nothing would pass as current. None of these
+/// arguments runs a sweep, so no file is written.
+#[test]
+fn repro_binaries_reject_unknown_arguments_with_exit_three() {
+    for (bin, args) in [
+        (env!("CARGO_BIN_EXE_repro-fig1"), &["--jsn"][..]),
+        (env!("CARGO_BIN_EXE_repro-fig2"), &["--json", "extra"][..]),
+        (env!("CARGO_BIN_EXE_repro-ablations"), &["fidelty"][..]),
+        (env!("CARGO_BIN_EXE_repro-ablations"), &["store", "x"][..]),
+    ] {
+        let out = Command::new(bin).args(args).output().expect("spawn repro");
+        assert_eq!(code(&out), 3, "{bin} {args:?}");
+        assert!(
+            stderr(&out).starts_with("usage: "),
+            "{bin} {args:?}: {}",
+            stderr(&out)
+        );
+        assert!(
+            stdout(&out).is_empty(),
+            "{bin} {args:?} ran: {}",
+            stdout(&out)
+        );
+    }
 }
 
 /// `dd explore` validates its budget like every library caller: a search

@@ -627,9 +627,9 @@ fn parallel_walk_trace_hashes_match_sequential() {
     }
 }
 
-/// The ABL-8 wall-clock acceptance gate: on the deep-horizon msgserver row,
-/// 4 workers must finish the identical checkpointed walk at least 1.5×
-/// faster than the sequential explorer. Wall-clock on shared CI runners is
+/// The parallel explorer's wall-clock check: on the deep-horizon msgserver
+/// walk, 4 workers must finish the identical checkpointed walk at least
+/// 1.5× faster than the sequential explorer. Wall-clock on shared CI runners is
 /// noisy, so this is ignored in the gating test job and run explicitly by
 /// the non-gating `perf-smoke` job (the *correctness* half — identical
 /// walks — is gated above and by the `determinism-matrix` job).

@@ -646,7 +646,7 @@ mod search_golden {
     );
 
     /// `Dpor { max_depth: 256 }`, budget 150, on msgserver: the deep
-    /// checkpointed walk of ABL-7 and ABL-8.
+    /// checkpointed walk of ABL-7.
     const DPOR_DEEP: Walk = (
         "msgserver-drops",
         1,

@@ -1,12 +1,11 @@
 //! The snapshot-cost acceptance gate: on the deep-horizon msgserver row
-//! (the ABL-7/ABL-8 deep regime — snapshot every decision inside a
+//! (the ABL-7 deep regime — snapshot every decision inside a
 //! 256-deep horizon), a [`dd_sim::WorldSnapshot`] clone must copy at least
 //! 2× fewer bytes than the pre-chunking deep-clone representation.
 //!
 //! Byte accounting is deterministic (no wall-clock), so this gates in the
-//! regular `test` job rather than the advisory perf-smoke job — matching
-//! the PR-4 convention that correctness and deterministic-cost claims
-//! gate while wall-clock claims stay advisory on shared runners.
+//! regular `test` job, as every deterministic claim does; wall-clock
+//! checks are `#[ignore]`d there and run by the advisory `perf-smoke` job.
 
 use dd_bench::deep_msgserver_point;
 
