@@ -3,8 +3,8 @@
 //!
 //! A session owns everything one debugging engagement needs — the workload,
 //! the recording fidelity ([`RcseConfig`]), the inference budget and search
-//! strategy, the recording checkpoint plan, and the worker pool — and
-//! exposes the four pipeline verbs over them:
+//! strategy, and the recording checkpoint plan — and exposes the four
+//! pipeline verbs over them:
 //!
 //! - [`record`](Session::record): run the production incident with
 //!   per-decision state digests and produce a [`JsonlTrace`] artifact;
@@ -12,8 +12,8 @@
 //!   schedule policy, comparing digests at every decision and stopping at
 //!   the first divergence;
 //! - [`explore`](Session::explore): hand the recorded run's configuration
-//!   to the systematic (DPOR / parallel) search and look for other
-//!   executions of the same failure;
+//!   to the systematic (DPOR) search and look for other executions of the
+//!   same failure;
 //! - the experiment verbs ([`evaluate`](Session::evaluate),
 //!   [`debug_model`](Session::debug_model), [`train`](Session::train))
 //!   the figures are built from.
@@ -25,10 +25,10 @@ use crate::experiment::{enumerate_root_causes, evaluate_model_on, ModelReport};
 use crate::rcse::{train, DebugModel, RcseConfig, Training};
 use crate::workload::{RunSetup, Workload};
 use dd_replay::{
-    replay_trace, replay_trace_from, search_with_warm, Artifact, DeterminismModel,
-    DivergenceReport, FailureModel, InferenceBudget, ModelKind, MsgOrderModel, NondetSpace,
-    OutputHeavyModel, OutputLiteModel, PerfectModel, RaceCompleteModel, Recording, ReplayResult,
-    Scenario, SearchResult, SearchStrategy, ValueModel, RECORDING_CHECKPOINTS,
+    replay_trace, replay_trace_from, search_with, Artifact, DeterminismModel, DivergenceReport,
+    FailureModel, InferenceBudget, ModelKind, MsgOrderModel, NondetSpace, OutputHeavyModel,
+    OutputLiteModel, PerfectModel, RaceCompleteModel, Recording, ReplayResult, Scenario,
+    SearchResult, SearchStrategy, ValueModel, RECORDING_CHECKPOINTS,
 };
 use dd_sim::{CheckpointPlan, IoSummary, SnapshotSink, WorldSnapshot};
 use dd_trace::{JsonlError, JsonlTrace, TraceHeader};
@@ -44,9 +44,7 @@ use std::sync::Arc;
 /// use dd_core::driver::Session;
 /// use dd_core::InferenceBudget;
 ///
-/// let session = Session::new(workload())
-///     .with_budget(InferenceBudget::dpor(64, 8))
-///     .with_workers(4);
+/// let session = Session::new(workload()).with_budget(InferenceBudget::dpor(64, 8));
 /// let trace = session.record().unwrap();
 /// let report = session.replay(&trace);
 /// assert!(report.identical());
@@ -83,18 +81,6 @@ impl Session {
     /// Shorthand: bounds inference to `n` candidate executions.
     pub fn with_executions(mut self, n: u64) -> Self {
         self.budget.max_executions = n;
-        self
-    }
-
-    /// Replaces the budget's search strategy.
-    pub fn with_strategy(mut self, strategy: SearchStrategy) -> Self {
-        self.budget.strategy = strategy;
-        self
-    }
-
-    /// Sets the worker pool the systematic strategies run on.
-    pub fn with_workers(mut self, workers: u32) -> Self {
-        self.budget.workers = workers;
         self
     }
 
@@ -362,16 +348,6 @@ impl Session {
     /// (or any failure, if the recorded run passed). Uses the budget's
     /// strategy when it is systematic, otherwise DPOR at the default depth.
     pub fn explore(&self, trace: &JsonlTrace) -> Exploration {
-        self.explore_warm(trace, Vec::new())
-    }
-
-    /// [`Session::explore`] warm-started from previously captured world
-    /// snapshots — typically restored from the trace's on-disk
-    /// [`SnapshotStore`](dd_trace::SnapshotStore), letting a fresh process
-    /// skip re-executing the recorded prefix on the walk's first descents.
-    /// Incompatible seeds are skipped safely, so passing snapshots from an
-    /// unrelated run degrades to a cold [`Session::explore`].
-    pub fn explore_warm(&self, trace: &JsonlTrace, warm: Vec<Arc<WorldSnapshot>>) -> Exploration {
         let mut scenario = self.scenario_for_trace(&trace.header);
         // Walk the recorded run's schedules only: not the workload's other
         // seeds or environments, where a fault could stand in for the
@@ -390,12 +366,11 @@ impl Session {
         };
         let inputs = scenario.inputs.clone();
         let sought = target.clone();
-        let result = search_with_warm(
+        let result = search_with(
             &scenario,
             &self.budget,
             strategy,
             Some(&inputs),
-            warm,
             |out| match (&sought, (scenario.failure_of)(&out.io)) {
                 (Some(id), Some(f)) => f.failure_id == *id,
                 (None, found) => found.is_some(),

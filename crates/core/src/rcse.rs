@@ -525,24 +525,16 @@ impl DeterminismModel for DebugModel {
             // environments the recording rules out.
             let mut pinned = scenario.clone();
             pinned.space.envs = vec![env.clone()];
-            // Debug determinism takes the checkpointed, parallel path on
-            // its fallback: when the budget selects a systematic strategy,
-            // the tree walk forks from kernel snapshots instead of
-            // re-executing every candidate's shared prefix from the first
-            // instruction, and the fork executions are spread over a
-            // worker pool. Neither changes what the search returns — the
-            // parallel walk is byte-equivalent to the sequential one (see
-            // `dd_replay::parallel`) — only how fast the fallback
-            // reconnects the relaxed recording to the failure.
-            // (Non-systematic strategies ignore both knobs.)
+            // Debug determinism takes the checkpointed path on its
+            // fallback: when the budget selects a systematic strategy, the
+            // tree walk forks from kernel snapshots instead of re-executing
+            // every candidate's shared prefix from the first instruction.
+            // That changes only how fast the fallback reconnects the
+            // relaxed recording to the failure, never what the search
+            // returns. (Non-systematic strategies ignore the interval.)
             let mut budget = *budget;
             if budget.checkpoint_interval == 0 {
                 budget.checkpoint_interval = InferenceBudget::DEFAULT_CHECKPOINT_INTERVAL;
-            }
-            if budget.workers <= 1 {
-                // Host-sized: resolves to the sequential path on
-                // single-core machines, a real pool elsewhere.
-                budget.workers = InferenceBudget::default_worker_pool();
             }
             let result = dd_replay::search(&pinned, &budget, Some(&script), |candidate| {
                 match ((scenario.failure_of)(&candidate.io), &want) {

@@ -33,11 +33,11 @@
 //! With a checkpoint interval on the budget the walk becomes a *fork-based
 //! DFS*: runs snapshot the kernel [`WorldState`](dd_sim::WorldSnapshot) at
 //! decision points inside the horizon, and each backtracked branch resumes
-//! from the deepest snapshot compatible with its forced prefix instead of
-//! re-executing the shared prefix from the first instruction. Forking is
-//! invisible to the search: the same interleavings are visited in the same
-//! order with bit-identical traces, and only the genuinely executed steps
-//! are charged to [`InferenceStats`].
+//! from the deepest snapshot on its forced prefix instead of re-executing
+//! the shared prefix from the first instruction. Forking is invisible to
+//! the search: the same interleavings are visited in the same order with
+//! bit-identical traces, and only the genuinely executed steps are charged
+//! to [`InferenceStats`].
 //!
 //! One deliberate asymmetry: because inherited (skipped) ticks are not
 //! re-spent, a `max_ticks`-bounded budget stretches further under
@@ -46,13 +46,6 @@
 //! same failure set) is therefore guaranteed under execution-count budgets;
 //! under tick budgets checkpointed search dominates scratch rather than
 //! mirroring it.
-//!
-//! The walk itself is factored out of run *execution* (see the `RunFetcher`
-//! trait): the single-threaded `walk` owns every piece of cross-run state — the
-//! DFS stack, backtrack sets, budget, statistics, and the snapshot pool —
-//! and charges each consumed run against the pool's canonical resume point,
-//! so swapping the sequential fetcher for the multi-worker one in
-//! [`parallel`](crate::parallel) changes wall-clock time and nothing else.
 
 use crate::explorer::{InferenceBudget, InferenceStats};
 use crate::scenario::{PolicyChoice, RunSpec, Scenario};
@@ -62,17 +55,6 @@ use dd_sim::{
     TaskId, WorldSnapshot,
 };
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::Arc;
-
-/// The walk's snapshot pool: prefix-compatible [`WorldSnapshot`]s along the
-/// current DFS path, keyed by the decision index they were taken at.
-/// `Arc`-shared so a parallel fetcher can hand the same snapshot to several
-/// worker threads without cloning the world per job. Sharing is two-level:
-/// the pool shares snapshots by handle, and the snapshots themselves share
-/// their sealed history chunks (`dd_sim::ChunkedLog`, `Send + Sync`) with
-/// each other and with every run forked from them — so the pool's memory
-/// and per-fork clone cost are O(live state) per entry, not O(history).
-pub(crate) type SnapshotPool = BTreeMap<u64, Arc<WorldSnapshot>>;
 
 /// One configuration of the tree walk: which run parameters are fixed and
 /// how aggressively to prune.
@@ -91,18 +73,10 @@ pub(crate) struct TreeConfig<'a> {
     pub max_depth: usize,
     /// `Some(k)`: fork-based DFS — runs snapshot the kernel world every
     /// `k`-th decision inside the branching horizon, and each backtracked
-    /// branch resumes from the deepest snapshot compatible with its forced
-    /// prefix instead of re-executing from the first instruction. `None`
+    /// branch resumes from the deepest snapshot on its forced prefix
+    /// instead of re-executing from the first instruction. `None`
     /// re-executes every branch from scratch.
     pub checkpoint_every: Option<u64>,
-    /// Snapshots restored from a persistent store that seed the walk's
-    /// pool (warm start): a fresh process re-exploring the same tree binds
-    /// branches to these instead of re-executing the shared prefixes its
-    /// predecessor already paid for. Entries whose decision path diverges
-    /// from a branch's forced prefix are skipped by the compatibility
-    /// check, so stale or foreign snapshots are harmless. Only effective
-    /// with `checkpoint_every` set.
-    pub warm: Vec<Arc<WorldSnapshot>>,
 }
 
 /// One decision node on the DFS stack.
@@ -125,153 +99,38 @@ enum Add {
     All,
 }
 
-/// How the tree walk obtains the [`RunOutput`] of one forced-prefix run.
-///
-/// The walk itself — stack, backtrack sets, pruning, budget, statistics,
-/// snapshot pool — is single-threaded and identical for every fetcher; the
-/// fetcher only decides *where* the execution happens. [`SeqRuns`] executes
-/// inline (the classic sequential explorer); the parallel fetcher in
-/// [`parallel`](crate::parallel) farms runs out to worker threads and
-/// consumes their results in the same order. Because a forced-prefix run's
-/// trace is bit-identical however it is produced (the PR-3 snapshot
-/// determinism guarantee), the fetcher is invisible to the search.
-pub(crate) trait RunFetcher {
-    /// Produces the run for `prefix`. `pool` is the walk's canonical
-    /// prefix-compatible snapshot pool (entries at decision `d <
-    /// prefix.len()` may be restored).
-    fn fetch(&mut self, spec: &RunSpec, prefix: &[u32], pool: &SnapshotPool) -> RunOutput;
-
-    /// Offers the walk's current pending branches (forced prefixes that
-    /// will all eventually be consumed, shallowest first) for speculative
-    /// execution. Sequential fetchers ignore this.
-    fn speculate(&mut self, _branches: Vec<Vec<u32>>, _pool: &SnapshotPool) {}
-}
-
-/// The checkpoint plan a tree configuration implies.
-///
-/// A usable snapshot must sit strictly inside a future forced prefix, and
-/// prefixes never exceed `max_depth` — so the deepest restorable snapshot
-/// is at decision `max_depth - 1`; snapshotting at `max_depth` itself would
-/// be a full-world clone nothing can ever restore.
-pub(crate) fn plan_of(cfg: &TreeConfig<'_>) -> Option<CheckpointPlan> {
-    cfg.checkpoint_every
-        .map(|k| CheckpointPlan::new(k, (cfg.max_depth as u64).saturating_sub(1)))
-}
-
-/// The deepest snapshot in `pool` that a run forced to `prefix` may fork
-/// from: strictly inside the prefix, and leading to the run's own path (the
-/// prefix starts with the snapshot's decision path). The pool may hold
-/// entries that are not on the current path — warm-start seeds from a
-/// persistent store, or (for the parallel fetcher's mirror) snapshots from
-/// subtrees the walk has since left — so compatibility is checked
-/// explicitly rather than assumed.
-pub(crate) fn deepest_compatible(
-    pool: &SnapshotPool,
-    prefix: &[u32],
-) -> Option<(u64, Arc<WorldSnapshot>)> {
-    pool.range(..prefix.len() as u64)
-        .rev()
-        .find(|(&d, snap)| {
-            snap.decision_prefix()
-                .eq(prefix[..d as usize].iter().copied())
-        })
-        .map(|(&d, snap)| (d, Arc::clone(snap)))
-}
-
-/// The sequential fetcher: executes every run inline, restoring the deepest
-/// usable snapshot itself.
-struct SeqRuns<'a> {
-    scenario: &'a Scenario,
-    plan: Option<CheckpointPlan>,
-    tail_seed: u64,
-}
-
-impl RunFetcher for SeqRuns<'_> {
-    fn fetch(&mut self, spec: &RunSpec, prefix: &[u32], pool: &SnapshotPool) -> RunOutput {
-        match self.plan {
-            None => self.scenario.execute(spec, vec![]),
-            Some(plan) => {
-                // Fork instead of replaying from scratch: restore the
-                // deepest compatible snapshot strictly inside the prefix
-                // (the fork decision itself is `prefix.len() - 1`) and
-                // force only the remaining prefix decisions.
-                match deepest_compatible(pool, prefix) {
-                    Some((d, snap)) => {
-                        let forced: Vec<u32> = prefix[d as usize..].to_vec();
-                        self.scenario.resume(
-                            spec,
-                            &snap,
-                            Box::new(PrefixPolicy::new(forced, self.tail_seed)),
-                            plan,
-                        )
-                    }
-                    None => self.scenario.execute_checkpointed(spec, plan, vec![]),
-                }
-            }
-        }
-    }
-}
-
 /// Walks the schedule tree rooted at `cfg`'s run parameters, calling
 /// `visit` on every executed interleaving. Stops when `visit` returns
 /// `true` (returning that run), the tree is exhausted (`None`), or the
 /// budget runs out (`None`). `stats` accumulates across calls so one budget
 /// can span several trees.
+///
+/// Each run is charged with [`InferenceStats::charge_run`], so a run
+/// resumed from a pool snapshot pays only for the steps and ticks past it.
 pub(crate) fn explore_tree(
     scenario: &Scenario,
     cfg: &TreeConfig<'_>,
     budget: &InferenceBudget,
     stats: &mut InferenceStats,
-    visit: &mut dyn FnMut(&RunOutput, &RunSpec) -> bool,
+    visit: &mut dyn FnMut(&RunOutput) -> bool,
 ) -> Option<(RunOutput, RunSpec)> {
-    let mut fetcher = SeqRuns {
-        scenario,
-        plan: plan_of(cfg),
-        tail_seed: cfg.tail_seed,
-    };
-    walk(cfg, budget, stats, visit, &mut fetcher)
-}
-
-/// The deterministic heart of both explorers: the DFS over the schedule
-/// tree, generic over how runs are produced. Everything observable — the
-/// interleavings visited and their order, the backtrack/pruning decisions,
-/// the failure set, and the `InferenceStats` accounting — is computed here,
-/// on one thread, from run outputs that are prefix-deterministic; this is
-/// what makes a parallel fetcher byte-equivalent to the sequential one by
-/// construction.
-///
-/// Step/tick charges are *canonical*: each consumed run is charged as if it
-/// had been resumed from the deepest snapshot in the walk's own pool,
-/// whether or not the fetcher actually restored that snapshot (a worker may
-/// have forked from a shallower one that existed when the job was queued).
-/// For the same reason, snapshots a run reports below the canonical resume
-/// point are dropped — the pool evolves exactly as the sequential
-/// explorer's would, keeping the accounting worker-count-invariant.
-pub(crate) fn walk(
-    cfg: &TreeConfig<'_>,
-    budget: &InferenceBudget,
-    stats: &mut InferenceStats,
-    visit: &mut dyn FnMut(&RunOutput, &RunSpec) -> bool,
-    fetcher: &mut dyn RunFetcher,
-) -> Option<(RunOutput, RunSpec)> {
+    // A usable snapshot must sit strictly inside a future forced prefix, and
+    // prefixes never exceed `max_depth`, so the deepest restorable snapshot
+    // is at decision `max_depth - 1`; one at `max_depth` itself would be a
+    // full-world clone nothing can ever restore.
+    let plan = cfg
+        .checkpoint_every
+        .map(|k| CheckpointPlan::new(k, (cfg.max_depth as u64).saturating_sub(1)));
     let mut stack: Vec<Node> = Vec::new();
     let mut prefix: Vec<u32> = Vec::new();
     // Snapshots along the *current* DFS path, keyed by decision index. An
     // entry at `d` captures the world before decision `d`, with decisions
     // `0..d` equal to `prefix[0..d]`; the backtrack step drops entries past
-    // each fork point, so everything in the pool stays prefix-compatible.
-    let mut pool: SnapshotPool = BTreeMap::new();
-    let checkpointing = cfg.checkpoint_every.is_some();
-    if checkpointing {
-        // Warm start: seed the pool with store-restored snapshots. The
-        // compatibility check at every resume point skips any that are not
-        // on the branch being executed, so seeding is always safe; when a
-        // fresh process re-walks the tree its predecessor explored, these
-        // replace the scratch re-execution of shared prefixes.
-        for s in &cfg.warm {
-            pool.entry(s.at_decision()).or_insert_with(|| Arc::clone(s));
-        }
-    }
+    // each fork point, so every entry stays on the path. Snapshots share
+    // their sealed history chunks (`dd_sim::ChunkedLog`) with each other and
+    // with every run forked from them, so an entry costs O(live state), not
+    // O(history).
+    let mut pool: BTreeMap<u64, WorldSnapshot> = BTreeMap::new();
     loop {
         if stats.explored >= budget.max_executions || stats.ticks >= budget.max_ticks {
             return None;
@@ -282,34 +141,27 @@ pub(crate) fn walk(
             inputs: cfg.inputs.clone(),
             env: cfg.env.clone(),
         };
-        // The canonical resume point: the deepest pool snapshot strictly
-        // inside the forced prefix. Captured before the fetch so the charge
-        // below reflects this walk's pool, not the fetcher's private choice.
-        let canon: Option<(u64, u64, u64)> = if checkpointing {
-            deepest_compatible(&pool, &prefix).map(|(d, s)| (d, s.steps(), s.time()))
-        } else {
-            None
-        };
-        let mut out = fetcher.fetch(&spec, &prefix, &pool);
-        for s in std::mem::take(&mut out.snapshots) {
-            // Snapshots at or below the canonical resume point would not
-            // exist in a sequential walk (its resumed runs only report
-            // deeper ones); keeping the pools identical keeps the charges
-            // identical.
-            if canon.is_none_or(|(d, _, _)| s.at_decision() > d) {
-                // Unconditional insert: the just-executed run is on the
-                // current path by construction, so its snapshot supersedes
-                // any warm-start seed parked at the same decision (which
-                // may be from a diverged path).
-                pool.insert(s.at_decision(), Arc::new(s));
+        // Fork instead of replaying from scratch: restore the deepest
+        // snapshot strictly inside the prefix (the fork decision itself is
+        // `prefix.len() - 1`) and force only the remaining prefix decisions.
+        let mut out = match (plan, pool.range(..prefix.len() as u64).next_back()) {
+            (None, _) => scenario.execute(&spec, vec![]),
+            (Some(plan), None) => scenario.execute_checkpointed(&spec, plan, vec![]),
+            (Some(plan), Some((&d, snap))) => {
+                debug_assert!(
+                    snap.decision_prefix()
+                        .eq(prefix[..d as usize].iter().copied()),
+                    "the pool's snapshot at decision {d} is off the current path"
+                );
+                let forced = prefix[d as usize..].to_vec();
+                let policy = Box::new(PrefixPolicy::new(forced, cfg.tail_seed));
+                scenario.resume(&spec, snap, policy, plan)
             }
+        };
+        for s in std::mem::take(&mut out.snapshots) {
+            pool.insert(s.at_decision(), s);
         }
-        let (skip_steps, skip_ticks) = canon.map_or((0, 0), |(_, steps, ticks)| (steps, ticks));
-        debug_assert!(out.stats.steps >= skip_steps && out.stats.exec_ticks >= skip_ticks);
-        stats.explored += 1;
-        stats.ticks += out.stats.exec_ticks.saturating_sub(skip_ticks);
-        stats.steps_executed += out.stats.steps.saturating_sub(skip_steps);
-        stats.steps_skipped += skip_steps;
+        stats.charge_run(&out);
 
         // Extend the stack with the decisions this run took past the forced
         // prefix. The prefix replays deterministically, so decisions the
@@ -346,19 +198,10 @@ pub(crate) fn walk(
                 }
             }
         }
-        if visit(&out, &spec) {
+        if visit(&out) {
             stats.found = true;
             stats.found_at = Some(stats.explored - 1);
             return Some((out, spec));
-        }
-
-        // Every branch still pending anywhere on the stack will eventually
-        // be consumed (backtrack sets only grow, `done` entries never come
-        // back) and its run depends only on its forced prefix — so a
-        // parallel fetcher may execute all of them ahead of time.
-        let branches = pending_branches(&stack);
-        if !branches.is_empty() {
-            fetcher.speculate(branches, &pool);
         }
 
         // Backtrack: pop exhausted nodes (counting their never-explored
@@ -389,34 +232,6 @@ pub(crate) fn walk(
             }
         }
     }
-}
-
-/// Every branch currently pending on the DFS stack, as the forced prefix
-/// its first run will use: the path to the node plus the sibling's
-/// candidate index.
-///
-/// Ordered for a LIFO frontier: shallow nodes first and, within a node,
-/// larger task ids first — so popping from the back yields the deepest
-/// node's smallest pending task, which is exactly the branch the walk
-/// consumes next.
-fn pending_branches(stack: &[Node]) -> Vec<Vec<u32>> {
-    let mut branches = Vec::new();
-    let mut base: Vec<u32> = Vec::with_capacity(stack.len());
-    for node in stack {
-        let pending: Vec<TaskId> = node.backtrack.difference(&node.done).copied().collect();
-        for &t in pending.iter().rev() {
-            let idx = node
-                .candidates
-                .iter()
-                .position(|&c| c == t)
-                .expect("backtrack tasks are always candidates") as u32;
-            let mut p = base.clone();
-            p.push(idx);
-            branches.push(p);
-        }
-        base.push(node.chosen_index);
-    }
-    branches
 }
 
 /// Finds the backtrack points one executed run implies.

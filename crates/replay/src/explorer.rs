@@ -9,13 +9,11 @@
 //! The search cost is reported as inference time and feeds debugging
 //! efficiency (DE).
 
-use crate::dpor::TreeConfig;
-use crate::parallel::explore_tree_parallel;
+use crate::dpor::{explore_tree, TreeConfig};
 use crate::scenario::{PolicyChoice, RunSpec, Scenario};
-use dd_sim::{RunOutput, WorldSnapshot};
+use dd_sim::RunOutput;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
-use std::sync::Arc;
 
 /// Bounds on inference work, plus the schedule-candidate strategy the
 /// replayer should use inside those bounds.
@@ -23,8 +21,8 @@ use std::sync::Arc;
 /// Construct with [`InferenceBudget::builder`] or the purpose-named
 /// constructors ([`executions`](Self::executions), [`dpor`](Self::dpor));
 /// direct struct-literal assembly is discouraged because the fields are
-/// interdependent (`workers` and `checkpoint_interval` only apply to the
-/// systematic strategies) and literals skip the builder's validation.
+/// interdependent (`checkpoint_interval` only applies to the systematic
+/// strategies) and literals skip the builder's validation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct InferenceBudget {
     /// Maximum candidate executions to try.
@@ -45,12 +43,6 @@ pub struct InferenceBudget {
     /// tick-bounded checkpointed walk covers at least as many interleavings
     /// as the scratch walk before cutoff (see `dpor` module docs).
     pub checkpoint_interval: u64,
-    /// Worker threads the systematic strategies spread run execution over.
-    /// `0` and `1` (the default) keep everything on the calling thread.
-    /// The worker count never changes what the search returns — only how
-    /// fast (see the `parallel` module's determinism contract). Ignored by
-    /// the non-systematic strategies.
-    pub workers: u32,
 }
 
 impl Default for InferenceBudget {
@@ -60,7 +52,6 @@ impl Default for InferenceBudget {
             max_ticks: u64::MAX,
             strategy: SearchStrategy::Random,
             checkpoint_interval: 0,
-            workers: 1,
         }
     }
 }
@@ -69,8 +60,8 @@ impl InferenceBudget {
     /// Starts a validated [`InferenceBudgetBuilder`]. Prefer this (or the
     /// purpose-named constructors below) over assembling the struct field
     /// by field: the builder rejects incoherent combinations — e.g. a
-    /// worker pool without a systematic strategy — at `build()` time
-    /// instead of silently ignoring fields at search time.
+    /// checkpoint interval without a systematic strategy — at `build()`
+    /// time instead of silently ignoring fields at search time.
     pub fn builder() -> InferenceBudgetBuilder {
         InferenceBudgetBuilder {
             budget: Self::default(),
@@ -108,33 +99,9 @@ impl InferenceBudget {
         self
     }
 
-    /// Sets the worker-thread pool size the systematic strategies run on
-    /// (`0` and `1` both mean sequential).
-    pub fn with_workers(mut self, workers: u32) -> Self {
-        self.workers = workers;
-        self
-    }
-
     /// The default snapshot interval for callers that just want
     /// checkpointing on (snapshot at every decision in the horizon).
     pub const DEFAULT_CHECKPOINT_INTERVAL: u64 = 1;
-
-    /// The ceiling of [`default_worker_pool`](Self::default_worker_pool).
-    pub const DEFAULT_WORKERS: u32 = 4;
-
-    /// The host-sized worker pool for callers that just want parallel
-    /// exploration on (e.g. the RCSE replay-divergence fallback):
-    /// `min(available cores, DEFAULT_WORKERS)`. Resolves to `1` — the
-    /// sequential path — on single-core hosts, where speculating workers
-    /// could only steal cycles from the coordinator. Explicit worker counts
-    /// are honored as-is; the determinism contract makes either choice
-    /// return identical results.
-    pub fn default_worker_pool() -> u32 {
-        std::thread::available_parallelism()
-            .map(|n| n.get() as u32)
-            .unwrap_or(1)
-            .min(Self::DEFAULT_WORKERS)
-    }
 }
 
 /// A rejected [`InferenceBudgetBuilder`] combination, explaining which
@@ -152,10 +119,9 @@ impl std::error::Error for BudgetError {}
 
 /// Typed, validated construction of an [`InferenceBudget`].
 ///
-/// The budget's fields are interdependent: `workers` and
-/// `checkpoint_interval` are only consumed by the systematic strategies.
-/// The builder makes that coupling explicit and turns silent
-/// field-ignoring into [`BudgetError`]s:
+/// The budget's fields are interdependent: `checkpoint_interval` is only
+/// consumed by the systematic strategies. The builder makes that coupling
+/// explicit and turns silent field-ignoring into [`BudgetError`]s:
 ///
 /// ```
 /// use dd_replay::{InferenceBudget, SearchStrategy};
@@ -168,8 +134,8 @@ impl std::error::Error for BudgetError {}
 ///     .unwrap();
 /// assert_eq!(budget.max_executions, 500);
 ///
-/// // A worker pool without a systematic strategy is rejected, not ignored.
-/// assert!(InferenceBudget::builder().workers(4).build().is_err());
+/// // Checkpoints without a systematic strategy are rejected, not ignored.
+/// assert!(InferenceBudget::builder().checkpoint_interval(1).build().is_err());
 /// ```
 #[derive(Debug, Clone)]
 pub struct InferenceBudgetBuilder {
@@ -203,14 +169,6 @@ impl InferenceBudgetBuilder {
         self
     }
 
-    /// Worker-thread pool for the systematic strategies (`0` and `1` = the
-    /// sequential path). A larger pool is rejected at `build()` for the
-    /// non-systematic strategies.
-    pub fn workers(mut self, workers: u32) -> Self {
-        self.budget.workers = workers;
-        self
-    }
-
     /// Validates the combination and produces the budget.
     pub fn build(self) -> Result<InferenceBudget, BudgetError> {
         let b = self.budget;
@@ -236,13 +194,6 @@ impl InferenceBudgetBuilder {
             return Err(BudgetError(
                 "systematic strategy with max_depth 0 explores nothing".into(),
             ));
-        }
-        if b.workers > 1 && !systematic {
-            return Err(BudgetError(format!(
-                "workers {} has no effect under {:?} — only the systematic \
-                 strategies (Exhaustive/Dpor) run on the worker pool",
-                b.workers, b.strategy
-            )));
         }
         Ok(b)
     }
@@ -354,8 +305,8 @@ pub enum SearchStrategy {
 
 impl SearchStrategy {
     /// The branching-depth bound of the systematic strategies (`Exhaustive`
-    /// and `Dpor`, which walk the schedule tree on the budget's worker
-    /// pool), or `None` for the non-systematic ones.
+    /// and `Dpor`, which walk the schedule tree), or `None` for the
+    /// non-systematic ones.
     pub fn max_depth(&self) -> Option<u32> {
         match *self {
             SearchStrategy::Exhaustive { max_depth } | SearchStrategy::Dpor { max_depth } => {
@@ -391,29 +342,6 @@ pub fn search_with(
     budget: &InferenceBudget,
     strategy: SearchStrategy,
     fixed_inputs: Option<&dd_sim::InputScript>,
-    accept: impl Fn(&RunOutput) -> bool,
-) -> SearchResult {
-    search_with_warm(scenario, budget, strategy, fixed_inputs, Vec::new(), accept)
-}
-
-/// [`search_with`] additionally seeding systematic tree walks with
-/// previously captured world snapshots (warm start).
-///
-/// The seeds typically come from a persistent
-/// [`SnapshotStore`](dd_trace::SnapshotStore) written by a recorded run in
-/// another process: the walk's first descents fork from the deepest
-/// compatible seed instead of re-executing the shared prefix from scratch.
-/// Seeds whose decision path diverges from the walk's current prefix are
-/// skipped (compatibility is always checked explicitly), so stale or
-/// foreign snapshots degrade to a cold start rather than corrupting the
-/// search. Non-systematic strategies and walks without checkpointing ignore
-/// the seeds entirely.
-pub fn search_with_warm(
-    scenario: &Scenario,
-    budget: &InferenceBudget,
-    strategy: SearchStrategy,
-    fixed_inputs: Option<&dd_sim::InputScript>,
-    warm: Vec<Arc<WorldSnapshot>>,
     accept: impl Fn(&RunOutput) -> bool,
 ) -> SearchResult {
     let space = &scenario.space;
@@ -464,12 +392,9 @@ pub fn search_with_warm(
                         max_depth: max_depth as usize,
                         checkpoint_every: (budget.checkpoint_interval > 0)
                             .then_some(budget.checkpoint_interval),
-                        warm: warm.clone(),
                     };
                     if let Some((out, spec)) =
-                        explore_tree_parallel(scenario, &cfg, budget, &mut stats, &mut |out, _| {
-                            accept(out)
-                        })
+                        explore_tree(scenario, &cfg, budget, &mut stats, &mut |out| accept(out))
                     {
                         return SearchResult {
                             run: Some(out),
@@ -566,9 +491,8 @@ pub fn enumerate_failures(
                 max_depth: max_depth as usize,
                 checkpoint_every: (budget.checkpoint_interval > 0)
                     .then_some(budget.checkpoint_interval),
-                warm: Vec::new(),
             };
-            explore_tree_parallel(scenario, &cfg, budget, &mut stats, &mut |out, _| {
+            explore_tree(scenario, &cfg, budget, &mut stats, &mut |out| {
                 if let Some(f) = (scenario.failure_of)(&out.io) {
                     failures.insert(f.failure_id);
                 }
@@ -722,14 +646,12 @@ mod tests {
             .max_executions(64)
             .strategy(SearchStrategy::Dpor { max_depth: 6 })
             .checkpoint_interval(InferenceBudget::DEFAULT_CHECKPOINT_INTERVAL)
-            .workers(4)
             .build()
             .unwrap();
         assert_eq!(
             built,
             InferenceBudget::dpor(64, 6)
                 .with_checkpoints(InferenceBudget::DEFAULT_CHECKPOINT_INTERVAL)
-                .with_workers(4)
         );
     }
 
@@ -741,17 +663,6 @@ mod tests {
             .build()
             .is_err());
         assert!(InferenceBudget::builder().max_ticks(0).build().is_err());
-
-        // Worker pools only run the systematic strategies.
-        assert!(InferenceBudget::builder().workers(4).build().is_err());
-        assert!(InferenceBudget::builder()
-            .strategy(SearchStrategy::Pct {
-                expected_len: 200,
-                depth: 3,
-            })
-            .workers(4)
-            .build()
-            .is_err());
 
         // Checkpointing is a systematic-strategy facility.
         assert!(InferenceBudget::builder()

@@ -19,20 +19,18 @@
 //! Inference is explicit bounded [`search`] over a scenario's
 //! [`NondetSpace`] — this reproduction's substitution for symbolic
 //! execution (README, "Search strategies"). Its cost is measured and feeds
-//! debugging efficiency. The
-//! systematic strategies can run multi-worker
-//! ([`InferenceBudget::workers`], see [`parallel`]) with byte-identical
-//! results for any worker count. DPOR's conflict analysis takes its
-//! happens-before order from `dd-detect`'s `HbClocks`, the engine the race
-//! detector runs on, and each executed event's footprint from
-//! `dd_sim::OpDesc::of_event`.
+//! debugging efficiency. The systematic strategies walk the schedule tree
+//! on the calling thread ([`dpor`]), forking backtracked branches from
+//! world snapshots when the budget sets a checkpoint interval. DPOR's
+//! conflict analysis takes its happens-before order from `dd-detect`'s
+//! `HbClocks`, the engine the race detector runs on, and each executed
+//! event's footprint from `dd_sim::OpDesc::of_event`.
 
 pub mod divergence;
 pub mod dpor;
 pub mod explorer;
 pub mod guided;
 pub mod models;
-pub mod parallel;
 pub mod recordings;
 pub mod scenario;
 
@@ -41,8 +39,8 @@ pub use divergence::{
     DivergenceReport,
 };
 pub use explorer::{
-    enumerate_failures, search, search_with, search_with_warm, BudgetError, InferenceBudget,
-    InferenceBudgetBuilder, InferenceStats, SearchResult, SearchStrategy,
+    enumerate_failures, search, search_with, BudgetError, InferenceBudget, InferenceBudgetBuilder,
+    InferenceStats, SearchResult, SearchStrategy,
 };
 pub use guided::{
     pinned_completion_digest, racing_outcomes, FeedHandle, GuidedHandle, GuidedOrderPolicy,
@@ -58,8 +56,7 @@ pub use recordings::{
 pub use scenario::{FailureOracle, NondetSpace, PolicyChoice, RunSpec, Scenario};
 
 /// Locks `m`, taking the guard over even when a holder panicked: a panic
-/// is reported where it happened (a parallel-exploration worker's, through
-/// the frontier's poison), never again by the next lock.
+/// is reported where it happened, never again by the next lock.
 pub(crate) fn lock<T>(m: &std::sync::Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }

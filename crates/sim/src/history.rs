@@ -16,13 +16,14 @@
 //! O(N + K·chunk) bytes, not O(N·K): every snapshot shares the sealed
 //! prefix with the run that produced it and with every other snapshot of
 //! the same run. Chunks are immutable after sealing, which is what makes a
-//! `ChunkedLog<T>` `Send + Sync` (for `T: Send + Sync`) and lets a parallel
-//! schedule explorer hand the same chunks to all its worker threads.
+//! `ChunkedLog<T>` `Send + Sync` (for `T: Send + Sync`), so snapshots that
+//! share chunks stay `Send + Sync` too.
 //!
 //! The representation is invisible to consumers: iteration order, indexing,
 //! equality and the serialized form are identical to a plain `Vec<T>` (the
 //! serde impls encode a flat sequence), so the bit-identical-trace
-//! guarantees of snapshot/restore and parallel exploration hold unchanged.
+//! guarantees of snapshot/restore and checkpointed exploration hold
+//! unchanged.
 
 use serde::{Deserialize, Deserializer, Error, Kind, Serialize};
 use std::ops::Index;

@@ -51,10 +51,9 @@ pub struct RecordedDecision {
 /// Resolves nondeterministic choices for the driver.
 ///
 /// Policies are `Send + Sync` so that [`WorldSnapshot`](crate::WorldSnapshot)s
-/// (which capture the policy state alongside the machine state) can be
-/// shared across the worker threads of a parallel schedule explorer. The
-/// `Sync` bound costs implementors nothing: `decide` takes `&mut self`, so
-/// a policy never needs interior mutability.
+/// (which capture the policy state alongside the machine state) stay
+/// `Send + Sync`. The `Sync` bound costs implementors nothing: `decide`
+/// takes `&mut self`, so a policy never needs interior mutability.
 pub trait SchedulePolicy: Send + Sync {
     /// A short label for diagnostics and reports.
     fn label(&self) -> &'static str;
@@ -80,8 +79,7 @@ pub trait SchedulePolicy: Send + Sync {
     ///
     /// World snapshots capture this alongside the machine state so that a
     /// resumed run's remaining decisions match the original's exactly. The
-    /// clone is `Send`-safe: parallel explorers hand it to a worker thread's
-    /// private execution shell.
+    /// clone is `Send`-safe, like the snapshot that carries it.
     fn clone_box(&self) -> Box<dyn SchedulePolicy>;
 }
 

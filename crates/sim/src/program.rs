@@ -107,8 +107,8 @@ pub struct InPort(pub PortId);
 pub struct OutPort(pub PortId);
 
 /// The pinned coroutine for one task body. `!Send` by design: futures are
-/// engine-local (a parallel explorer gives each worker its own engine and
-/// whole world), only the *factories* ([`TaskFn`]) cross threads.
+/// engine-local (every run builds its own engine), only the *factories*
+/// ([`TaskFn`]) may cross threads.
 pub type TaskFuture = Pin<Box<dyn Future<Output = SimResult<()>> + 'static>>;
 
 /// A task body factory: runs once, producing the body's coroutine. The body

@@ -38,12 +38,13 @@
 //! # Thread-safety
 //!
 //! The world/shell split is also a *thread-safety* boundary. `WorldState`
-//! and [`WorldSnapshot`] are `Send + Sync`: a parallel schedule explorer
-//! keeps one shared pool of snapshots and hands them to worker threads,
-//! each of which owns a private execution shell — its own observers, policy
-//! clone ([`SchedulePolicy::clone_box`] is `Send`-safe), and its own
-//! coroutine engine (futures are engine-local and never cross threads).
-//! Nothing in the shell crosses threads; everything in the world may.
+//! and [`WorldSnapshot`] are `Send + Sync`, so a caller may move or share
+//! a snapshot across threads and resume it in an execution shell of that
+//! thread's own: its own observers, policy clone
+//! ([`SchedulePolicy::clone_box`] is `Send`-safe), and its own coroutine
+//! engine (futures are engine-local and never cross threads). Nothing in
+//! the shell crosses threads; everything in the world may. No crate of
+//! this workspace spawns a thread.
 
 use crate::config::{ChanClass, EnvConfig};
 use crate::conflict::OpDesc;
@@ -465,10 +466,9 @@ impl WorldSnapshot {
     /// index of each recorded decision, in order ([`at_decision`](Self::at_decision)
     /// entries).
     ///
-    /// Parallel schedule explorers use this to re-bind a queued subtree job
-    /// to the deepest snapshot *compatible with the job's forced prefix* at
-    /// execution time — a snapshot is usable for a prefix iff the prefix
-    /// starts with the snapshot's decision path.
+    /// A snapshot is usable for a forced schedule prefix iff the prefix
+    /// starts with the snapshot's decision path; the schedule walk checks
+    /// this of every snapshot it restores in debug builds.
     pub fn decision_prefix(&self) -> impl Iterator<Item = u32> + '_ {
         self.world.decisions.iter().map(|d| d.chosen_index)
     }
@@ -494,11 +494,10 @@ impl core::fmt::Debug for WorldSnapshot {
     }
 }
 
-// The load-bearing bounds of parallel exploration, pinned at compile time:
-// snapshots (world + policy clone) move between — and are shared by — the
-// worker threads of a parallel explorer. If a field ever loses `Send` or
-// `Sync`, this fails to compile rather than surfacing as a distant trait
-// error in `dd-replay`.
+// The public `Send + Sync` promise of snapshots (world + policy clone),
+// pinned at compile time: if a field ever loses `Send` or `Sync`, this
+// fails to compile rather than surfacing as a distant trait error in a
+// caller.
 const _: () = {
     const fn assert_send_sync<T: Send + Sync>() {}
     assert_send_sync::<WorldState>();

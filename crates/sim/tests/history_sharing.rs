@@ -4,8 +4,8 @@
 //!   its fully-unshared [`WorldSnapshot::deep_clone`] (the PR-3 deep-copy
 //!   representation) resume to byte-identical runs — the representation is
 //!   invisible to every consumer (the golden-hash grid, `InferenceStats`
-//!   and the parallel-walk byte-identity checks in the workspace suites
-//!   re-pin the same property end to end).
+//!   and the walk-order pins in the workspace suites re-pin the same
+//!   property end to end).
 //! - **Cost**: a pool of K snapshots over an N-event history shares its
 //!   sealed chunks, so allocated history bytes grow O(N + K·tail), not
 //!   O(N·K), and the bytes one snapshot clone copies are independent of

@@ -250,71 +250,6 @@ impl ScheduleLog {
             .last()
             .copied()
     }
-
-    /// Merges epoch marks from another observer of the same logical run
-    /// into this log, keeping the union sorted by decision index and free
-    /// of duplicates.
-    ///
-    /// Concurrent recorders — e.g. one per worker of a parallel schedule
-    /// explorer — each see only the snapshot slice their own executions
-    /// took (a resumed run reports epochs past its restore point only).
-    /// Because snapshots at the same decision index of the same schedule
-    /// prefix capture the identical world (the determinism contract),
-    /// merging is a pure set union: order of merging does not matter, and
-    /// a duplicate decision index carries an identical mark, so the first
-    /// occurrence is kept.
-    ///
-    /// Both sides are already ordered by decision (the list invariant, and
-    /// snapshots are reported in increasing decision order), so the union
-    /// is a single forward merge pass — merging M slices into a log of E
-    /// epochs costs O(M + E), not a full re-sort per merge.
-    pub fn merge_epochs(&mut self, marks: impl IntoIterator<Item = EpochMark>) {
-        let mut incoming: Vec<EpochMark> = marks.into_iter().collect();
-        // No early-out on empty input: normalizing `epochs` below is part
-        // of this function's contract, and an empty merge must repair an
-        // unsorted deserialized list just like a non-empty one.
-        // Callers normally hand marks in decision order; tolerate the
-        // exception without losing the linear merge below.
-        if !incoming.windows(2).all(|w| w[0].decision <= w[1].decision) {
-            incoming.sort_by_key(|e| e.decision);
-        }
-        let mut old = std::mem::take(&mut self.epochs);
-        // `epochs` is a pub field a deserialized artifact populates
-        // verbatim, so the list invariant cannot be assumed on this side
-        // either — re-establish it (once) before the linear merge instead
-        // of silently producing an unsorted union.
-        if !old.windows(2).all(|w| w[0].decision <= w[1].decision) {
-            old.sort_by_key(|e| e.decision);
-        }
-        let mut merged: Vec<EpochMark> = Vec::with_capacity(old.len() + incoming.len());
-        let mut a = old.into_iter().peekable();
-        let mut b = incoming.into_iter().peekable();
-        loop {
-            let take_a = match (a.peek(), b.peek()) {
-                (Some(x), Some(y)) => x.decision <= y.decision,
-                (Some(_), None) => true,
-                (None, Some(_)) => false,
-                (None, None) => break,
-            };
-            let next = if take_a { a.next() } else { b.next() }.expect("peeked side is non-empty");
-            match merged.last() {
-                Some(prev) if prev.decision == next.decision => {
-                    debug_assert!(
-                        prev.step == next.step && prev.time == next.time,
-                        "epoch marks at decision {} disagree ({}/{} vs {}/{}) — \
-                         recorders observed diverging runs",
-                        next.decision,
-                        prev.step,
-                        prev.time,
-                        next.step,
-                        next.time
-                    );
-                }
-                _ => merged.push(next),
-            }
-        }
-        self.epochs = merged;
-    }
 }
 
 /// One recorded external input.
@@ -843,66 +778,6 @@ mod tests {
         assert_eq!(log.deepest_epoch_at_or_before(2).unwrap().decision, 2);
         assert_eq!(log.deepest_epoch_at_or_before(5).unwrap().decision, 2);
         assert_eq!(log.deepest_epoch_at_or_before(9).unwrap().decision, 6);
-    }
-
-    #[test]
-    fn merge_epochs_unions_sorted_and_deduplicated() {
-        let mark = |decision: u64, step: u64| EpochMark {
-            decision,
-            step,
-            time: step * 2,
-            snapshot: None,
-        };
-        // Three concurrent recorders, each observing a different slice of
-        // the same run's snapshot stream (resumed runs only report epochs
-        // past their restore point), merged in arbitrary order.
-        let slices = [
-            vec![mark(2, 3), mark(6, 11)],
-            vec![mark(4, 7), mark(6, 11)],
-            vec![mark(2, 3), mark(8, 15)],
-        ];
-        let mut forward = ScheduleLog::default();
-        for s in &slices {
-            forward.merge_epochs(s.iter().copied());
-        }
-        let mut backward = ScheduleLog::default();
-        for s in slices.iter().rev() {
-            backward.merge_epochs(s.iter().copied());
-        }
-        let want = vec![mark(2, 3), mark(4, 7), mark(6, 11), mark(8, 15)];
-        assert_eq!(forward.epochs, want, "union, sorted, deduplicated");
-        assert_eq!(backward.epochs, want, "merge order must not matter");
-        // The merged log answers resume-point queries across all slices.
-        assert_eq!(forward.deepest_epoch_at_or_before(5).unwrap().decision, 4);
-        assert_eq!(forward.deepest_epoch_at_or_before(9).unwrap().decision, 8);
-    }
-
-    #[test]
-    fn merge_epochs_repairs_an_unsorted_deserialized_artifact() {
-        let mark = |decision: u64| EpochMark {
-            decision,
-            step: decision * 10,
-            time: decision * 20,
-            snapshot: None,
-        };
-        // `epochs` is a pub field: an externally-produced artifact can
-        // arrive unsorted and with duplicates. A merge must re-establish
-        // the list invariant rather than assume it.
-        let mut log = ScheduleLog {
-            epochs: vec![mark(6), mark(2), mark(6)],
-            ..ScheduleLog::default()
-        };
-        log.merge_epochs([mark(4)]);
-        assert_eq!(log.epochs, vec![mark(2), mark(4), mark(6)]);
-        assert_eq!(log.deepest_epoch_at_or_before(5).unwrap().decision, 4);
-        // The repair is part of the merge contract even for an empty
-        // slice (a recorder that took no snapshots still absorbs).
-        let mut untouched = ScheduleLog {
-            epochs: vec![mark(6), mark(2)],
-            ..ScheduleLog::default()
-        };
-        untouched.merge_epochs([]);
-        assert_eq!(untouched.epochs, vec![mark(2), mark(6)]);
     }
 
     #[test]

@@ -40,19 +40,15 @@ impl ScheduleRecorder {
         std::mem::take(&mut self.log)
     }
 
-    /// Merges the checkpoint epochs of a finished run into the artifact.
+    /// Records the checkpoint epochs of a finished run in the artifact.
     ///
     /// Snapshots are taken by the driver, not published as events, so the
     /// observer cannot see them; models call this after the run with the
     /// snapshots from the [`RunOutput`](dd_sim::RunOutput) the recorder was
-    /// attached to. Calling it repeatedly *unions* the marks (sorted by
-    /// decision, deduplicated) — that is what lets the epoch streams of
-    /// concurrent recorders, each attached to one worker of a parallel
-    /// explorer re-executing slices of the same schedule, be folded into
-    /// one artifact in any order (see [`ScheduleLog::merge_epochs`]).
+    /// attached to. The driver reports them in increasing decision order,
+    /// which is the order [`ScheduleLog::epochs`] keeps.
     pub fn absorb_epochs(&mut self, snapshots: &[dd_sim::WorldSnapshot]) {
-        self.log
-            .merge_epochs(snapshots.iter().map(crate::EpochMark::of));
+        self.log.epochs = snapshots.iter().map(crate::EpochMark::of).collect();
     }
 
     /// Recording statistics.
@@ -357,27 +353,5 @@ mod tests {
         );
         let log = r.to_log(&dd_sim::Registry::default());
         assert_eq!(log.counters["drops"], 4);
-    }
-
-    #[test]
-    fn concurrent_recorders_epochs_merge_into_one_artifact() {
-        let mark = |decision: u64| crate::EpochMark {
-            decision,
-            step: decision * 10,
-            time: decision * 20,
-            snapshot: None,
-        };
-        // Two workers of a parallel explorer re-executed slices of the
-        // same schedule; each recorder carries the epochs its own
-        // executions saw.
-        let mut a = ScheduleRecorder::new(CostModel::free());
-        a.log.epochs = vec![mark(2), mark(4)];
-        let mut b = ScheduleRecorder::new(CostModel::free());
-        b.log.epochs = vec![mark(4), mark(6)];
-        a.log.merge_epochs(b.log().epochs.iter().copied());
-        assert_eq!(a.log().epochs, vec![mark(2), mark(4), mark(6)]);
-        // Merging is idempotent: folding the same slice again is a no-op.
-        a.log.merge_epochs(b.log().epochs.iter().copied());
-        assert_eq!(a.log().epochs, vec![mark(2), mark(4), mark(6)]);
     }
 }

@@ -150,6 +150,10 @@ fn usage_errors_exit_three() {
         3,
         "--emit-test is required"
     );
+    // Flags `dd explore` does not take are rejected before the trace is
+    // read.
+    assert_eq!(code(&dd(&["explore", "x.jsonl", "--warm"])), 3);
+    assert_eq!(code(&dd(&["explore", "x.jsonl", "--workers", "4"])), 3);
 }
 
 /// A mistyped sweep name or flag must not run a default and exit 0: CI

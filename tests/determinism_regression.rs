@@ -587,15 +587,17 @@ fn different_seeds_change_the_racy_schedule() {
 }
 
 /// The search and race-report golden table: exact DPOR walks, the
-/// exhaustive reference walk, and the happens-before race reports, pinned
-/// on every workload's production configuration. The happens-before engine,
-/// the event-footprint map and the worker pool all feed these numbers, so a
-/// change to any of them that alters a walk or a verdict fails here.
+/// exhaustive reference walk and the happens-before race reports, pinned
+/// on every workload's production configuration, plus the order in which
+/// walks over msgserver's search space visit interleavings. The
+/// happens-before engine, the event-footprint map and the snapshot pool
+/// all feed these numbers, so a change to any of them that alters a walk
+/// or a verdict fails here.
 mod search_golden {
     use super::*;
     use debug_determinism::core::Workload;
     use debug_determinism::replay::{
-        enumerate_failures, InferenceBudget, InferenceStats, SearchStrategy,
+        enumerate_failures, search_with, InferenceBudget, InferenceStats, SearchStrategy,
     };
     use debug_determinism::trace::Trace;
 
@@ -654,6 +656,17 @@ mod search_golden {
         &["msgserver.excess-drops"],
     );
 
+    /// The order a walk visits interleavings in, on msgserver through
+    /// `search_with`: branching depth, execution budget, checkpoint
+    /// interval, the number of interleavings visited, and the FNV-1a over
+    /// their trace hashes in visiting order. The statistics above pin how
+    /// much a walk does; these pin what it visits, run by run.
+    const WALK_ORDER: &[(u32, u64, u64, usize, u64)] = &[
+        (256, 60, 1, 60, 0x8c4d_fe9d_ea2c_3ae5),
+        (4, 400, 0, 400, 0x8828_8e1e_99c2_7627),
+        (4, 400, 1, 400, 0x8828_8e1e_99c2_7627),
+    ];
+
     /// Per workload: the race-report count and the FNV-1a of the reports'
     /// JSON from `HbRaceDetector::analyze` on the production trace.
     const RACES: &[(&str, usize, u64)] = &[
@@ -702,6 +715,35 @@ mod search_golden {
         assert_walk(&msgserver, exhaustive, 2000, &EXHAUSTIVE_D4);
         let deep = SearchStrategy::Dpor { max_depth: 256 };
         assert_walk(&msgserver, deep, 150, &DPOR_DEEP);
+    }
+
+    #[test]
+    fn walks_visit_interleavings_in_the_golden_order() {
+        let scenario = common::msgserver().scenario();
+        let actual: Vec<_> = WALK_ORDER
+            .iter()
+            .map(|&(max_depth, executions, interval, _, _)| {
+                let budget = InferenceBudget::executions(executions).with_checkpoints(interval);
+                let hashes = std::cell::RefCell::new(Vec::new());
+                search_with(
+                    &scenario,
+                    &budget,
+                    SearchStrategy::Dpor { max_depth },
+                    None,
+                    |out| {
+                        hashes.borrow_mut().push(common::trace_hash(out));
+                        false
+                    },
+                );
+                let hashes = hashes.into_inner();
+                let order = common::fnv_bytes(hashes.iter().flat_map(|h| h.to_le_bytes()));
+                (max_depth, executions, interval, hashes.len(), order)
+            })
+            .collect();
+        assert_eq!(
+            actual, WALK_ORDER,
+            "a walk visited other interleavings or visited them in another order"
+        );
     }
 
     #[test]

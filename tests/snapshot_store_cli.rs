@@ -237,23 +237,6 @@ fn snapshots_verb_lists_the_store_and_missing_store_exits_four() {
 }
 
 #[test]
-fn explore_warm_seeds_from_the_store() {
-    let trace = scratch("warm.jsonl");
-    record_spilled("msgserver", &trace);
-    let out = dd(&[
-        "explore",
-        trace.to_str().unwrap(),
-        "--warm",
-        "--executions",
-        "8",
-        "--depth",
-        "4",
-    ]);
-    assert_eq!(code(&out), 0, "{}", stderr(&out));
-    assert!(stdout(&out).contains("warm-start"), "{}", stdout(&out));
-}
-
-#[test]
 fn stale_store_of_an_earlier_recording_exits_four_and_names_it() {
     let trace = scratch("stale.jsonl");
     record_spilled("msgserver", &trace);
@@ -271,21 +254,11 @@ fn stale_store_of_an_earlier_recording_exits_four_and_names_it() {
     ]);
     assert_eq!(code(&out), 0, "{}", stderr(&out));
     let store = format!("{path}.snapshots");
-    for verb in [
-        &["replay", path, "--from", "200"][..],
-        &["explore", path, "--warm"][..],
-    ] {
-        let out = dd(verb);
-        let err = stderr(&out);
-        assert_eq!(
-            code(&out),
-            4,
-            "{verb:?}: stdout: {} stderr: {err}",
-            stdout(&out)
-        );
-        assert!(
-            err.contains(&store) && err.contains("snapshot "),
-            "{verb:?}: error must name the store and the snapshot: {err}"
-        );
-    }
+    let out = dd(&["replay", path, "--from", "200"]);
+    let err = stderr(&out);
+    assert_eq!(code(&out), 4, "stdout: {} stderr: {err}", stdout(&out));
+    assert!(
+        err.contains(&store) && err.contains("snapshot "),
+        "error must name the store and the snapshot: {err}"
+    );
 }
