@@ -142,22 +142,61 @@ EXIT CODES:
     0 identical   1 divergence   2 invariant drift   3 usage   4 I/O
 ";
 
+/// A verb's report: what `dd` prints on stdout, through `write!` and
+/// `writeln!`.
+///
+/// The first failed write ends the report. A reader that stops early
+/// (`dd record ... | head -4`) closes the pipe; the verb still finishes its
+/// work and returns its usual status. Any other write error turns that
+/// status into [`exit::IO`].
+struct Printer<'a> {
+    out: &'a mut dyn std::io::Write,
+    failed: Option<std::io::Error>,
+}
+
+impl Printer<'_> {
+    /// The `write_fmt` that `write!` and `writeln!` call.
+    fn write_fmt(&mut self, args: std::fmt::Arguments<'_>) {
+        if self.failed.is_none() {
+            self.failed = self.out.write_fmt(args).err();
+        }
+    }
+}
+
 /// Entry point: parses `args` (without the program name) and runs one verb.
-/// Returns the process exit code; diagnostics go to stderr.
+/// Returns the process exit code; the report goes to stdout, diagnostics
+/// to stderr.
 pub fn run(args: &[String]) -> i32 {
+    run_to(args, &mut std::io::stdout().lock())
+}
+
+/// [`run`], printing the report to `out`.
+fn run_to(args: &[String], out: &mut dyn std::io::Write) -> i32 {
+    let mut stdout = Printer { out, failed: None };
+    let code = run_verb(args, &mut stdout);
+    match stdout.failed {
+        Some(e) if e.kind() != std::io::ErrorKind::BrokenPipe => {
+            eprintln!("dd: stdout: {e}");
+            exit::IO
+        }
+        _ => code,
+    }
+}
+
+fn run_verb(args: &[String], stdout: &mut Printer) -> i32 {
     let Some(verb) = args.first() else {
         eprint!("{USAGE}");
         return exit::USAGE;
     };
     let rest = &args[1..];
     match verb.as_str() {
-        "record" => cmd_record(rest),
-        "replay" => cmd_replay(rest),
-        "explore" => cmd_explore(rest),
-        "snapshots" => cmd_snapshots(rest),
-        "promote" => cmd_promote(rest),
+        "record" => cmd_record(rest, stdout),
+        "replay" => cmd_replay(rest, stdout),
+        "explore" => cmd_explore(rest, stdout),
+        "snapshots" => cmd_snapshots(rest, stdout),
+        "promote" => cmd_promote(rest, stdout),
         "help" | "--help" | "-h" => {
-            print!("{USAGE}");
+            write!(stdout, "{USAGE}");
             exit::OK
         }
         other => {
@@ -262,7 +301,7 @@ fn session_for_trace(trace: &JsonlTrace) -> Result<Session, i32> {
 // dd record
 // ---------------------------------------------------------------------------
 
-fn cmd_record(rest: &[String]) -> i32 {
+fn cmd_record(rest: &[String], stdout: &mut Printer) -> i32 {
     let mut args = Args::new(rest);
     let mut workload: Option<String> = None;
     let mut out: Option<PathBuf> = None;
@@ -367,7 +406,7 @@ fn cmd_record(rest: &[String]) -> i32 {
         let (s, found) = session.discover_failing_schedule(limit);
         session = s;
         match found {
-            Some(seed) => println!("discovered failing schedule seed {seed}"),
+            Some(seed) => writeln!(stdout, "discovered failing schedule seed {seed}"),
             None => {
                 eprintln!("dd record: no failing schedule in 0..{limit}");
                 return exit::USAGE;
@@ -380,7 +419,7 @@ fn cmd_record(rest: &[String]) -> i32 {
             eprintln!("dd record: --spill does not combine with --model");
             return exit::USAGE;
         }
-        return record_model_artifact(&session, kind, &name, out);
+        return record_model_artifact(&session, kind, &name, out, stdout);
     }
 
     let path = out.unwrap_or_else(|| PathBuf::from(format!("dd-{name}.trace.jsonl")));
@@ -437,26 +476,29 @@ fn cmd_record(rest: &[String]) -> i32 {
         return exit::IO;
     }
     let failure = (session.scenario_for_trace(&trace.header).failure_of)(&trace.footer.io);
-    println!("workload   : {}", trace.header.workload);
-    println!(
+    writeln!(stdout, "workload   : {}", trace.header.workload);
+    writeln!(
+        stdout,
         "run        : seed {} sched-seed {}",
         trace.header.seed, trace.header.sched_seed
     );
-    println!("decisions  : {}", trace.footer.decisions);
-    println!("stop       : {}", trace.footer.stop);
-    println!(
+    writeln!(stdout, "decisions  : {}", trace.footer.decisions);
+    writeln!(stdout, "stop       : {}", trace.footer.stop);
+    writeln!(
+        stdout,
         "failure    : {}",
         failure
             .as_ref()
             .map(|f| f.failure_id.as_str())
             .unwrap_or("none (run passed)")
     );
-    println!("trace      : {}", path.display());
+    writeln!(stdout, "trace      : {}", path.display());
     if spill {
         let store_dir = PathBuf::from(format!("{}.snapshots", path.display()));
         match SnapshotStore::open(&store_dir) {
             Ok(store) => {
-                println!(
+                writeln!(
+                    stdout,
                     "snapshots  : {} stored in {} ({} bytes, worst restore distance {})",
                     store.list().len(),
                     store_dir.display(),
@@ -470,7 +512,7 @@ fn cmd_record(rest: &[String]) -> i32 {
             }
         }
     }
-    println!("trace-hash : {:016x}", fnv64(text.as_bytes()));
+    writeln!(stdout, "trace-hash : {:016x}", fnv64(text.as_bytes()));
     exit::OK
 }
 
@@ -503,6 +545,7 @@ fn record_model_artifact(
     kind: ModelKind,
     name: &str,
     out: Option<PathBuf>,
+    stdout: &mut Printer,
 ) -> i32 {
     let p = session.production();
     let rec = session.record_model(kind);
@@ -524,14 +567,16 @@ fn record_model_artifact(
         eprintln!("dd record: {}: {e}", path.display());
         return exit::IO;
     }
-    println!("workload   : {}", session.workload().name());
-    println!("model      : {kind}");
-    println!(
+    writeln!(stdout, "workload   : {}", session.workload().name());
+    writeln!(stdout, "model      : {kind}");
+    writeln!(
+        stdout,
         "log        : {} records, {} bytes",
         rec.log.records, rec.log.bytes
     );
-    println!("overhead   : {:.2}x", rec.overhead_factor);
-    println!(
+    writeln!(stdout, "overhead   : {:.2}x", rec.overhead_factor);
+    writeln!(
+        stdout,
         "failure    : {}",
         rec.original
             .failure
@@ -539,12 +584,12 @@ fn record_model_artifact(
             .map(|f| f.failure_id.as_str())
             .unwrap_or("none (run passed)")
     );
-    println!("artifact   : {}", path.display());
-    println!("artifact-hash : {:016x}", fnv64(text.as_bytes()));
+    writeln!(stdout, "artifact   : {}", path.display());
+    writeln!(stdout, "artifact-hash : {:016x}", fnv64(text.as_bytes()));
     exit::OK
 }
 
-fn replay_model_artifact(path: &str) -> i32 {
+fn replay_model_artifact(path: &str, stdout: &mut Printer) -> i32 {
     let text = match std::fs::read_to_string(path) {
         Ok(t) => t,
         Err(e) => {
@@ -574,11 +619,16 @@ fn replay_model_artifact(path: &str) -> i32 {
         max_steps: doc.header.max_steps,
     });
     let (recording, result) = session.replay_artifact(doc.model, doc.artifact);
-    println!("model      : {}", doc.model);
-    println!("satisfied  : {}", result.artifact_satisfied);
-    println!("io identical : {}", result.io == recording.original.io);
+    writeln!(stdout, "model      : {}", doc.model);
+    writeln!(stdout, "satisfied  : {}", result.artifact_satisfied);
+    writeln!(
+        stdout,
+        "io identical : {}",
+        result.io == recording.original.io
+    );
     let show = |f: Option<&str>| f.unwrap_or("pass").to_owned();
-    println!(
+    writeln!(
+        stdout,
         "recorded verdict : {}",
         show(
             recording
@@ -588,7 +638,8 @@ fn replay_model_artifact(path: &str) -> i32 {
                 .map(|f| f.failure_id.as_str())
         )
     );
-    println!(
+    writeln!(
+        stdout,
         "failure reproduced : {}",
         if result.reproduced_failure {
             "yes"
@@ -597,13 +648,16 @@ fn replay_model_artifact(path: &str) -> i32 {
         }
     );
     if !result.artifact_satisfied {
-        println!("replay did not satisfy the recorded artifact");
+        writeln!(stdout, "replay did not satisfy the recorded artifact");
         return exit::DIVERGENCE;
     }
     if !result.reproduced_failure {
         return exit::INVARIANT;
     }
-    println!("replay satisfied the artifact and reproduced the recorded verdict");
+    writeln!(
+        stdout,
+        "replay satisfied the artifact and reproduced the recorded verdict"
+    );
     exit::OK
 }
 
@@ -611,7 +665,7 @@ fn replay_model_artifact(path: &str) -> i32 {
 // dd replay
 // ---------------------------------------------------------------------------
 
-fn cmd_replay(rest: &[String]) -> i32 {
+fn cmd_replay(rest: &[String], stdout: &mut Printer) -> i32 {
     let mut args = Args::new(rest);
     let mut trace_path: Option<String> = None;
     let mut invariant_only = false;
@@ -648,7 +702,7 @@ fn cmd_replay(rest: &[String]) -> i32 {
         return exit::USAGE;
     };
     if model {
-        return replay_model_artifact(&path);
+        return replay_model_artifact(&path, stdout);
     }
     let trace = match load_trace(&path) {
         Ok(t) => t,
@@ -664,11 +718,12 @@ fn cmd_replay(rest: &[String]) -> i32 {
             eprintln!("dd replay: --from does not combine with --invariant-only");
             return exit::USAGE;
         }
-        return replay_from_store(&session, &trace, &path, from, snapshot);
+        return replay_from_store(&session, &trace, &path, from, snapshot, stdout);
     }
 
     let report = session.replay(&trace);
-    println!(
+    writeln!(
+        stdout,
         "replayed {} of {} recorded decisions ({} digest comparison points matched)",
         report.replayed_decisions, trace.footer.decisions, report.matched
     );
@@ -677,18 +732,29 @@ fn cmd_replay(rest: &[String]) -> i32 {
         // Behavioural comparison only: did the specification verdict move?
         let check = session.behavior_check(&trace, &report.out.io);
         let show = |f: &Option<String>| f.clone().unwrap_or_else(|| "pass".into());
-        println!("recorded verdict : {}", show(&check.recorded_failure));
-        println!("replayed verdict : {}", show(&check.replayed_failure));
+        writeln!(
+            stdout,
+            "recorded verdict : {}",
+            show(&check.recorded_failure)
+        );
+        writeln!(
+            stdout,
+            "replayed verdict : {}",
+            show(&check.replayed_failure)
+        );
         return if check.drifted {
-            println!("behavioural drift: the replay is not debugging the recorded incident");
+            writeln!(
+                stdout,
+                "behavioural drift: the replay is not debugging the recorded incident"
+            );
             exit::INVARIANT
         } else {
-            println!("behaviour identical (state digests not enforced)");
+            writeln!(stdout, "behaviour identical (state digests not enforced)");
             exit::OK
         };
     }
 
-    divergence_verdict(&trace, &report, snapshot)
+    divergence_verdict(&trace, &report, snapshot, stdout)
 }
 
 /// Prints the divergence verdict shared by `dd replay` and `dd replay
@@ -697,29 +763,38 @@ fn divergence_verdict(
     trace: &JsonlTrace,
     report: &dd_replay::DivergenceReport,
     snapshot: Option<PathBuf>,
+    stdout: &mut Printer,
 ) -> i32 {
     match &report.divergence {
         None => {
-            println!("replay identical: every state digest matched, final digest matched");
+            writeln!(
+                stdout,
+                "replay identical: every state digest matched, final digest matched"
+            );
             exit::OK
         }
         Some(div) => {
-            println!("FIRST DIVERGENCE at decision {}", div.decision);
-            println!("  {}", div.detail);
+            writeln!(stdout, "FIRST DIVERGENCE at decision {}", div.decision);
+            writeln!(stdout, "  {}", div.detail);
             if let (Some(r), Some(p)) = (div.recorded_hash, div.replayed_hash) {
-                println!("  recorded digest {r:016x} / replayed digest {p:016x}");
+                writeln!(
+                    stdout,
+                    "  recorded digest {r:016x} / replayed digest {p:016x}"
+                );
             }
             // The failing decision sequence: a window of recorded decisions
             // leading into the divergence point.
             let end = (div.decision as usize + 1).min(trace.decisions.len());
             let start = end.saturating_sub(5);
-            println!(
+            writeln!(
+                stdout,
                 "  failing decision sequence (last {} of {}):",
                 end - start,
                 end
             );
             for d in &trace.decisions[start..end] {
-                println!(
+                writeln!(
+                    stdout,
                     "    #{:<6} {:?} chose {} ({} of {} candidates)",
                     d.i,
                     d.kind,
@@ -730,7 +805,7 @@ fn divergence_verdict(
             }
             if let Some(snap) = snapshot {
                 match write_snapshot_diff(&snap, trace, report) {
-                    Ok(()) => println!("  state diff written to {}", snap.display()),
+                    Ok(()) => writeln!(stdout, "  state diff written to {}", snap.display()),
                     Err(e) => {
                         eprintln!("dd replay: {}: {e}", snap.display());
                         return exit::IO;
@@ -789,6 +864,7 @@ fn replay_from_store(
     trace_path: &str,
     from: u64,
     snapshot_diff: Option<PathBuf>,
+    stdout: &mut Printer,
 ) -> i32 {
     let store_dir = store_dir_for(trace_path);
     let report = if store_dir.exists() {
@@ -808,7 +884,8 @@ fn replay_from_store(
                         return exit::IO;
                     }
                 };
-                println!(
+                writeln!(
+                    stdout,
                     "restored snapshot {} at decision {} ({} recorded decisions skipped, \
                      {} replayed live)",
                     entry.id,
@@ -819,22 +896,27 @@ fn replay_from_store(
                 session.replay_from(trace, &snap)
             }
             None => {
-                println!("no stored snapshot at or before decision {from}; replaying from scratch");
+                writeln!(
+                    stdout,
+                    "no stored snapshot at or before decision {from}; replaying from scratch"
+                );
                 session.replay(trace)
             }
         }
     } else {
-        println!(
+        writeln!(
+            stdout,
             "no snapshot store at {}; replaying from scratch",
             store_dir.display()
         );
         session.replay(trace)
     };
-    println!(
+    writeln!(
+        stdout,
         "replayed {} of {} recorded decisions ({} digest comparison points matched)",
         report.replayed_decisions, trace.footer.decisions, report.matched
     );
-    divergence_verdict(trace, &report, snapshot_diff)
+    divergence_verdict(trace, &report, snapshot_diff, stdout)
 }
 
 /// One endpoint (recorded or replayed) in the `--snapshot` diff file.
@@ -918,7 +1000,7 @@ fn write_snapshot_diff(
 /// `dd snapshots <trace>`: list the on-disk snapshot store a `dd record
 /// --spill` run wrote next to the trace — one row per stored snapshot with
 /// its decision index, marginal (delta) bytes and delta parent.
-fn cmd_snapshots(rest: &[String]) -> i32 {
+fn cmd_snapshots(rest: &[String], stdout: &mut Printer) -> i32 {
     let mut args = Args::new(rest);
     let mut trace_path: Option<String> = None;
     while let Some(a) = args.next() {
@@ -950,17 +1032,20 @@ fn cmd_snapshots(rest: &[String]) -> i32 {
         }
     };
     let policy = store.policy();
-    println!("store      : {}", store_dir.display());
-    println!(
+    writeln!(stdout, "store      : {}", store_dir.display());
+    writeln!(
+        stdout,
         "policy     : restore-distance bound {}, capacity {} snapshots",
         policy.bound, policy.max_snapshots
     );
-    println!(
+    writeln!(
+        stdout,
         "{:>4}  {:>9}  {:>9}  {:>12}  {:>7}",
         "id", "decision", "step", "delta-bytes", "parent"
     );
     for e in store.list() {
-        println!(
+        writeln!(
+            stdout,
             "{:>4}  {:>9}  {:>9}  {:>12}  {:>7}",
             e.id,
             e.decision,
@@ -969,7 +1054,8 @@ fn cmd_snapshots(rest: &[String]) -> i32 {
             e.parent.map_or_else(|| "-".into(), |p| p.to_string()),
         );
     }
-    println!(
+    writeln!(
+        stdout,
         "total      : {} snapshots, {} bytes on disk",
         store.list().len(),
         store.disk_bytes()
@@ -981,7 +1067,7 @@ fn cmd_snapshots(rest: &[String]) -> i32 {
 // dd explore
 // ---------------------------------------------------------------------------
 
-fn cmd_explore(rest: &[String]) -> i32 {
+fn cmd_explore(rest: &[String], stdout: &mut Printer) -> i32 {
     let mut args = Args::new(rest);
     let mut trace_path: Option<String> = None;
     let mut executions: u64 = 256;
@@ -1026,7 +1112,8 @@ fn cmd_explore(rest: &[String]) -> i32 {
     };
 
     let exploration = session.explore(&trace);
-    println!(
+    writeln!(
+        stdout,
         "target     : {}",
         exploration
             .target
@@ -1034,19 +1121,25 @@ fn cmd_explore(rest: &[String]) -> i32 {
             .unwrap_or("any failure (recorded run passed)")
     );
     let stats = &exploration.result.stats;
-    println!(
+    writeln!(
+        stdout,
         "search     : {} executed, {} pruned, {} ticks",
         stats.explored, stats.pruned, stats.ticks
     );
     match (&exploration.result.spec, stats.found_at) {
         (Some(spec), at) => {
-            println!(
+            writeln!(
+                stdout,
                 "found      : candidate {} reproduces the failure",
                 at.map(|i| i.to_string()).unwrap_or_else(|| "?".into())
             );
-            println!("  spec     : seed {} policy {:?}", spec.seed, spec.policy);
+            writeln!(
+                stdout,
+                "  spec     : seed {} policy {:?}",
+                spec.seed, spec.policy
+            );
         }
-        (None, _) => println!("found      : nothing within budget"),
+        (None, _) => writeln!(stdout, "found      : nothing within budget"),
     }
     exit::OK
 }
@@ -1055,7 +1148,7 @@ fn cmd_explore(rest: &[String]) -> i32 {
 // dd promote
 // ---------------------------------------------------------------------------
 
-fn cmd_promote(rest: &[String]) -> i32 {
+fn cmd_promote(rest: &[String], stdout: &mut Printer) -> i32 {
     let mut args = Args::new(rest);
     let mut trace_path: Option<String> = None;
     let mut emit_test = false;
@@ -1124,9 +1217,9 @@ fn cmd_promote(rest: &[String]) -> i32 {
         eprintln!("dd promote: {}: {e}", test_path.display());
         return exit::IO;
     }
-    println!("fixture    : {}", fixture_path.display());
-    println!("test       : {}", test_path.display());
-    println!("run it with: cargo test --test {name}");
+    writeln!(stdout, "fixture    : {}", fixture_path.display());
+    writeln!(stdout, "test       : {}", test_path.display());
+    writeln!(stdout, "run it with: cargo test --test {name}");
     exit::OK
 }
 
@@ -1274,20 +1367,54 @@ mod tests {
     fn model_artifact_round_trips_through_record_and_replay() {
         let out = std::env::temp_dir().join(format!("dd-cli-model-{}.json", std::process::id()));
         let a = |s: &str| s.to_owned();
+        let mut report = Vec::new();
         assert_eq!(
-            run(&[
-                a("record"),
-                a("sum"),
-                a("--model=msg-order"),
-                a("--out"),
-                out.display().to_string(),
-            ]),
+            run_to(
+                &[
+                    a("record"),
+                    a("sum"),
+                    a("--model=msg-order"),
+                    a("--out"),
+                    out.display().to_string(),
+                ],
+                &mut report
+            ),
             exit::OK
         );
         assert_eq!(
-            run(&[a("replay"), out.display().to_string(), a("--model")]),
+            run_to(
+                &[a("replay"), out.display().to_string(), a("--model")],
+                &mut report
+            ),
             exit::OK
         );
+        assert!(String::from_utf8(report)
+            .expect("utf-8 report")
+            .contains("replay satisfied the artifact"));
+        let _ = std::fs::remove_file(&out);
+    }
+
+    /// A stdout on which every write fails with one error kind.
+    struct Failing(std::io::ErrorKind);
+
+    impl std::io::Write for Failing {
+        fn write(&mut self, _: &[u8]) -> std::io::Result<usize> {
+            Err(self.0.into())
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_closed_stdout_ends_the_report_not_the_verb() {
+        let out = std::env::temp_dir().join(format!("dd-cli-epipe-{}.jsonl", std::process::id()));
+        let args = ["record", "sum", "--out", out.to_str().expect("utf-8 path")].map(str::to_owned);
+        let closed = &mut Failing(std::io::ErrorKind::BrokenPipe);
+        assert_eq!(run_to(&args, closed), exit::OK);
+        assert!(JsonlTrace::load(&out).is_ok(), "the trace is written");
+        let full = &mut Failing(std::io::ErrorKind::StorageFull);
+        assert_eq!(run_to(&args, full), exit::IO);
         let _ = std::fs::remove_file(&out);
     }
 

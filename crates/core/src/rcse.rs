@@ -9,9 +9,13 @@
 //! The [`RcseRecorder`] always records the thread schedule and control-plane
 //! data (what the paper's §4 prototype recorded) plus environment events;
 //! when a trigger fires it dials up to full recording, and dials back down
-//! after a configurable quiet window. [`DebugModel`] packages training
-//! (offline plane classification + invariant inference), recording, and
-//! schedule-replay into a [`DeterminismModel`].
+//! after a configurable quiet window. It pays for the schedule and the
+//! inputs as it goes, but the artifact takes both from the finished run
+//! ([`ScheduleLog::from_run`], [`InputLog::from_trace`]); what the recorder
+//! keeps itself is the control log, the drop script and the crashes.
+//! [`DebugModel`] packages training (offline plane classification +
+//! invariant inference), recording, and schedule-replay into a
+//! [`DeterminismModel`].
 
 use dd_classify::{Plane, PlaneMap, ProfileReport, RateClassifier};
 use dd_detect::{InvariantSet, TriggerDetector};
@@ -24,7 +28,7 @@ use dd_sim::{
     StopReason,
 };
 use dd_trace::{
-    ChargeAcc, CostModel, EventLog, InputEntry, InputLog, LogStats, ScheduleLog, Trace, TraceEvent,
+    ChargeAcc, CostModel, EventLog, InputLog, LogStats, ScheduleLog, Trace, TraceEvent,
 };
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
@@ -147,9 +151,7 @@ pub struct RcseRecorder {
     level: Fidelity,
     last_trigger_time: u64,
 
-    schedule: ScheduleLog,
     control: EventLog,
-    inputs: Vec<(dd_sim::PortId, u64, dd_sim::Value)>,
     dropped_sends: BTreeSet<u64>,
     net_send_counter: u64,
     crashes_seen: Vec<CrashEvent>,
@@ -181,9 +183,7 @@ impl RcseRecorder {
             schedule_cost: cfg.schedule_cost,
             level: Fidelity::Low,
             last_trigger_time: 0,
-            schedule: ScheduleLog::default(),
             control: EventLog::default(),
-            inputs: Vec::new(),
             dropped_sends: BTreeSet::new(),
             net_send_counter: 0,
             crashes_seen: Vec::new(),
@@ -205,32 +205,29 @@ impl RcseRecorder {
         self.level
     }
 
-    /// Assembles the debug-determinism artifact. `base_env` supplies the
-    /// static deployment configuration (memory budgets); observed
-    /// environment nondeterminism (crashes, drops) comes from the recording.
-    pub fn into_artifact(self, registry: &Registry, base_env: &EnvConfig) -> Artifact {
+    /// Moves what this recorder kept into the debug-determinism artifact,
+    /// around the `schedule` and `inputs` projected from the recorded run.
+    /// `base_env` supplies the static deployment configuration (memory
+    /// budgets); observed environment nondeterminism (crashes, drops) comes
+    /// from the recording.
+    pub fn take_artifact(
+        &mut self,
+        schedule: ScheduleLog,
+        inputs: InputLog,
+        base_env: &EnvConfig,
+    ) -> Artifact {
         let env = EnvConfig {
-            crashes: self.crashes_seen,
+            crashes: std::mem::take(&mut self.crashes_seen),
             drop_per_mille: 0,
-            drop_script: Some(self.dropped_sends),
+            drop_script: Some(std::mem::take(&mut self.dropped_sends)),
             mem_budget: base_env.mem_budget.clone(),
             partitions: base_env.partitions.clone(),
             restarts: base_env.restarts.clone(),
         };
         Artifact::Debug {
-            schedule: self.schedule,
-            control: self.control,
-            inputs: InputLog {
-                entries: self
-                    .inputs
-                    .iter()
-                    .map(|(port, time, value)| InputEntry {
-                        port: registry.ports[port.index()].name.clone(),
-                        time: *time,
-                        value: value.clone(),
-                    })
-                    .collect(),
-            },
+            schedule,
+            control: std::mem::take(&mut self.control),
+            inputs,
             env,
             // The kernel RNG seed is deliberately NOT recorded: data-plane
             // payload contents are re-synthesised at replay time.
@@ -238,9 +235,14 @@ impl RcseRecorder {
         }
     }
 
-    fn record_event(&mut self, meta: &EventMeta, event: &Event, cost: CostModel) -> u64 {
+    /// Charges one logged record of `event` at `cost`.
+    fn charge(&mut self, event: &Event, cost: CostModel) -> u64 {
         let bytes = dd_trace::log_size(event);
         self.stats.add(bytes);
+        self.acc.add(cost.cost_milli(bytes))
+    }
+
+    fn record_event(&mut self, meta: &EventMeta, event: &Event, cost: CostModel) -> u64 {
         self.control.events.push(TraceEvent {
             meta: *meta,
             event: event.clone(),
@@ -248,15 +250,11 @@ impl RcseRecorder {
         if self.level == Fidelity::High {
             self.high_records += 1;
         }
-        self.acc.add(cost.cost_milli(bytes))
+        self.charge(event, cost)
     }
 }
 
 impl Observer for RcseRecorder {
-    fn name(&self) -> &'static str {
-        "rcse-recorder"
-    }
-
     fn on_event(&mut self, meta: &EventMeta, event: &Event) -> u64 {
         let mut cost = 0;
 
@@ -282,24 +280,9 @@ impl Observer for RcseRecorder {
         match event {
             // The thread schedule is always recorded (§4: "the data on
             // control-plane channels and the thread schedule").
-            Event::Decision { .. } => {
-                if let Event::Decision { kind, chosen, .. } = event {
-                    self.schedule.decisions.push(dd_sim::RecordedDecision {
-                        kind: *kind,
-                        chosen: *chosen,
-                    });
-                }
-                let bytes = dd_trace::log_size(event);
-                self.stats.add(bytes);
-                cost += self.acc.add(self.schedule_cost.cost_milli(bytes));
-            }
+            Event::Decision { .. } => cost += self.charge(event, self.schedule_cost),
             // External inputs are control-plane requests in our workloads.
-            Event::InputArrival { port, value } => {
-                self.inputs.push((*port, meta.time, value.clone()));
-                let bytes = dd_trace::log_size(event);
-                self.stats.add(bytes);
-                cost += self.acc.add(self.control_cost.cost_milli(bytes));
-            }
+            Event::InputArrival { .. } => cost += self.charge(event, self.control_cost),
             // Environment nondeterminism: tiny, always recorded.
             Event::SendDropped { chan, .. } if self.resolved.is_network(*chan) => {
                 self.dropped_sends.insert(self.net_send_counter);
@@ -464,22 +447,18 @@ impl DeterminismModel for DebugModel {
     fn record(&self, scenario: &Scenario) -> Recording {
         let recorder = self.make_recorder();
         let mut out = scenario.execute(&scenario.original_spec(), vec![Box::new(recorder)]);
-        let registry = out.registry.clone();
+        let original = OriginalRun::from_run(scenario, &out);
+        let schedule = ScheduleLog::from_run(&out);
+        let inputs = InputLog::from_trace(&original.trace, &out.registry);
         let recorder = out
             .observer_mut::<RcseRecorder>()
             .expect("rcse recorder attached");
-        let log = recorder.stats();
-        let recorder = std::mem::replace(
-            recorder,
-            RcseRecorder::new(ResolvedPlaneMap::default(), Vec::new(), &self.cfg),
-        );
-        let artifact = recorder.into_artifact(&registry, &scenario.env);
         Recording {
             model: ModelKind::Debug,
-            artifact,
+            log: recorder.stats(),
+            artifact: recorder.take_artifact(schedule, inputs, &scenario.env),
             overhead_factor: out.stats.overhead_factor(),
-            log,
-            original: OriginalRun::from_run(scenario, &out),
+            original,
         }
     }
 

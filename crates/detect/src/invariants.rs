@@ -203,10 +203,6 @@ impl InvariantMonitor {
 }
 
 impl Observer for InvariantMonitor {
-    fn name(&self) -> &'static str {
-        "invariant-monitor"
-    }
-
     fn on_event(&mut self, meta: &EventMeta, event: &Event) -> u64 {
         self.handle(meta, event);
         match event {

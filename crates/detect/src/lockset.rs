@@ -174,10 +174,6 @@ impl LocksetDetector {
 }
 
 impl Observer for LocksetDetector {
-    fn name(&self) -> &'static str {
-        "lockset-detector"
-    }
-
     fn on_event(&mut self, meta: &EventMeta, event: &Event) -> u64 {
         self.handle(meta, event);
         match event {

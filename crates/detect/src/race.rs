@@ -201,10 +201,6 @@ impl HbRaceDetector {
 }
 
 impl Observer for HbRaceDetector {
-    fn name(&self) -> &'static str {
-        "hb-race-detector"
-    }
-
     fn on_event(&mut self, meta: &EventMeta, event: &Event) -> u64 {
         self.handle(meta, event);
         match event {

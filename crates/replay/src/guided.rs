@@ -543,10 +543,6 @@ impl OrderCostObserver {
 }
 
 impl Observer for OrderCostObserver {
-    fn name(&self) -> &'static str {
-        "order-log"
-    }
-
     fn on_event(&mut self, _meta: &EventMeta, event: &Event) -> u64 {
         let Some(op) = OpDesc::of_event(event) else {
             return 0;

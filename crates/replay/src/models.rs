@@ -1,11 +1,12 @@
 //! The baseline determinism models as recorder/replayer pairs.
 //!
 //! Each model implements [`DeterminismModel`]: `record` runs the production
-//! execution with that model's recorder attached (paying its overhead), and
-//! `replay` produces an execution from the artifact alone — by exact
-//! re-execution where the artifact allows it, by value feeding for value
-//! determinism, and by bounded search (standing in for symbolic inference)
-//! for the ultra-relaxed models.
+//! execution with that model's recording cost attached (a [`LogCharger`]
+//! pays for each event its logs keep) and projects its artifact logs from
+//! the finished run; `replay` produces an execution from the artifact
+//! alone — by exact re-execution where the artifact allows it, by value
+//! feeding for value determinism, and by bounded search (standing in for
+//! symbolic inference) for the ultra-relaxed models.
 
 use crate::explorer::{search, search_with, InferenceBudget, InferenceStats, SearchStrategy};
 use crate::guided::{
@@ -18,8 +19,8 @@ use crate::scenario::{NondetSpace, PolicyChoice, RunSpec, Scenario};
 use dd_detect::HbRaceDetector;
 use dd_sim::{EnvConfig, InputScript, IoSummary, Observer, RunOutput, StopReason};
 use dd_trace::{
-    FailureSnapshot, InputRecorder, LogStats, OutputRecorder, ScheduleRecorder, Trace,
-    ValueRecorder,
+    FailureSnapshot, InputLog, LogCharger, LogKind, LogStats, OutputLog, ScheduleLog, Trace,
+    ValueLog,
 };
 use std::collections::BTreeSet;
 use std::sync::{Arc, Mutex};
@@ -70,6 +71,13 @@ pub trait DeterminismModel: Send + Sync {
 /// Returns the failure id of a run, per the scenario's oracle.
 fn failure_of(scenario: &Scenario, io: &IoSummary) -> Option<FailureSnapshot> {
     (scenario.failure_of)(io)
+}
+
+/// Records and bytes the run's [`LogCharger`] charged.
+fn charged(out: &RunOutput) -> LogStats {
+    out.observer::<LogCharger>()
+        .expect("log charger attached")
+        .stats()
 }
 
 impl ReplayResult {
@@ -130,46 +138,32 @@ impl DeterminismModel for PerfectModel {
     fn record(&self, scenario: &Scenario) -> Recording {
         let observers: Vec<Box<dyn Observer>> = vec![
             Box::new(CrewObserver::new()),
-            Box::new(ScheduleRecorder::new(costs::SCHEDULE)),
-            Box::new(InputRecorder::new(costs::INPUT)),
+            Box::new(LogCharger::new(&[
+                (LogKind::Schedule, costs::SCHEDULE),
+                (LogKind::Input, costs::INPUT),
+            ])),
         ];
         // The recording run checkpoints at a coarse cadence so the artifact
         // records where resumable replay starting points exist (the
         // availability-guarantee idea: replay need not start from the first
         // instruction). Snapshot collection never perturbs the trace.
-        let mut out = scenario.execute_checkpointed(
+        let out = scenario.execute_checkpointed(
             &scenario.original_spec(),
             RECORDING_CHECKPOINTS,
             observers,
         );
-        let snapshots = std::mem::take(&mut out.snapshots);
-        let schedule = {
-            let rec = out
-                .observer_mut::<ScheduleRecorder>()
-                .expect("schedule recorder attached");
-            rec.absorb_epochs(&snapshots);
-            rec.take_log()
-        };
-        let input_rec = out
-            .observer::<InputRecorder>()
-            .expect("input recorder attached");
-        let inputs = input_rec.to_log(&out.registry);
-        let mut log = out
-            .observer::<ScheduleRecorder>()
-            .expect("attached")
-            .stats();
-        log.merge(input_rec.stats());
+        let original = OriginalRun::from_run(scenario, &out);
         Recording {
             model: ModelKind::Perfect,
             artifact: Artifact::Perfect {
-                schedule,
-                inputs,
+                schedule: ScheduleLog::from_run(&out),
+                inputs: InputLog::from_trace(&original.trace, &out.registry),
                 env: scenario.env.clone(),
                 seed: scenario.seed,
             },
             overhead_factor: out.stats.overhead_factor(),
-            log,
-            original: OriginalRun::from_run(scenario, &out),
+            log: charged(&out),
+            original,
         }
     }
 
@@ -224,19 +218,17 @@ impl DeterminismModel for ValueModel {
     }
 
     fn record(&self, scenario: &Scenario) -> Recording {
-        let observers: Vec<Box<dyn Observer>> = vec![Box::new(ValueRecorder::new(costs::VALUE))];
-        let mut out = scenario.execute(&scenario.original_spec(), observers);
-        let rec = out
-            .observer_mut::<ValueRecorder>()
-            .expect("value recorder attached");
-        let log = rec.stats();
-        let values = rec.take_log();
+        let charger = LogCharger::new(&[(LogKind::Value, costs::VALUE)]);
+        let out = scenario.execute(&scenario.original_spec(), vec![Box::new(charger)]);
+        let original = OriginalRun::from_run(scenario, &out);
         Recording {
             model: ModelKind::Value,
-            artifact: Artifact::Value { values },
+            artifact: Artifact::Value {
+                values: ValueLog::from_trace(&original.trace),
+            },
             overhead_factor: out.stats.overhead_factor(),
-            log,
-            original: OriginalRun::from_run(scenario, &out),
+            log: charged(&out),
+            original,
         }
     }
 
@@ -287,38 +279,29 @@ pub struct OutputLiteModel;
 pub struct OutputHeavyModel;
 
 fn record_outputs(scenario: &Scenario, with_inputs: bool) -> Recording {
-    let mut observers: Vec<Box<dyn Observer>> = vec![Box::new(OutputRecorder::new(costs::OUTPUT))];
+    let mut logs = vec![(LogKind::Output, costs::OUTPUT)];
     if with_inputs {
-        observers.push(Box::new(InputRecorder::new(costs::INPUT)));
+        logs.push((LogKind::Input, costs::INPUT));
     }
-    let out = scenario.execute(&scenario.original_spec(), observers);
-    let out_rec = out
-        .observer::<OutputRecorder>()
-        .expect("output recorder attached");
-    let outputs = out_rec.to_log(&out.registry);
-    let mut log = out_rec.stats();
-    let artifact = if with_inputs {
-        let input_rec = out
-            .observer::<InputRecorder>()
-            .expect("input recorder attached");
-        log.merge(input_rec.stats());
-        Artifact::OutputHeavy {
-            outputs,
-            inputs: input_rec.to_log(&out.registry),
-        }
+    let charger = LogCharger::new(&logs);
+    let out = scenario.execute(&scenario.original_spec(), vec![Box::new(charger)]);
+    let original = OriginalRun::from_run(scenario, &out);
+    let outputs = OutputLog::from_io(&out.io);
+    let (model, artifact) = if with_inputs {
+        let inputs = InputLog::from_trace(&original.trace, &out.registry);
+        (
+            ModelKind::OutputHeavy,
+            Artifact::OutputHeavy { outputs, inputs },
+        )
     } else {
-        Artifact::OutputLite { outputs }
+        (ModelKind::OutputLite, Artifact::OutputLite { outputs })
     };
     Recording {
-        model: if with_inputs {
-            ModelKind::OutputHeavy
-        } else {
-            ModelKind::OutputLite
-        },
+        model,
         artifact,
         overhead_factor: out.stats.overhead_factor(),
-        log,
-        original: OriginalRun::from_run(scenario, &out),
+        log: charged(&out),
+        original,
     }
 }
 
@@ -460,27 +443,24 @@ impl DeterminismModel for MsgOrderModel {
     fn record(&self, scenario: &Scenario) -> Recording {
         let observers: Vec<Box<dyn Observer>> = vec![
             Box::new(OrderCostObserver::new(costs::MSG_ORDER, PinSet::Total)),
-            Box::new(InputRecorder::new(costs::INPUT)),
+            Box::new(LogCharger::new(&[(LogKind::Input, costs::INPUT)])),
         ];
         let (out, entries) = record_grants(scenario, PinSet::Total, observers);
         let order = OrderLog { entries };
-        let input_rec = out
-            .observer::<InputRecorder>()
-            .expect("input recorder attached");
-        let inputs = input_rec.to_log(&out.registry);
+        let original = OriginalRun::from_run(scenario, &out);
         let mut log = order.stats();
-        log.merge(input_rec.stats());
+        log.merge(charged(&out));
         Recording {
             model: ModelKind::MsgOrder,
             artifact: Artifact::MsgOrder {
                 order,
-                inputs,
+                inputs: InputLog::from_trace(&original.trace, &out.registry),
                 env: scenario.env.clone(),
                 seed: scenario.seed,
             },
             overhead_factor: out.stats.overhead_factor(),
             log,
-            original: OriginalRun::from_run(scenario, &out),
+            original,
         }
     }
 
@@ -534,7 +514,7 @@ impl DeterminismModel for RaceCompleteModel {
                 costs::RACE_COMPLETE,
                 PinSet::NonLocal,
             )),
-            Box::new(InputRecorder::new(costs::INPUT)),
+            Box::new(LogCharger::new(&[(LogKind::Input, costs::INPUT)])),
         ];
         let (out, entries) = record_grants(scenario, PinSet::NonLocal, observers);
         let races = out
@@ -553,20 +533,16 @@ impl DeterminismModel for RaceCompleteModel {
         } else {
             OrderLog { entries }.retain_pinned(&pin)
         };
-        let trace = Trace::from_run(&out);
-        let outcomes = racing_outcomes(&trace, &racing);
-        let order_digest = pinned_completion_digest(&trace, &pin);
-        let input_rec = out
-            .observer::<InputRecorder>()
-            .expect("input recorder attached");
-        let inputs = input_rec.to_log(&out.registry);
+        let original = OriginalRun::from_run(scenario, &out);
+        let outcomes = racing_outcomes(&original.trace, &racing);
+        let order_digest = pinned_completion_digest(&original.trace, &pin);
         let mut log = order.stats();
         log.merge(LogStats {
             records: races.len() as u64 + outcomes.len() as u64,
             bytes: races.len() as u64 * costs::RACE_REPORT_BYTES
                 + outcomes.len() as u64 * costs::RACE_OUTCOME_BYTES,
         });
-        log.merge(input_rec.stats());
+        log.merge(charged(&out));
         Recording {
             model: ModelKind::RaceComplete,
             artifact: Artifact::RaceComplete {
@@ -574,13 +550,13 @@ impl DeterminismModel for RaceCompleteModel {
                 outcomes,
                 order,
                 order_digest,
-                inputs,
+                inputs: InputLog::from_trace(&original.trace, &out.registry),
                 env: scenario.env.clone(),
                 seed: scenario.seed,
             },
             overhead_factor: out.stats.overhead_factor(),
             log,
-            original: OriginalRun::from_run(scenario, &out),
+            original,
         }
     }
 
@@ -857,6 +833,29 @@ mod tests {
             .expect("epochs exist");
         assert!(deepest.decision > 0);
         assert!((deepest.decision as usize) <= schedule.decisions.len());
+    }
+
+    #[test]
+    fn charged_records_are_the_projected_log_entries() {
+        let s = failing_scenario();
+        let rec = PerfectModel.record(&s);
+        let Artifact::Perfect {
+            schedule, inputs, ..
+        } = &rec.artifact
+        else {
+            panic!("perfect recording produces a perfect artifact");
+        };
+        assert!(!schedule.is_empty());
+        assert_eq!(
+            rec.log.records,
+            (schedule.len() + inputs.entries.len()) as u64
+        );
+        let rec = ValueModel.record(&s);
+        let Artifact::Value { values } = &rec.artifact else {
+            panic!("value recording produces a value artifact");
+        };
+        assert!(!values.is_empty());
+        assert_eq!(rec.log.records, values.len() as u64);
     }
 
     #[test]

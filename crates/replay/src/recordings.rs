@@ -313,10 +313,6 @@ impl Default for CrewObserver {
 }
 
 impl Observer for CrewObserver {
-    fn name(&self) -> &'static str {
-        "crew"
-    }
-
     fn on_event(&mut self, _meta: &EventMeta, event: &Event) -> u64 {
         // Channel buffers are shared pages too: cross-task sends/receives
         // fault exactly like cross-task variable accesses.

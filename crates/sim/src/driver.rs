@@ -147,8 +147,6 @@ pub struct RunStats {
     /// Execution-clock ticks inherited from a restored snapshot (`0` for
     /// from-scratch runs).
     pub resumed_ticks: u64,
-    /// Per-observer instrumentation cost, by observer name.
-    pub observer_costs: Vec<(String, u64)>,
 }
 
 impl RunStats {
@@ -473,7 +471,6 @@ fn run_to_completion(
         decisions: kernel.world.decisions.len() as u64,
         resumed_steps,
         resumed_ticks,
-        observer_costs: kernel.observer_costs(),
     };
     // The final digest plays the role of the hash one past the last
     // decision; computed before the counters are moved into the summary.

@@ -458,9 +458,6 @@ impl Event {
 /// never to the *execution clock*, so observers cannot perturb program
 /// behaviour.
 pub trait Observer: Send + 'static {
-    /// A short name for diagnostics.
-    fn name(&self) -> &'static str;
-
     /// Handles one event; returns instrumentation cost in wall ticks.
     fn on_event(&mut self, meta: &EventMeta, event: &Event) -> u64;
 

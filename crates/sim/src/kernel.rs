@@ -36,11 +36,6 @@ use crate::world::{
 use std::collections::VecDeque;
 use std::sync::OnceLock;
 
-struct ObserverSlot {
-    obs: Box<dyn Observer>,
-    cost: u64,
-}
-
 /// The machine state plus the execution shell. See module docs for the
 /// threading discipline and the `WorldState`/shell split.
 pub(crate) struct Kernel {
@@ -49,7 +44,7 @@ pub(crate) struct Kernel {
 
     // ---- the shell: this execution's I/O and observation plumbing ------
     pub env: EnvConfig,
-    observers: Vec<ObserverSlot>,
+    observers: Vec<Box<dyn Observer>>,
     pub policy: Box<dyn SchedulePolicy>,
     pub nondet_override: Option<Box<dyn NondetOverride>>,
     /// Runtime-spawn ceiling (from `RunConfig::max_tasks`): a spawn that
@@ -101,10 +96,7 @@ impl Kernel {
             started_at: world.live.decision_seq,
             world,
             env: cfg.env.clone(),
-            observers: observers
-                .into_iter()
-                .map(|obs| ObserverSlot { obs, cost: 0 })
-                .collect(),
+            observers,
             policy,
             nondet_override: cfg.nondet_override.take(),
             max_tasks: cfg.max_tasks,
@@ -295,10 +287,8 @@ impl Kernel {
             step: self.world.live.steps,
             time: self.world.live.time,
         };
-        for slot in &mut self.observers {
-            let c = slot.obs.on_event(&meta, &event);
-            slot.cost += c;
-            self.world.live.wall_extra += c;
+        for obs in &mut self.observers {
+            self.world.live.wall_extra += obs.on_event(&meta, &event);
         }
         self.world.trace.push((meta, event));
     }
@@ -389,20 +379,9 @@ impl Kernel {
             .saturating_add(self.world.live.wall_extra)
     }
 
-    /// Per-observer instrumentation cost, by observer name.
-    pub fn observer_costs(&self) -> Vec<(String, u64)> {
-        self.observers
-            .iter()
-            .map(|s| (s.obs.name().to_owned(), s.cost))
-            .collect()
-    }
-
     /// Consumes the kernel's observers for post-run retrieval.
     pub fn take_observers(&mut self) -> Vec<Box<dyn Observer>> {
         std::mem::take(&mut self.observers)
-            .into_iter()
-            .map(|s| s.obs)
-            .collect()
     }
 }
 
@@ -1127,9 +1106,6 @@ mod tests {
     fn observer_costs_accrue_to_wall_clock() {
         struct Pricey;
         impl Observer for Pricey {
-            fn name(&self) -> &'static str {
-                "pricey"
-            }
             fn on_event(&mut self, _m: &EventMeta, _e: &Event) -> u64 {
                 5
             }
@@ -1152,6 +1128,5 @@ mod tests {
         // add_task + write events so far; each costs 5 wall ticks.
         assert_eq!(k.world.live.wall_extra, 10);
         assert!(k.wall_time() > k.world.live.time);
-        assert_eq!(k.observer_costs(), vec![("pricey".to_owned(), 10)]);
     }
 }

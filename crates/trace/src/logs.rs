@@ -20,9 +20,10 @@ use std::sync::{Arc, Mutex};
 /// - v3 — epoch markers may carry a `snapshot` id referencing a snapshot
 ///   persisted in an on-disk [`SnapshotStore`](crate::SnapshotStore),
 ///   letting replay restore a stored world instead of re-executing the
-///   prefix. Writers emit v3 only when at least one epoch carries an id, so
-///   artifacts without stored snapshots stay byte-identical to v2; readers
-///   accept v1 through v3.
+///   prefix. An epoch without an id renders as in v2.
+///
+/// Every written `ScheduleLog` says v3, whether or not an epoch carries an
+/// id; readers accept v1 through v3.
 pub const SCHEDULE_LOG_VERSION: u32 = 3;
 
 /// One epoch marker: a point in the recorded run where a resumable world
@@ -195,10 +196,7 @@ impl ScheduleLog {
     /// Builds the log from a finished run's decision records, carrying over
     /// the run's checkpoint epochs — both in-memory snapshots and marks of
     /// snapshots spilled to an on-disk store (which carry their store id).
-    ///
-    /// The emitted `version` is the *minimal* one that can express the log:
-    /// 2 unless some epoch references a stored snapshot, so recordings
-    /// without spill stay byte-identical to pre-v3 artifacts.
+    /// The log is [`SCHEDULE_LOG_VERSION`].
     pub fn from_run(out: &dd_sim::RunOutput) -> Self {
         let mut epochs: Vec<EpochMark> = out
             .snapshots
@@ -208,11 +206,7 @@ impl ScheduleLog {
             .collect();
         epochs.sort_by_key(|e| e.decision);
         ScheduleLog {
-            version: if epochs.iter().any(|e| e.snapshot.is_some()) {
-                SCHEDULE_LOG_VERSION
-            } else {
-                2
-            },
+            version: SCHEDULE_LOG_VERSION,
             decisions: out
                 .decisions
                 .iter()
@@ -400,11 +394,6 @@ impl ValueLog {
             per_task.entry(task.0).or_default().push(entry);
         }
         ValueLog { per_task }
-    }
-
-    /// Appends one observation for a task (used by online recorders).
-    pub fn push(&mut self, task: TaskId, entry: ValEntry) {
-        self.per_task.entry(task.0).or_default().push(entry);
     }
 
     /// Entries logged for one task.

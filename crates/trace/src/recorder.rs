@@ -1,289 +1,97 @@
-//! Reusable recorder observers: the building blocks determinism models are
-//! assembled from.
+//! The recording-cost observer: what a determinism model pays at run time
+//! to log its artifact.
 //!
-//! Each recorder charges its [`CostModel`] per logged record — this is the
-//! recording overhead that Fig. 1/Fig. 2 compare — and accumulates an
-//! artifact retrievable after the run via
-//! [`RunOutput::observer`](dd_sim::RunOutput::observer).
+//! Observers cannot change a run, and every run keeps its full event
+//! trace, so each artifact log is a projection of the finished run:
+//! [`ScheduleLog::from_run`], [`InputLog::from_trace`],
+//! [`ValueLog::from_trace`] and [`OutputLog::from_io`]. Only the price of
+//! logging has to be paid online: [`LogCharger`] charges each log's
+//! [`CostModel`] for every event that log keeps — the recording overhead
+//! Fig. 1/Fig. 2 compare — and the artifact is the projection of those same
+//! events.
+//!
+//! [`ScheduleLog::from_run`]: crate::ScheduleLog::from_run
+//! [`InputLog::from_trace`]: crate::InputLog::from_trace
+//! [`ValueLog::from_trace`]: crate::ValueLog::from_trace
+//! [`OutputLog::from_io`]: crate::OutputLog::from_io
 
 use crate::cost::{log_size, ChargeAcc, CostModel, LogStats};
-use crate::logs::{InputEntry, InputLog, OutputLog, ScheduleLog, ValEntry, ValKind, ValueLog};
-use dd_sim::{observer_boilerplate, Event, EventMeta, Observer, RecordedDecision, Value};
-use std::collections::BTreeMap;
+use dd_sim::{observer_boilerplate, Event, EventMeta, Observer};
 
-/// Records the schedule decision stream (thread interleavings).
-pub struct ScheduleRecorder {
-    cost: CostModel,
-    acc: ChargeAcc,
-    log: ScheduleLog,
+/// An artifact log, named by the events it keeps. No event is kept by two
+/// logs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum LogKind {
+    /// [`ScheduleLog`](crate::ScheduleLog): every multi-candidate
+    /// scheduling decision.
+    Schedule,
+    /// [`ValueLog`](crate::ValueLog): every value a task observes — reads,
+    /// receives, input reads and RNG draws (iDNA-style, the most expensive
+    /// log: it carries payload bytes on every access).
+    Value,
+    /// [`OutputLog`](crate::OutputLog): port writes and counter updates.
+    /// The log keeps each counter's final total, but every update is
+    /// charged, as an online recorder would append it.
+    Output,
+    /// [`InputLog`](crate::InputLog): external input arrivals.
+    Input,
+}
+
+impl LogKind {
+    /// The log that keeps `event`, if any.
+    fn of(event: &Event) -> Option<LogKind> {
+        Some(match event {
+            Event::Decision { .. } => LogKind::Schedule,
+            Event::Read { .. }
+            | Event::Recv { .. }
+            | Event::InputRead { .. }
+            | Event::RngDraw { .. } => LogKind::Value,
+            Event::Output { .. } | Event::Counter { .. } => LogKind::Output,
+            Event::InputArrival { .. } => LogKind::Input,
+            _ => return None,
+        })
+    }
+}
+
+/// Charges the wall clock for the artifact logs one recording keeps.
+///
+/// Each log has its own [`CostModel`] and its own [`ChargeAcc`], so every
+/// log's sub-tick fractions accumulate apart; [`stats`](Self::stats) sums
+/// the records and bytes of all of them.
+pub struct LogCharger {
+    logs: Vec<(LogKind, CostModel, ChargeAcc)>,
     stats: LogStats,
 }
 
-impl ScheduleRecorder {
-    /// Creates a recorder with the given cost model.
-    pub fn new(cost: CostModel) -> Self {
-        ScheduleRecorder {
-            cost,
-            acc: ChargeAcc::default(),
-            log: ScheduleLog::default(),
+impl LogCharger {
+    /// A charger for the given logs, each priced by its cost model.
+    pub fn new(logs: &[(LogKind, CostModel)]) -> Self {
+        LogCharger {
+            logs: logs
+                .iter()
+                .map(|&(kind, cost)| (kind, cost, ChargeAcc::default()))
+                .collect(),
             stats: LogStats::default(),
         }
     }
 
-    /// The recorded schedule so far.
-    pub fn log(&self) -> &ScheduleLog {
-        &self.log
-    }
-
-    /// Consumes the recorded schedule.
-    pub fn take_log(&mut self) -> ScheduleLog {
-        std::mem::take(&mut self.log)
-    }
-
-    /// Records the checkpoint epochs of a finished run in the artifact.
-    ///
-    /// Snapshots are taken by the driver, not published as events, so the
-    /// observer cannot see them; models call this after the run with the
-    /// snapshots from the [`RunOutput`](dd_sim::RunOutput) the recorder was
-    /// attached to. The driver reports them in increasing decision order,
-    /// which is the order [`ScheduleLog::epochs`] keeps.
-    pub fn absorb_epochs(&mut self, snapshots: &[dd_sim::WorldSnapshot]) {
-        self.log.epochs = snapshots.iter().map(crate::EpochMark::of).collect();
-    }
-
-    /// Recording statistics.
+    /// Records and bytes charged so far, across every log.
     pub fn stats(&self) -> LogStats {
         self.stats
     }
 }
 
-impl Observer for ScheduleRecorder {
-    fn name(&self) -> &'static str {
-        "schedule-recorder"
-    }
-
+impl Observer for LogCharger {
     fn on_event(&mut self, _meta: &EventMeta, event: &Event) -> u64 {
-        match event {
-            Event::Decision { kind, chosen, .. } => {
-                self.log.decisions.push(RecordedDecision {
-                    kind: *kind,
-                    chosen: *chosen,
-                });
-                let bytes = log_size(event);
-                self.stats.add(bytes);
-                self.acc.add(self.cost.cost_milli(bytes))
-            }
-            _ => 0,
-        }
-    }
-
-    observer_boilerplate!();
-}
-
-/// Records every value observation (reads, receives, inputs, RNG draws) —
-/// the iDNA-style value-determinism recorder. This is the most expensive
-/// recorder: it logs payload bytes on every access.
-pub struct ValueRecorder {
-    cost: CostModel,
-    acc: ChargeAcc,
-    log: ValueLog,
-    stats: LogStats,
-}
-
-impl ValueRecorder {
-    /// Creates a recorder with the given cost model.
-    pub fn new(cost: CostModel) -> Self {
-        ValueRecorder {
-            cost,
-            acc: ChargeAcc::default(),
-            log: ValueLog::default(),
-            stats: LogStats::default(),
-        }
-    }
-
-    /// The accumulated value log.
-    pub fn log(&self) -> &ValueLog {
-        &self.log
-    }
-
-    /// Consumes the accumulated value log.
-    pub fn take_log(&mut self) -> ValueLog {
-        std::mem::take(&mut self.log)
-    }
-
-    /// Recording statistics.
-    pub fn stats(&self) -> LogStats {
-        self.stats
-    }
-}
-
-impl Observer for ValueRecorder {
-    fn name(&self) -> &'static str {
-        "value-recorder"
-    }
-
-    fn on_event(&mut self, _meta: &EventMeta, event: &Event) -> u64 {
-        let (task, entry) = match event {
-            Event::Read { task, value, .. } => (
-                *task,
-                ValEntry {
-                    kind: ValKind::Read,
-                    value: value.clone(),
-                },
-            ),
-            Event::Recv { task, value, .. } => (
-                *task,
-                ValEntry {
-                    kind: ValKind::Recv,
-                    value: value.clone(),
-                },
-            ),
-            Event::InputRead { task, value, .. } => (
-                *task,
-                ValEntry {
-                    kind: ValKind::Input,
-                    value: value.clone(),
-                },
-            ),
-            Event::RngDraw { task, value, .. } => (
-                *task,
-                ValEntry {
-                    kind: ValKind::Rng,
-                    value: Value::Int(*value as i64),
-                },
-            ),
-            _ => return 0,
+        let Some(kind) = LogKind::of(event) else {
+            return 0;
+        };
+        let Some((_, cost, acc)) = self.logs.iter_mut().find(|(k, ..)| *k == kind) else {
+            return 0;
         };
         let bytes = log_size(event);
         self.stats.add(bytes);
-        self.log.push(task, entry);
-        self.acc.add(self.cost.cost_milli(bytes))
-    }
-
-    observer_boilerplate!();
-}
-
-/// Records observable outputs and counters — the ODR-lite recorder.
-pub struct OutputRecorder {
-    cost: CostModel,
-    acc: ChargeAcc,
-    outputs: Vec<(dd_sim::PortId, Value)>,
-    counters: BTreeMap<String, i64>,
-    stats: LogStats,
-}
-
-impl OutputRecorder {
-    /// Creates a recorder with the given cost model.
-    pub fn new(cost: CostModel) -> Self {
-        OutputRecorder {
-            cost,
-            acc: ChargeAcc::default(),
-            outputs: Vec::new(),
-            counters: BTreeMap::new(),
-            stats: LogStats::default(),
-        }
-    }
-
-    /// Resolves the recorded outputs against a registry into an
-    /// [`OutputLog`].
-    pub fn to_log(&self, registry: &dd_sim::Registry) -> OutputLog {
-        OutputLog {
-            outputs: self
-                .outputs
-                .iter()
-                .map(|(port, value)| (registry.ports[port.index()].name.clone(), value.clone()))
-                .collect(),
-            counters: self.counters.clone(),
-        }
-    }
-
-    /// Recording statistics.
-    pub fn stats(&self) -> LogStats {
-        self.stats
-    }
-}
-
-impl Observer for OutputRecorder {
-    fn name(&self) -> &'static str {
-        "output-recorder"
-    }
-
-    fn on_event(&mut self, _meta: &EventMeta, event: &Event) -> u64 {
-        match event {
-            Event::Output { port, value, .. } => {
-                let bytes = log_size(event);
-                self.stats.add(bytes);
-                self.outputs.push((*port, value.clone()));
-                self.acc.add(self.cost.cost_milli(bytes))
-            }
-            Event::Counter { name, total, .. } => {
-                let bytes = log_size(event);
-                self.stats.add(bytes);
-                self.counters.insert(name.clone(), *total);
-                self.acc.add(self.cost.cost_milli(bytes))
-            }
-            _ => 0,
-        }
-    }
-
-    observer_boilerplate!();
-}
-
-/// Records external input arrivals — the ODR-heavy input log.
-pub struct InputRecorder {
-    cost: CostModel,
-    acc: ChargeAcc,
-    entries: Vec<(dd_sim::PortId, u64, Value)>,
-    stats: LogStats,
-}
-
-impl InputRecorder {
-    /// Creates a recorder with the given cost model.
-    pub fn new(cost: CostModel) -> Self {
-        InputRecorder {
-            cost,
-            acc: ChargeAcc::default(),
-            entries: Vec::new(),
-            stats: LogStats::default(),
-        }
-    }
-
-    /// Resolves the recorded inputs against a registry into an [`InputLog`].
-    pub fn to_log(&self, registry: &dd_sim::Registry) -> InputLog {
-        InputLog {
-            entries: self
-                .entries
-                .iter()
-                .map(|(port, time, value)| InputEntry {
-                    port: registry.ports[port.index()].name.clone(),
-                    time: *time,
-                    value: value.clone(),
-                })
-                .collect(),
-        }
-    }
-
-    /// Recording statistics.
-    pub fn stats(&self) -> LogStats {
-        self.stats
-    }
-}
-
-impl Observer for InputRecorder {
-    fn name(&self) -> &'static str {
-        "input-recorder"
-    }
-
-    fn on_event(&mut self, meta: &EventMeta, event: &Event) -> u64 {
-        match event {
-            Event::InputArrival { port, value } => {
-                let bytes = log_size(event);
-                self.stats.add(bytes);
-                self.entries.push((*port, meta.time, value.clone()));
-                self.acc.add(self.cost.cost_milli(bytes))
-            }
-            _ => 0,
-        }
+        acc.add(cost.cost_milli(bytes))
     }
 
     observer_boilerplate!();
@@ -292,7 +100,7 @@ impl Observer for InputRecorder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dd_sim::{TaskId, VarId};
+    use dd_sim::{TaskId, Value, VarId};
 
     fn meta() -> EventMeta {
         EventMeta { step: 0, time: 0 }
@@ -300,7 +108,7 @@ mod tests {
 
     #[test]
     fn schedule_recorder_only_logs_decisions() {
-        let mut r = ScheduleRecorder::new(CostModel::per_record(2));
+        let mut r = LogCharger::new(&[(LogKind::Schedule, CostModel::per_record(2))]);
         let c = r.on_event(
             &meta(),
             &Event::Decision {
@@ -318,16 +126,24 @@ mod tests {
             },
         );
         assert_eq!(c2, 0);
-        assert_eq!(r.log().len(), 1);
-        assert_eq!(r.stats().records, 1);
+        assert_eq!(
+            r.stats(),
+            LogStats {
+                records: 1,
+                bytes: 4
+            }
+        );
     }
 
     #[test]
     fn value_recorder_charges_for_payload() {
-        let mut r = ValueRecorder::new(CostModel {
-            record_milli: 1000,
-            byte_milli: 1000,
-        });
+        let mut r = LogCharger::new(&[(
+            LogKind::Value,
+            CostModel {
+                record_milli: 1000,
+                byte_milli: 1000,
+            },
+        )]);
         let big = Event::Read {
             task: TaskId(0),
             var: VarId(0),
@@ -336,22 +152,48 @@ mod tests {
         };
         let c = r.on_event(&meta(), &big);
         assert!(c > 100, "cost {c} should include payload bytes");
-        assert_eq!(r.log().len(), 1);
+        assert_eq!(r.stats().records, 1);
+        assert_eq!(r.stats().bytes, log_size(&big));
     }
 
     #[test]
     fn output_recorder_captures_counters() {
-        let mut r = OutputRecorder::new(CostModel::per_record(1));
-        r.on_event(
-            &meta(),
-            &Event::Counter {
-                task: TaskId(0),
-                name: "drops".into(),
-                total: 4,
-                site: "s".into(),
-            },
-        );
-        let log = r.to_log(&dd_sim::Registry::default());
-        assert_eq!(log.counters["drops"], 4);
+        // The output log keeps only each counter's final total, yet every
+        // update is charged.
+        let mut r = LogCharger::new(&[(LogKind::Output, CostModel::per_record(1))]);
+        let update = |total| Event::Counter {
+            task: TaskId(0),
+            name: "drops".into(),
+            total,
+            site: "s".into(),
+        };
+        let ticks: u64 = (1..=4).map(|t| r.on_event(&meta(), &update(t))).sum();
+        assert_eq!(ticks, 4);
+        assert_eq!(r.stats().records, 4);
+    }
+
+    #[test]
+    fn each_log_accumulates_its_own_fractions() {
+        // 0.6 ticks per decision and 0.6 per input arrival: one shared
+        // accumulator would pay a tick on the second event, two pay none.
+        let cheap = CostModel {
+            record_milli: 600,
+            byte_milli: 0,
+        };
+        let mut r = LogCharger::new(&[(LogKind::Schedule, cheap), (LogKind::Input, cheap)]);
+        let decision = Event::Decision {
+            kind: dd_sim::DecisionKind::NextTask,
+            candidates: vec![TaskId(0), TaskId(1)],
+            chosen: TaskId(0),
+        };
+        let arrival = Event::InputArrival {
+            port: dd_sim::PortId(0),
+            value: Value::Int(1),
+        };
+        assert_eq!(r.on_event(&meta(), &decision), 0);
+        assert_eq!(r.on_event(&meta(), &arrival), 0);
+        assert_eq!(r.on_event(&meta(), &decision), 1);
+        assert_eq!(r.on_event(&meta(), &arrival), 1);
+        assert_eq!(r.stats().records, 4);
     }
 }

@@ -2,8 +2,9 @@
 //!
 //! A trace is the omniscient record of everything the machine did. It is the
 //! input to root-cause predicates, race detection, plane classification and
-//! debugging-fidelity measurement. Recorders under test never see it — they
-//! pay for every byte they log — but analysis is free.
+//! debugging-fidelity measurement, and every artifact log is a projection
+//! of it. Building it is free: a model pays, during the run, for each event
+//! its logs keep ([`LogCharger`](crate::LogCharger)), never for the rest.
 
 use dd_sim::{AccessKind, Event, EventMeta, RunOutput, TaskId, VarId};
 use serde::{Deserialize, Serialize};

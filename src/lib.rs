@@ -15,7 +15,7 @@
 //! | Module | Crate | Contents |
 //! |---|---|---|
 //! | [`sim`] | `dd-sim` | the deterministic machine: tasks, shared memory, channels, scripted I/O, fault injection, replayable scheduling |
-//! | [`trace`] | `dd-trace` | traces, recording cost accounting, artifact log formats, recorder observers |
+//! | [`trace`] | `dd-trace` | traces, artifact log formats (each a projection of the finished run), recording cost: an observer pays for each logged event |
 //! | [`detect`] | `dd-detect` | happens-before & lockset race detection, lost-update analysis, invariant inference, trigger detectors |
 //! | [`classify`] | `dd-classify` | control/data-plane classification by data rate |
 //! | [`replay`] | `dd-replay` | the baseline determinism models and the search-based inference engine (random, PCT, exhaustive and DPOR-reduced schedule exploration) |

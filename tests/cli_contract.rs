@@ -14,7 +14,7 @@
 use debug_determinism::sim::TaskId;
 use debug_determinism::trace::JsonlTrace;
 use std::path::{Path, PathBuf};
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
 
 fn dd(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_dd"))
@@ -82,6 +82,23 @@ fn recording_is_byte_stable_across_invocations() {
         std::fs::read(&b).unwrap(),
         "same workload + seeds must produce byte-identical golden traces"
     );
+}
+
+#[test]
+fn a_reader_that_stops_early_ends_the_report_not_the_verb() {
+    // `dd record ... | head -4`: the reader is gone before the report.
+    let trace = scratch("closed-stdout.jsonl");
+    let mut child = Command::new(env!("CARGO_BIN_EXE_dd"))
+        .args(["record", "msgserver", "--out", trace.to_str().unwrap()])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn dd");
+    drop(child.stdout.take());
+    let out = child.wait_with_output().expect("dd finishes");
+    assert_eq!(code(&out), 0, "stderr: {}", stderr(&out));
+    assert!(!stderr(&out).contains("panicked"), "{}", stderr(&out));
+    JsonlTrace::load(&trace).expect("the trace is written");
 }
 
 #[test]

@@ -13,7 +13,7 @@ use debug_determinism::replay::{costs, OrderCostObserver, PinSet};
 use debug_determinism::sim::{
     resume_program, run_program, CheckpointPlan, Observer, Program, RandomPolicy, RunConfig,
 };
-use debug_determinism::trace::{InputRecorder, ScheduleRecorder, ValueRecorder};
+use debug_determinism::trace::{LogCharger, LogKind};
 use debug_determinism::workloads::{
     BufOverflowProgram, BufOverflowWorkload, MsgServerConfig, MsgServerProgram, SumProgram,
 };
@@ -97,18 +97,18 @@ fn bufoverflow_trace_hashes_are_reproducible() {
 fn fidelity_observers(level: &str) -> Vec<Box<dyn Observer>> {
     match level {
         "bare" => vec![],
-        "low" => vec![
-            Box::new(ScheduleRecorder::new(costs::SCHEDULE)),
-            Box::new(InputRecorder::new(costs::INPUT)),
-        ],
-        "high" => vec![
-            Box::new(ScheduleRecorder::new(costs::SCHEDULE)),
-            Box::new(InputRecorder::new(costs::INPUT)),
-            Box::new(ValueRecorder::new(costs::VALUE)),
-        ],
+        "low" => vec![Box::new(LogCharger::new(&[
+            (LogKind::Schedule, costs::SCHEDULE),
+            (LogKind::Input, costs::INPUT),
+        ]))],
+        "high" => vec![Box::new(LogCharger::new(&[
+            (LogKind::Schedule, costs::SCHEDULE),
+            (LogKind::Input, costs::INPUT),
+            (LogKind::Value, costs::VALUE),
+        ]))],
         "msg-order" => vec![
             Box::new(OrderCostObserver::new(costs::MSG_ORDER, PinSet::Total)),
-            Box::new(InputRecorder::new(costs::INPUT)),
+            Box::new(LogCharger::new(&[(LogKind::Input, costs::INPUT)])),
         ],
         "race-complete" => vec![
             Box::new(HbRaceDetector::with_cost(costs::RACE_DETECT_ACCESS)),
@@ -116,7 +116,7 @@ fn fidelity_observers(level: &str) -> Vec<Box<dyn Observer>> {
                 costs::RACE_COMPLETE,
                 PinSet::NonLocal,
             )),
-            Box::new(InputRecorder::new(costs::INPUT)),
+            Box::new(LogCharger::new(&[(LogKind::Input, costs::INPUT)])),
         ],
         other => panic!("unknown fidelity {other}"),
     }

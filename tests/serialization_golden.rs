@@ -105,35 +105,73 @@ const MODEL_DOCUMENTS: &[Pin] = &[
     ("race-complete", 0x9b2c84eebcd2d945, 126132),
 ];
 
+/// The same documents for the two fault-plane incidents: hyperstore's
+/// debug artifact holds 694 control events, failover's 1,099 and a crash.
+const FAULT_PLANE_MODEL_DOCUMENTS: &[Pin] = &[
+    ("hyperstore perfect", 0x0c3499baafa9bf63, 78998),
+    ("hyperstore value", 0x3d563f727a75189c, 410965),
+    ("hyperstore output-lite", 0x4fc8b243f683690f, 5565),
+    ("hyperstore output-heavy", 0x3d12c92cb5b23bff, 10901),
+    ("hyperstore failure", 0x1fa53764daab8d96, 5457),
+    ("hyperstore debug", 0x801162d26e5d9087, 1145336),
+    ("hyperstore msg-order", 0x7932fe4b9c603457, 132982),
+    ("hyperstore race-complete", 0xa72af85b6cbdcdd6, 271258),
+    ("failover perfect", 0x9524b1bec0d793b7, 100470),
+    ("failover value", 0x55edae8ced9c26e6, 489317),
+    ("failover output-lite", 0x742a5f1c5af714e3, 5951),
+    ("failover output-heavy", 0x5fcacc309f342f31, 11287),
+    ("failover failure", 0x633ef84421269261, 5757),
+    ("failover debug", 0x09765f074e492c0b, 1448137),
+    ("failover msg-order", 0x5b768f595d907743, 195683),
+    ("failover race-complete", 0xb87300cdab4f83b1, 117991),
+];
+
+const MODELS: [&str; 8] = [
+    "perfect",
+    "value",
+    "output-lite",
+    "output-heavy",
+    "failure",
+    "debug",
+    "msg-order",
+    "race-complete",
+];
+
+/// Pins the document `dd record <workload> --model <m>` writes for every
+/// model, each named `<prefix><m>`.
+fn model_documents(workload: &str, prefix: &str) -> Vec<(String, u64, usize)> {
+    let dir = scratch(&format!("models-{workload}"));
+    let pins = MODELS
+        .iter()
+        .map(|model| {
+            let path = dir.join(format!("{model}.json"));
+            dd(&[
+                "record",
+                workload,
+                "--model",
+                model,
+                "--out",
+                path.to_str().expect("utf-8 path"),
+            ]);
+            let bytes = std::fs::read(&path).expect("document written");
+            pin(format!("{prefix}{model}"), &bytes)
+        })
+        .collect();
+    std::fs::remove_dir_all(&dir).ok();
+    pins
+}
+
 #[test]
 fn model_documents_on_msgserver_are_pinned() {
-    let dir = scratch("models");
-    let actual: Vec<_> = [
-        "perfect",
-        "value",
-        "output-lite",
-        "output-heavy",
-        "failure",
-        "debug",
-        "msg-order",
-        "race-complete",
-    ]
-    .iter()
-    .map(|model| {
-        let path = dir.join(format!("{model}.json"));
-        dd(&[
-            "record",
-            "msgserver",
-            "--model",
-            model,
-            "--out",
-            path.to_str().expect("utf-8 path"),
-        ]);
-        pin(*model, &std::fs::read(&path).expect("document written"))
-    })
-    .collect();
-    std::fs::remove_dir_all(&dir).ok();
+    let actual = model_documents("msgserver", "");
     assert_pins("model documents", &actual, MODEL_DOCUMENTS);
+}
+
+#[test]
+fn model_documents_on_the_fault_plane_incidents_are_pinned() {
+    let mut actual = model_documents("hyperstore", "hyperstore ");
+    actual.extend(model_documents("failover", "failover "));
+    assert_pins("model documents", &actual, FAULT_PLANE_MODEL_DOCUMENTS);
 }
 
 /// Every file, sorted by path, of the store
