@@ -471,7 +471,7 @@ fn cmd_record(rest: &[String], stdout: &mut Printer) -> i32 {
         }
     };
     let text = trace.render();
-    if let Err(e) = std::fs::write(&path, &text) {
+    if let Err(e) = dd_trace::write_in_place(&path, text.as_bytes()) {
         eprintln!("dd record: {}: {e}", path.display());
         return exit::IO;
     }
@@ -563,7 +563,7 @@ fn record_model_artifact(
     };
     let text = serde_json::to_string_pretty(&doc).expect("artifact serialises") + "\n";
     let path = out.unwrap_or_else(|| PathBuf::from(format!("dd-{name}.{}.json", model_slug(kind))));
-    if let Err(e) = std::fs::write(&path, &text) {
+    if let Err(e) = dd_trace::write_in_place(&path, text.as_bytes()) {
         eprintln!("dd record: {}: {e}", path.display());
         return exit::IO;
     }

@@ -11,7 +11,7 @@
 //! when a trigger fires it dials up to full recording, and dials back down
 //! after a configurable quiet window. It pays for the schedule and the
 //! inputs as it goes, but the artifact takes both from the finished run
-//! ([`ScheduleLog::from_run`], [`InputLog::from_trace`]); what the recorder
+//! ([`ScheduleLog::from_run`], [`InputLog::from_run`]); what the recorder
 //! keeps itself is the control log, the drop script and the crashes.
 //! [`DebugModel`] packages training (offline plane classification +
 //! invariant inference), recording, and schedule-replay into a
@@ -447,9 +447,9 @@ impl DeterminismModel for DebugModel {
     fn record(&self, scenario: &Scenario) -> Recording {
         let recorder = self.make_recorder();
         let mut out = scenario.execute(&scenario.original_spec(), vec![Box::new(recorder)]);
-        let original = OriginalRun::from_run(scenario, &out);
         let schedule = ScheduleLog::from_run(&out);
-        let inputs = InputLog::from_trace(&original.trace, &out.registry);
+        let inputs = InputLog::from_run(&out);
+        let overhead_factor = out.stats.overhead_factor();
         let recorder = out
             .observer_mut::<RcseRecorder>()
             .expect("rcse recorder attached");
@@ -457,8 +457,8 @@ impl DeterminismModel for DebugModel {
             model: ModelKind::Debug,
             log: recorder.stats(),
             artifact: recorder.take_artifact(schedule, inputs, &scenario.env),
-            overhead_factor: out.stats.overhead_factor(),
-            original,
+            overhead_factor,
+            original: OriginalRun::from_run(scenario, out),
         }
     }
 

@@ -18,11 +18,24 @@
 //! Every task-attributed event ticks its task's own component, so each
 //! event's clock (read right after [`observe`](HbClocks::observe)) is
 //! strictly above the task's previous one: `C(e) ≤ C(f)` holds exactly
-//! when `e` happens-before (or is) `f`.
+//! when `e` happens-before (or is) `f`. Because an event's clock is the
+//! only source of its own tick, the one component suffices: for an event
+//! `e` of task `p`, `C(e) ≤ C(f)` exactly when `C(e)[p] ≤ C(f)[p]`.
+//!
+//! # Storage
+//!
+//! Every table is a `Vec` indexed by id: task clocks by task id, each
+//! lock's last-release clock by lock id, and per channel id one flat queue
+//! of `u64`s that holds each in-flight message's clock as its length
+//! followed by its components. Nothing is hashed or kept in a tree, and a
+//! send copies the sender's clock into its channel's queue rather than
+//! allocating a clock of its own. [`reset`](HbClocks::reset) empties the
+//! tables but keeps their storage, so an engine reused across runs
+//! allocates only while a table grows past its earlier size.
 
 use crate::vclock::VectorClock;
 use dd_sim::{Event, TaskId};
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 /// The clock of a task that has not been observed yet.
 static ZERO: VectorClock = VectorClock::new();
@@ -30,18 +43,36 @@ static ZERO: VectorClock = VectorClock::new();
 /// Per-task, per-lock and per-message vector clocks.
 #[derive(Debug, Default)]
 pub struct HbClocks {
-    tasks: HashMap<u32, VectorClock>,
-    /// The clock of each lock's last release.
-    locks: HashMap<u32, VectorClock>,
-    /// Per-channel queue of sender-side clock snapshots, one per message
-    /// in flight.
-    chans: HashMap<u32, VecDeque<VectorClock>>,
+    /// Each task's current clock, by task id.
+    tasks: Vec<VectorClock>,
+    /// The clock of each lock's last release, by lock id (zero before the
+    /// first release).
+    locks: Vec<VectorClock>,
+    /// Per channel id, the sender-side clocks of its messages in flight,
+    /// oldest first, each stored as its length and then its components.
+    chans: Vec<VecDeque<u64>>,
+}
+
+/// Entry `id` of an id-indexed table, growing the table to reach it.
+fn entry<T: Default>(table: &mut Vec<T>, id: u32) -> &mut T {
+    let i = id as usize;
+    if i >= table.len() {
+        table.resize_with(i + 1, T::default);
+    }
+    &mut table[i]
 }
 
 impl HbClocks {
     /// No task, lock or message observed yet.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Forgets every observed event, keeping the tables' storage.
+    pub fn reset(&mut self) {
+        self.tasks.iter_mut().for_each(VectorClock::clear);
+        self.locks.iter_mut().for_each(VectorClock::clear);
+        self.chans.iter_mut().for_each(VecDeque::clear);
     }
 
     /// Applies `event`'s happens-before edges and ticks the task it
@@ -54,47 +85,46 @@ impl HbClocks {
         let task = match event {
             Event::TaskSpawn { parent, child, .. } => {
                 if let Some(p) = parent {
-                    let pvc = self.clock_mut(*p).clone();
-                    self.clock_mut(*child).join(&pvc);
+                    self.join_task(*child, *p);
                 }
                 *child
             }
             Event::LockAcquire { task, lock, .. } => {
-                if let Some(lvc) = self.locks.get(&lock.0) {
-                    self.tasks.entry(task.0).or_default().join(lvc);
+                if let Some(released) = self.locks.get(lock.0 as usize) {
+                    entry(&mut self.tasks, task.0).join(released);
                 }
                 *task
             }
             Event::Recv { task, chan, .. } => {
-                if let Some(mvc) = self.chans.get_mut(&chan.0).and_then(VecDeque::pop_front) {
-                    self.clock_mut(*task).join(&mvc);
+                if let Some(queue) = self.chans.get_mut(chan.0 as usize) {
+                    if let Some(len) = queue.pop_front() {
+                        let sent = queue.drain(..len as usize);
+                        entry(&mut self.tasks, task.0).join_components(sent);
+                    }
                 }
                 *task
             }
             Event::Joined { task, target, .. } => {
-                let tvc = self.clock_mut(*target).clone();
-                self.clock_mut(*task).join(&tvc);
+                self.join_task(*task, *target);
                 *task
             }
             e => e.task()?,
         };
-        let clock = self.tasks.entry(task.0).or_default();
+        let clock = entry(&mut self.tasks, task.0);
         clock.tick(task);
         // Release edges: publish the ticked clock.
         match event {
             Event::LockRelease { lock, .. } => {
-                self.locks.insert(lock.0, clock.clone());
+                entry(&mut self.locks, lock.0).clone_from(clock);
             }
             Event::Send { chan, .. } => {
-                self.chans
-                    .entry(chan.0)
-                    .or_default()
-                    .push_back(clock.clone());
+                let queue = entry(&mut self.chans, chan.0);
+                queue.push_back(clock.components().len() as u64);
+                queue.extend(clock.components());
             }
             Event::CondNotify { woken, .. } => {
-                let nvc = clock.clone();
                 for w in woken {
-                    self.clock_mut(*w).join(&nvc);
+                    self.join_task(*w, task);
                 }
             }
             _ => {}
@@ -104,10 +134,18 @@ impl HbClocks {
 
     /// `task`'s current clock (the zero clock before its first event).
     pub fn clock(&self, task: TaskId) -> &VectorClock {
-        self.tasks.get(&task.0).unwrap_or(&ZERO)
+        self.tasks.get(task.0 as usize).unwrap_or(&ZERO)
     }
 
-    fn clock_mut(&mut self, task: TaskId) -> &mut VectorClock {
-        self.tasks.entry(task.0).or_default()
+    /// Joins `src`'s clock into `dst`'s.
+    fn join_task(&mut self, dst: TaskId, src: TaskId) {
+        entry(&mut self.tasks, dst.0.max(src.0));
+        if dst == src {
+            return;
+        }
+        // Moved out and back, so the join borrows two rows and copies none.
+        let joined = std::mem::take(&mut self.tasks[src.0 as usize]);
+        self.tasks[dst.0 as usize].join(&joined);
+        self.tasks[src.0 as usize] = joined;
     }
 }

@@ -7,8 +7,9 @@ use dd_detect::{HbClocks, VectorClock};
 use dd_sim::{run_program, Builder, ChanClass, Program, RandomPolicy, RunConfig, TaskId};
 use proptest::prelude::*;
 
-/// Builds a clock from up to `vals.len()` components; a zero value leaves
-/// the component absent, exercising the sparse representation.
+/// Builds a clock from up to `vals.len()` components. Zeros after the last
+/// non-zero value are never stored, so the laws also meet clocks of
+/// different stored lengths, which must compare as if padded with zeros.
 fn clock_of(vals: &[u64]) -> VectorClock {
     let mut c = VectorClock::new();
     for (t, &v) in vals.iter().enumerate() {

@@ -17,7 +17,11 @@
 //!   clocks come from [`HbClocks`], the happens-before engine `dd-detect`'s
 //!   race detector also runs on (spawn, join, lock hand-off, channel
 //!   message, notification), and each executed event's footprint from
-//!   [`OpDesc::of_event`].
+//!   [`OpDesc::of_event`]. The pass reads the run's events in place and
+//!   keeps one clock component per in-horizon transition — its own task's,
+//!   which decides happens-before exactly — not a copy of the clock. Per
+//!   event it does no hashing, tree walk or allocation: its buffers are
+//!   kept across the walk's runs (see `Backtracker::backtrack_points`).
 //! - Sibling branches never added to a node's backtrack set are *pruned* —
 //!   counted separately from executed interleavings in
 //!   [`InferenceStats`] so debugging-efficiency
@@ -49,7 +53,7 @@
 
 use crate::explorer::{InferenceBudget, InferenceStats};
 use crate::scenario::{PolicyChoice, RunSpec, Scenario};
-use dd_detect::{HbClocks, VectorClock};
+use dd_detect::HbClocks;
 use dd_sim::{
     CheckpointPlan, DecisionKind, EnvConfig, Event, InputScript, OpDesc, PrefixPolicy, RunOutput,
     TaskId, WorldSnapshot,
@@ -92,6 +96,7 @@ struct Node {
 }
 
 /// A backtrack-set addition derived from one conflicting transition pair.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 enum Add {
     /// The conflicting task was enabled at the node: explore it there.
     Task(TaskId),
@@ -131,6 +136,7 @@ pub(crate) fn explore_tree(
     // with every run forked from them, so an entry costs O(live state), not
     // O(history).
     let mut pool: BTreeMap<u64, WorldSnapshot> = BTreeMap::new();
+    let mut backtracker = Backtracker::default();
     loop {
         if stats.explored >= budget.max_executions || stats.ticks >= budget.max_ticks {
             return None;
@@ -183,7 +189,7 @@ pub(crate) fn explore_tree(
             });
         }
         if cfg.dpor {
-            for (i, add) in backtrack_points(&out, cfg.max_depth) {
+            for &(i, add) in backtracker.backtrack_points(&out, cfg.max_depth) {
                 let Some(node) = stack.get_mut(i) else {
                     continue;
                 };
@@ -234,124 +240,398 @@ pub(crate) fn explore_tree(
     }
 }
 
-/// Finds the backtrack points one executed run implies.
-///
-/// For every executed operation `j` by task `q`, scans the decisions inside
-/// the branching horizon for the *latest* one whose transition conflicts
-/// with `j` and was taken by a different task. Variable conflicts are
-/// additionally filtered through the vector-clock happens-before check (a
-/// write that already happened-before the access cannot be reordered with
-/// it); resource-competition conflicts (locks, channels, ports, RNG,
-/// condition variables) create happens-before edges themselves, so they are
-/// always treated as reorderable.
-fn backtrack_points(out: &RunOutput, max_depth: usize) -> Vec<(usize, Add)> {
-    let decisions = &out.decisions;
-    let enabled = &out.decision_enabled;
-    let horizon = decisions.len().min(max_depth);
-    if horizon == 0 {
-        return Vec::new();
-    }
+/// A transition whose clock has not been taken: its decision's chosen task
+/// has not executed since the grant.
+const NOT_EXECUTED: u64 = u64::MAX;
 
-    // Footprint of each in-horizon decision's transition: the op the chosen
-    // task was parked on when granted (known even when the attempt blocked).
-    let exec_op: Vec<OpDesc> = decisions
-        .iter()
-        .zip(enabled)
-        .take(horizon)
-        .map(|(d, en)| {
-            en.iter()
+/// The conflict analysis that grows DPOR's backtrack sets, one run at a
+/// time. One instance serves a whole walk: every buffer is cleared, not
+/// freed, between runs, so once the tables have grown to the walk's
+/// largest run the pass allocates nothing.
+#[derive(Default)]
+struct Backtracker {
+    /// Happens-before clocks of the run's tasks.
+    hb: HbClocks,
+    /// Per in-horizon decision: the chosen task and the footprint of its
+    /// transition (the op it was parked on when granted, known even when
+    /// the attempt blocked).
+    transitions: Vec<(TaskId, OpDesc)>,
+    /// Per in-horizon decision: the chosen task's own component of its
+    /// transition's clock, or [`NOT_EXECUTED`].
+    own: Vec<u64>,
+    /// The additions found in the last run, sorted, each once.
+    adds: Vec<(usize, Add)>,
+}
+
+impl Backtracker {
+    /// Finds the backtrack points one executed run implies, each once.
+    ///
+    /// For every executed operation `j` by task `q`, scans the decisions
+    /// inside the branching horizon for the *latest* one whose transition
+    /// conflicts with `j` and was taken by a different task. Variable
+    /// conflicts are additionally filtered through the happens-before
+    /// check (a write that already happened-before the access cannot be
+    /// reordered with it); resource-competition conflicts (locks,
+    /// channels, ports, RNG, condition variables) create happens-before
+    /// edges themselves, so they are always treated as reorderable.
+    ///
+    /// The happens-before check reads one component. The transition at
+    /// decision `i` is an event of its chosen task `p`, and an event's
+    /// clock is the only source of its own tick, so its clock `c_i` and
+    /// `j`'s clock `c_j` satisfy `c_i ≤ c_j` exactly when
+    /// `c_i[p] ≤ c_j[p]`. The pass therefore keeps each transition's clock
+    /// as `c_i[p]` alone instead of copying it. Per event, the engine does
+    /// work bounded by the number of tasks (a join or a send copies one
+    /// clock), and the scan does one comparison per decision it passes
+    /// plus one enabled-set lookup where it stops. Nothing is hashed, no
+    /// tree is walked, and nothing is allocated once the buffers have
+    /// grown.
+    fn backtrack_points(&mut self, out: &RunOutput, max_depth: usize) -> &[(usize, Add)] {
+        self.adds.clear();
+        let horizon = out.decisions.len().min(max_depth);
+        if horizon == 0 {
+            return &self.adds;
+        }
+        self.own.clear();
+        self.own.resize(horizon, NOT_EXECUTED);
+        self.transitions.clear();
+        let in_horizon = out.decisions.iter().zip(&out.decision_enabled);
+        for (d, en) in in_horizon.take(horizon) {
+            let op = en
+                .iter()
                 .find(|(t, _)| *t == d.chosen)
                 .and_then(|(_, desc)| *desc)
-                .unwrap_or(OpDesc::Global)
-        })
-        .collect();
+                .unwrap_or(OpDesc::Global);
+            self.transitions.push((d.chosen, op));
+        }
+        self.hb.reset();
 
-    let mut hb = HbClocks::new();
-    // Clock of each in-horizon decision's transition, once it executes.
-    let mut decision_clock: Vec<Option<VectorClock>> = vec![None; horizon];
-    // Index of the latest Decision event seen (-1 before the first).
-    let mut cursor: isize = -1;
-    // Decision whose transition's clock snapshot is still outstanding.
-    let mut awaiting: Option<(usize, TaskId)> = None;
+        // Index of the latest Decision event seen.
+        let mut cursor: Option<usize> = None;
+        // Decision whose transition's clock is still outstanding.
+        let mut awaiting: Option<(usize, TaskId)> = None;
+        for (_, event) in &out.trace {
+            match event {
+                Event::Decision { kind, chosen, .. } => {
+                    let i = cursor.map_or(0, |c| c + 1);
+                    cursor = Some(i);
+                    awaiting = match kind {
+                        // The next op event after a NextTask grant is the
+                        // chosen task's transition. WakeOne decisions happen
+                        // inside a notifier's op; their transition clock is
+                        // not needed (cvar conflicts never take the clock
+                        // path).
+                        DecisionKind::NextTask if i < horizon => Some((i, *chosen)),
+                        _ => None,
+                    };
+                    continue;
+                }
+                // A spawn advances only the child's clock, and the scan
+                // treats it as neither a decision's transition nor a
+                // conflicting operation.
+                Event::TaskSpawn { .. } => {
+                    self.hb.observe(event);
+                    continue;
+                }
+                _ => {}
+            }
 
-    let mut adds: BTreeSet<(usize, Option<u32>)> = BTreeSet::new();
+            // 1. Happens-before bookkeeping.
+            let Some(q) = self.hb.observe(event) else {
+                continue;
+            };
 
-    for (_, event) in &out.trace {
-        match event {
-            Event::Decision { kind, chosen, .. } => {
-                cursor += 1;
-                let i = cursor as usize;
-                awaiting = match kind {
-                    // The next op event after a NextTask grant is the chosen
-                    // task's transition. WakeOne decisions happen inside a
-                    // notifier's op; their transition clock is not needed
-                    // (cvar conflicts never take the clock path).
-                    DecisionKind::NextTask if i < horizon => Some((i, *chosen)),
-                    _ => None,
+            // 2. Take the awaited decision-transition clock.
+            if let Some((i, t)) = awaiting {
+                if t == q {
+                    self.own[i] = self.hb.clock(q).get(q);
+                    awaiting = None;
+                }
+            }
+
+            // 3. Conflict scan for this executed operation. Task-local
+            //    operations are skipped: they commute with every other
+            //    operation, so reordering one never reaches a new state.
+            let Some(o_j) = OpDesc::of_event(event).filter(|op| *op != OpDesc::Local) else {
+                continue;
+            };
+            let Some(latest) = cursor else { continue };
+            let c_j = self.hb.clock(q);
+            for i in (0..=latest.min(horizon - 1)).rev() {
+                let (p, op) = self.transitions[i];
+                if p == q || !op.conflicts(&o_j) {
+                    continue;
+                }
+                let both_vars =
+                    matches!(op, OpDesc::Var { .. }) && matches!(o_j, OpDesc::Var { .. });
+                if both_vars && self.own[i] <= c_j.get(p) {
+                    // Already happens-before ordered: not reorderable.
+                    continue;
+                }
+                let add = if out.decision_enabled[i].iter().any(|(t, _)| *t == q) {
+                    Add::Task(q)
+                } else {
+                    Add::All
                 };
-                continue;
-            }
-            // A spawn advances only the child's clock, and the scan treats
-            // it as neither a decision's transition nor a conflicting
-            // operation.
-            Event::TaskSpawn { .. } => {
-                hb.observe(event);
-                continue;
-            }
-            _ => {}
-        }
-
-        // 1. Happens-before bookkeeping.
-        let Some(q) = hb.observe(event) else { continue };
-
-        // 2. Snapshot the awaited decision-transition clock.
-        if let Some((i, t)) = awaiting {
-            if t == q {
-                decision_clock[i] = Some(hb.clock(q).clone());
-                awaiting = None;
+                self.adds.push((i, add));
+                break; // Only the latest reorderable conflict matters.
             }
         }
+        self.adds.sort_unstable();
+        self.adds.dedup();
+        &self.adds
+    }
+}
 
-        // 3. Conflict scan for this executed operation. Task-local
-        //    operations are skipped: they commute with every other
-        //    operation, so reordering one never reaches a new state.
-        let Some(o_j) = OpDesc::of_event(event).filter(|op| *op != OpDesc::Local) else {
-            continue;
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::explorer::{search_with, InferenceBudget, SearchStrategy};
+    use crate::scenario::{incident_variants, NondetSpace};
+    use dd_detect::VectorClock;
+    use dd_sim::{Builder, Program};
+    use std::cell::{Cell, RefCell};
+    use std::sync::Arc;
+
+    /// The pass as it was before the one-component check: every task's
+    /// full clock from the engine, a `BTreeSet` of additions, and fresh
+    /// buffers per run. Kept as the reference the pass must agree with.
+    ///
+    /// Finds the backtrack points one executed run implies.
+    ///
+    /// For every executed operation `j` by task `q`, scans the decisions inside
+    /// the branching horizon for the *latest* one whose transition conflicts
+    /// with `j` and was taken by a different task. Variable conflicts are
+    /// additionally filtered through the vector-clock happens-before check (a
+    /// write that already happened-before the access cannot be reordered with
+    /// it); resource-competition conflicts (locks, channels, ports, RNG,
+    /// condition variables) create happens-before edges themselves, so they are
+    /// always treated as reorderable.
+    fn reference_backtrack_points(out: &RunOutput, max_depth: usize) -> Vec<(usize, Add)> {
+        let decisions = &out.decisions;
+        let enabled = &out.decision_enabled;
+        let horizon = decisions.len().min(max_depth);
+        if horizon == 0 {
+            return Vec::new();
+        }
+
+        // Footprint of each in-horizon decision's transition: the op the chosen
+        // task was parked on when granted (known even when the attempt blocked).
+        let exec_op: Vec<OpDesc> = decisions
+            .iter()
+            .zip(enabled)
+            .take(horizon)
+            .map(|(d, en)| {
+                en.iter()
+                    .find(|(t, _)| *t == d.chosen)
+                    .and_then(|(_, desc)| *desc)
+                    .unwrap_or(OpDesc::Global)
+            })
+            .collect();
+
+        let mut hb = HbClocks::new();
+        // Clock of each in-horizon decision's transition, once it executes.
+        let mut decision_clock: Vec<Option<VectorClock>> = vec![None; horizon];
+        // Index of the latest Decision event seen (-1 before the first).
+        let mut cursor: isize = -1;
+        // Decision whose transition's clock snapshot is still outstanding.
+        let mut awaiting: Option<(usize, TaskId)> = None;
+
+        let mut adds: BTreeSet<(usize, Option<u32>)> = BTreeSet::new();
+
+        for (_, event) in &out.trace {
+            match event {
+                Event::Decision { kind, chosen, .. } => {
+                    cursor += 1;
+                    let i = cursor as usize;
+                    awaiting = match kind {
+                        // The next op event after a NextTask grant is the chosen
+                        // task's transition. WakeOne decisions happen inside a
+                        // notifier's op; their transition clock is not needed
+                        // (cvar conflicts never take the clock path).
+                        DecisionKind::NextTask if i < horizon => Some((i, *chosen)),
+                        _ => None,
+                    };
+                    continue;
+                }
+                // A spawn advances only the child's clock, and the scan treats
+                // it as neither a decision's transition nor a conflicting
+                // operation.
+                Event::TaskSpawn { .. } => {
+                    hb.observe(event);
+                    continue;
+                }
+                _ => {}
+            }
+
+            // 1. Happens-before bookkeeping.
+            let Some(q) = hb.observe(event) else { continue };
+
+            // 2. Snapshot the awaited decision-transition clock.
+            if let Some((i, t)) = awaiting {
+                if t == q {
+                    decision_clock[i] = Some(hb.clock(q).clone());
+                    awaiting = None;
+                }
+            }
+
+            // 3. Conflict scan for this executed operation. Task-local
+            //    operations are skipped: they commute with every other
+            //    operation, so reordering one never reaches a new state.
+            let Some(o_j) = OpDesc::of_event(event).filter(|op| *op != OpDesc::Local) else {
+                continue;
+            };
+            let c_j = hb.clock(q);
+            let upto = (cursor.min(horizon as isize - 1)).max(-1);
+            for i in (0..=upto).rev() {
+                let i = i as usize;
+                if decisions[i].chosen == q {
+                    continue;
+                }
+                if !exec_op[i].conflicts(&o_j) {
+                    continue;
+                }
+                let both_vars =
+                    matches!(exec_op[i], OpDesc::Var { .. }) && matches!(o_j, OpDesc::Var { .. });
+                if both_vars {
+                    if let Some(c_i) = &decision_clock[i] {
+                        if c_i.leq(c_j) {
+                            // Already happens-before ordered: not reorderable.
+                            continue;
+                        }
+                    }
+                }
+                let add = if enabled[i].iter().any(|(t, _)| *t == q) {
+                    (i, Some(q.0))
+                } else {
+                    (i, None)
+                };
+                adds.insert(add);
+                break; // Only the latest reorderable conflict matters.
+            }
+        }
+
+        adds.into_iter()
+            .map(|(i, t)| match t {
+                Some(t) => (i, Add::Task(TaskId(t))),
+                None => (i, Add::All),
+            })
+            .collect()
+    }
+
+    /// Checks the pass against the reference on every run of `strategy`'s
+    /// walk over `scenario`, one pass serving the whole walk. Returns the
+    /// runs and the additions compared.
+    fn compare_on_walk(
+        scenario: &Scenario,
+        strategy: SearchStrategy,
+        budget: &InferenceBudget,
+    ) -> (u64, usize) {
+        let depth = strategy.max_depth().expect("systematic") as usize;
+        let pass = RefCell::new(Backtracker::default());
+        let adds = Cell::new(0);
+        let result = search_with(scenario, budget, strategy, None, |out| {
+            let mut got = pass.borrow_mut().backtrack_points(out, depth).to_vec();
+            let mut want = reference_backtrack_points(out, depth);
+            got.sort();
+            want.sort();
+            assert_eq!(
+                got, want,
+                "seed {}: {strategy:?}, checkpoint interval {}",
+                scenario.seed, budget.checkpoint_interval
+            );
+            adds.set(adds.get() + got.len());
+            false
+        });
+        (result.stats.explored, adds.get())
+    }
+
+    /// A writer of `x` that then spawns a second writer of `x`, beside a
+    /// third task writing it: the spawn orders the child's write after its
+    /// parent's, while the third task's write races both.
+    struct SpawnAfterWrite;
+
+    impl Program for SpawnAfterWrite {
+        fn name(&self) -> &'static str {
+            "spawn-after-write"
+        }
+
+        fn setup(&self, b: &mut Builder<'_>) {
+            let x = b.var("x", 0i64);
+            b.spawn("parent", "g", move |mut ctx| async move {
+                ctx.write(&x, 1, "parent::write").await?;
+                ctx.spawn("child", "g", move |mut c| async move {
+                    c.write(&x, 2, "child::write").await
+                })
+                .await?;
+                Ok(())
+            });
+            b.spawn("other", "g", move |mut ctx| async move {
+                ctx.yield_now("other::yield").await?;
+                ctx.write(&x, 3, "other::write").await
+            });
+        }
+    }
+
+    /// The exhaustive walk, and a DPOR walk at every horizon up to its
+    /// depth. A horizon just before the spawn's decision lets the child's
+    /// write scan past it to the parent's write, whose own component the
+    /// child's clock holds unchanged: the equality case of the
+    /// one-component check.
+    #[test]
+    fn the_pass_adds_what_the_reference_adds_on_spawn_ordered_and_racing_writes() {
+        let scenario = Scenario {
+            program: Arc::new(SpawnAfterWrite),
+            seed: 0,
+            sched_seed: 0,
+            inputs: InputScript::new(),
+            env: EnvConfig::clean(),
+            max_steps: 10_000,
+            failure_of: Arc::new(|_| None),
+            space: NondetSpace::schedules_only(1, InputScript::new()),
         };
-        let c_j = hb.clock(q);
-        let upto = (cursor.min(horizon as isize - 1)).max(-1);
-        for i in (0..=upto).rev() {
-            let i = i as usize;
-            if decisions[i].chosen == q {
-                continue;
-            }
-            if !exec_op[i].conflicts(&o_j) {
-                continue;
-            }
-            let both_vars =
-                matches!(exec_op[i], OpDesc::Var { .. }) && matches!(o_j, OpDesc::Var { .. });
-            if both_vars {
-                if let Some(c_i) = &decision_clock[i] {
-                    if c_i.leq(c_j) {
-                        // Already happens-before ordered: not reorderable.
-                        continue;
+        let budget = InferenceBudget::executions(1000);
+        let strategies = std::iter::once(SearchStrategy::Exhaustive { max_depth: 16 })
+            .chain((1..=16).map(|max_depth| SearchStrategy::Dpor { max_depth }));
+        for strategy in strategies {
+            let (runs, adds) = compare_on_walk(&scenario, strategy, &budget);
+            assert!(
+                runs >= 1 && adds > 0,
+                "{strategy:?}: {runs} runs, {adds} additions"
+            );
+        }
+    }
+
+    /// Every run of every walk the strategies below take over msgserver,
+    /// hyperstore and failover — DPOR at depths 4, 8 and 256 and the
+    /// exhaustive depth-4 walk, each from scratch and checkpointed — gets
+    /// the same backtrack additions from the pass as from the reference.
+    /// One pass serves each walk, so its buffers are reused run to run.
+    #[test]
+    fn the_pass_adds_what_the_reference_adds_on_every_walk_run() {
+        let strategies = [
+            SearchStrategy::Dpor { max_depth: 4 },
+            SearchStrategy::Dpor { max_depth: 8 },
+            SearchStrategy::Dpor { max_depth: 256 },
+            SearchStrategy::Exhaustive { max_depth: 4 },
+        ];
+        let (mut runs, mut adds) = (0, 0);
+        for name in ["msgserver", "hyperstore", "failover"] {
+            for scenario in incident_variants(name) {
+                for strategy in strategies {
+                    for interval in [0, 1] {
+                        let budget = InferenceBudget::executions(12).with_checkpoints(interval);
+                        let (walk_runs, walk_adds) = compare_on_walk(&scenario, strategy, &budget);
+                        runs += walk_runs;
+                        adds += walk_adds;
                     }
                 }
             }
-            let add = if enabled[i].iter().any(|(t, _)| *t == q) {
-                (i, Some(q.0))
-            } else {
-                (i, None)
-            };
-            adds.insert(add);
-            break; // Only the latest reorderable conflict matters.
         }
+        assert_eq!(runs, 3 * 3 * 4 * 2 * 12, "every walk spends its budget");
+        assert!(
+            adds > runs as usize,
+            "the walks must find conflicts to compare"
+        );
     }
-
-    adds.into_iter()
-        .map(|(i, t)| match t {
-            Some(t) => (i, Add::Task(TaskId(t))),
-            None => (i, Add::All),
-        })
-        .collect()
 }

@@ -42,7 +42,7 @@ use dd_sim::{
     DecisionPoint, Event, EventMeta, Observer, OpDesc, SchedulePolicy, StateHasher, StopReason,
     TaskId, Value, VarId,
 };
-use dd_trace::{ChargeAcc, CostModel, LogStats, Trace};
+use dd_trace::{ChargeAcc, CostModel, LogStats};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 use std::sync::{Arc, Mutex};
@@ -363,11 +363,15 @@ pub struct RaceOutcome {
     pub value: Value,
 }
 
-/// Extracts the ordered outcomes of all accesses to racing variables.
-pub fn racing_outcomes(trace: &Trace, racing: &BTreeSet<u32>) -> Vec<RaceOutcome> {
-    trace
-        .iter()
-        .filter_map(|e| match &e.event {
+/// Extracts the ordered outcomes of all accesses to racing variables from
+/// a run's events, read in place.
+pub fn racing_outcomes<'a>(
+    events: impl IntoIterator<Item = &'a Event>,
+    racing: &BTreeSet<u32>,
+) -> Vec<RaceOutcome> {
+    events
+        .into_iter()
+        .filter_map(|event| match event {
             Event::Read {
                 task, var, value, ..
             } if racing.contains(&var.0) => Some(RaceOutcome {
@@ -459,7 +463,8 @@ impl dd_sim::NondetOverride for OutcomeFeed {
     }
 }
 
-/// FNV-1a digest of a trace's pinned-operation *completion* order.
+/// FNV-1a digest of a run's pinned-operation *completion* order, read in
+/// place from its events.
 ///
 /// Grants and completions differ (a blocked receive is granted more than
 /// once but completes once), so this digest is the schedule-independent
@@ -467,16 +472,19 @@ impl dd_sim::NondetOverride for OutcomeFeed {
 /// order: it is stored in race-complete artifacts and used both to validate
 /// a guided replay and as the acceptance constraint of the DPOR fallback
 /// search.
-pub fn pinned_completion_digest(trace: &Trace, pin: &PinSet) -> u64 {
+pub fn pinned_completion_digest<'a>(
+    events: impl IntoIterator<Item = &'a Event>,
+    pin: &PinSet,
+) -> u64 {
     let mut h = StateHasher::new();
     let mut mix = |words: &[u64]| {
         for &w in words {
             h.u64(w);
         }
     };
-    for e in trace.iter() {
-        let var_pinned = || pin.pinned(OpDesc::of_event(&e.event).as_ref());
-        match &e.event {
+    for event in events {
+        let var_pinned = || pin.pinned(OpDesc::of_event(event).as_ref());
+        match event {
             Event::Read { task, var, .. } if var_pinned() => {
                 mix(&[1, u64::from(task.0), u64::from(var.0)]);
             }
@@ -525,9 +533,6 @@ pub struct OrderCostObserver {
     model: CostModel,
     pin: PinSet,
     acc: ChargeAcc,
-    /// Records/bytes charged so far (per-completion approximation; the
-    /// recording's [`LogStats`] use the artifact's exact RLE accounting).
-    pub stats: LogStats,
 }
 
 impl OrderCostObserver {
@@ -537,7 +542,6 @@ impl OrderCostObserver {
             model,
             pin,
             acc: ChargeAcc::default(),
-            stats: LogStats::default(),
         }
     }
 }
@@ -550,7 +554,6 @@ impl Observer for OrderCostObserver {
         if !self.pin.pinned(Some(&op)) {
             return 0;
         }
-        self.stats.add(costs::ORDER_ENTRY_BYTES);
         self.acc
             .add(self.model.cost_milli(costs::ORDER_ENTRY_BYTES))
     }

@@ -11,7 +11,7 @@
 use crate::explorer::{search, search_with, InferenceBudget, InferenceStats, SearchStrategy};
 use crate::guided::{
     pinned_completion_digest, racing_outcomes, GuidedOrderPolicy, OrderCostObserver, OrderEntry,
-    OrderLog, OrderRecorder, OutcomeFeed, PinSet,
+    OrderLog, OrderRecorder, OutcomeFeed, PinSet, RaceOutcome,
 };
 use crate::lock;
 use crate::recordings::{costs, Artifact, CrewObserver, ModelKind, OriginalRun, Recording};
@@ -82,11 +82,13 @@ fn charged(out: &RunOutput) -> LogStats {
 
 impl ReplayResult {
     /// The result of a replayed run `out` of `scenario`: its failure
-    /// verdict, and whether that is `recording`'s original failure.
+    /// verdict, and whether that is `recording`'s original failure. The run
+    /// is consumed: its event log, name tables and I/O move in, its
+    /// snapshots dropped first so the log's chunks move rather than copy.
     pub fn from_run(
         scenario: &Scenario,
         recording: &Recording,
-        out: RunOutput,
+        mut out: RunOutput,
         artifact_satisfied: bool,
         inference: InferenceStats,
         value_divergences: u64,
@@ -97,10 +99,11 @@ impl ReplayResult {
             (None, None) => true,
             _ => false,
         };
+        out.snapshots.clear();
         ReplayResult {
-            trace: Trace::from_run(&out),
-            registry: out.registry.clone(),
-            stop: out.stop.clone(),
+            trace: Trace::from_events(out.trace.into_vec()),
+            registry: out.registry,
+            stop: out.stop,
             replay_ticks: out.stats.exec_ticks,
             io: out.io,
             failure,
@@ -152,18 +155,17 @@ impl DeterminismModel for PerfectModel {
             RECORDING_CHECKPOINTS,
             observers,
         );
-        let original = OriginalRun::from_run(scenario, &out);
         Recording {
             model: ModelKind::Perfect,
             artifact: Artifact::Perfect {
                 schedule: ScheduleLog::from_run(&out),
-                inputs: InputLog::from_trace(&original.trace, &out.registry),
+                inputs: InputLog::from_run(&out),
                 env: scenario.env.clone(),
                 seed: scenario.seed,
             },
             overhead_factor: out.stats.overhead_factor(),
             log: charged(&out),
-            original,
+            original: OriginalRun::from_run(scenario, out),
         }
     }
 
@@ -220,14 +222,16 @@ impl DeterminismModel for ValueModel {
     fn record(&self, scenario: &Scenario) -> Recording {
         let charger = LogCharger::new(&[(LogKind::Value, costs::VALUE)]);
         let out = scenario.execute(&scenario.original_spec(), vec![Box::new(charger)]);
-        let original = OriginalRun::from_run(scenario, &out);
+        let overhead_factor = out.stats.overhead_factor();
+        let log = charged(&out);
+        let original = OriginalRun::from_run(scenario, out);
         Recording {
             model: ModelKind::Value,
             artifact: Artifact::Value {
                 values: ValueLog::from_trace(&original.trace),
             },
-            overhead_factor: out.stats.overhead_factor(),
-            log: charged(&out),
+            overhead_factor,
+            log,
             original,
         }
     }
@@ -285,10 +289,9 @@ fn record_outputs(scenario: &Scenario, with_inputs: bool) -> Recording {
     }
     let charger = LogCharger::new(&logs);
     let out = scenario.execute(&scenario.original_spec(), vec![Box::new(charger)]);
-    let original = OriginalRun::from_run(scenario, &out);
     let outputs = OutputLog::from_io(&out.io);
     let (model, artifact) = if with_inputs {
-        let inputs = InputLog::from_trace(&original.trace, &out.registry);
+        let inputs = InputLog::from_run(&out);
         (
             ModelKind::OutputHeavy,
             Artifact::OutputHeavy { outputs, inputs },
@@ -301,7 +304,7 @@ fn record_outputs(scenario: &Scenario, with_inputs: bool) -> Recording {
         artifact,
         overhead_factor: out.stats.overhead_factor(),
         log: charged(&out),
-        original,
+        original: OriginalRun::from_run(scenario, out),
     }
 }
 
@@ -447,20 +450,19 @@ impl DeterminismModel for MsgOrderModel {
         ];
         let (out, entries) = record_grants(scenario, PinSet::Total, observers);
         let order = OrderLog { entries };
-        let original = OriginalRun::from_run(scenario, &out);
         let mut log = order.stats();
         log.merge(charged(&out));
         Recording {
             model: ModelKind::MsgOrder,
             artifact: Artifact::MsgOrder {
                 order,
-                inputs: InputLog::from_trace(&original.trace, &out.registry),
+                inputs: InputLog::from_run(&out),
                 env: scenario.env.clone(),
                 seed: scenario.seed,
             },
             overhead_factor: out.stats.overhead_factor(),
             log,
-            original,
+            original: OriginalRun::from_run(scenario, out),
         }
     }
 
@@ -533,9 +535,9 @@ impl DeterminismModel for RaceCompleteModel {
         } else {
             OrderLog { entries }.retain_pinned(&pin)
         };
-        let original = OriginalRun::from_run(scenario, &out);
-        let outcomes = racing_outcomes(&original.trace, &racing);
-        let order_digest = pinned_completion_digest(&original.trace, &pin);
+        let events = || out.trace().iter().map(|(_, e)| e);
+        let outcomes = racing_outcomes(events(), &racing);
+        let order_digest = pinned_completion_digest(events(), &pin);
         let mut log = order.stats();
         log.merge(LogStats {
             records: races.len() as u64 + outcomes.len() as u64,
@@ -550,13 +552,13 @@ impl DeterminismModel for RaceCompleteModel {
                 outcomes,
                 order,
                 order_digest,
-                inputs: InputLog::from_trace(&original.trace, &out.registry),
+                inputs: InputLog::from_run(&out),
                 env: scenario.env.clone(),
                 seed: scenario.seed,
             },
             overhead_factor: out.stats.overhead_factor(),
             log,
-            original,
+            original: OriginalRun::from_run(scenario, out),
         }
     }
 
@@ -565,6 +567,39 @@ impl DeterminismModel for RaceCompleteModel {
         scenario: &Scenario,
         recording: &Recording,
         budget: &InferenceBudget,
+    ) -> ReplayResult {
+        self.replay_checked(scenario, recording, budget, |check, out| check.accepts(out))
+    }
+}
+
+/// What a race-complete replay candidate must reproduce: the recording's
+/// pinned-operation completion order and its racing-access outcomes.
+struct RaceCompleteCheck<'a> {
+    pin: PinSet,
+    racing: BTreeSet<u32>,
+    order_digest: u64,
+    outcomes: &'a [RaceOutcome],
+}
+
+impl RaceCompleteCheck<'_> {
+    /// Whether candidate `out` reproduces both. The candidate's events are
+    /// read in place, never copied.
+    fn accepts(&self, out: &RunOutput) -> bool {
+        let events = || out.trace().iter().map(|(_, e)| e);
+        pinned_completion_digest(events(), &self.pin) == self.order_digest
+            && racing_outcomes(events(), &self.racing) == self.outcomes
+    }
+}
+
+impl RaceCompleteModel {
+    /// [`replay`](DeterminismModel::replay), judging every candidate run
+    /// with `accepts`.
+    fn replay_checked(
+        &self,
+        scenario: &Scenario,
+        recording: &Recording,
+        budget: &InferenceBudget,
+        accepts: impl Fn(&RaceCompleteCheck<'_>, &RunOutput) -> bool,
     ) -> ReplayResult {
         let Artifact::RaceComplete {
             races,
@@ -578,13 +613,13 @@ impl DeterminismModel for RaceCompleteModel {
         else {
             panic!("race-complete replay requires a race-complete artifact");
         };
-        let pin = PinSet::racing(races);
-        let racing: BTreeSet<u32> = races.iter().map(|r| r.var.0).collect();
-        let satisfies = |out: &RunOutput| {
-            let trace = Trace::from_run(out);
-            pinned_completion_digest(&trace, &pin) == *order_digest
-                && racing_outcomes(&trace, &racing) == *outcomes
+        let check = RaceCompleteCheck {
+            pin: PinSet::racing(races),
+            racing: races.iter().map(|r| r.var.0).collect(),
+            order_digest: *order_digest,
+            outcomes,
         };
+        let satisfies = |out: &RunOutput| accepts(&check, out);
 
         // Primary path: guided re-execution from the order log. Race-free
         // recordings carry no order log — any deterministic schedule under
@@ -598,7 +633,7 @@ impl DeterminismModel for RaceCompleteModel {
             };
             (scenario.execute(&spec, vec![]), true)
         } else {
-            replay_guided(scenario, order, pin.clone(), inputs, env, *seed)
+            replay_guided(scenario, order, check.pin.clone(), inputs, env, *seed)
         };
         let mut stats = InferenceStats::default();
         stats.charge_run(&out);
@@ -691,7 +726,7 @@ impl DeterminismModel for FailureModel {
             // No recording: the production run is native speed.
             overhead_factor: 1.0,
             log: LogStats::default(),
-            original: OriginalRun::from_run(scenario, &out),
+            original: OriginalRun::from_run(scenario, out),
         }
     }
 
@@ -800,6 +835,36 @@ mod tests {
             }
         }
         panic!("no failing seed found for racy counter");
+    }
+
+    /// On every candidate of msgserver's race-complete replay, the in-place
+    /// acceptance check agrees with the same check over a copied `Trace`.
+    #[test]
+    fn race_complete_checks_candidates_in_place_as_a_copied_trace_would() {
+        let scenario = crate::scenario::incident_variants("msgserver").swap_remove(0);
+        let recording = RaceCompleteModel.record(&scenario);
+        let checked = std::cell::Cell::new(0);
+        let budget = InferenceBudget::executions(64);
+        let result =
+            RaceCompleteModel.replay_checked(&scenario, &recording, &budget, |check, out| {
+                let trace = Trace::from_run(out);
+                let events = || trace.iter().map(|e| &e.event);
+                let copied = pinned_completion_digest(events(), &check.pin) == check.order_digest
+                    && racing_outcomes(events(), &check.racing) == check.outcomes;
+                let in_place = check.accepts(out);
+                assert_eq!(in_place, copied, "candidate {}", checked.get());
+                checked.set(checked.get() + 1);
+                in_place
+            });
+        // The guided run drifts from the order log and the 64 search
+        // candidates all fail the check, so the outcome feed ends the
+        // replay: 66 runs, the check judging the 64 in between.
+        assert_eq!(
+            result.inference.explored, 66,
+            "msgserver's pinned inference runs"
+        );
+        assert_eq!(checked.get(), 64, "every search candidate is checked");
+        assert!(result.artifact_satisfied && result.reproduced_failure);
     }
 
     #[test]

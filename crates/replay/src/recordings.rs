@@ -248,15 +248,19 @@ pub struct OriginalRun {
 }
 
 impl OriginalRun {
-    /// The ground truth of a finished run `out` of `scenario`.
-    pub fn from_run(scenario: &Scenario, out: &RunOutput) -> Self {
+    /// The ground truth of a finished run `out` of `scenario`, which it
+    /// consumes: the event log, name tables and I/O move in. The run's
+    /// snapshots are dropped first, so the log's chunks are its own and
+    /// move rather than copy.
+    pub fn from_run(scenario: &Scenario, mut out: RunOutput) -> Self {
+        out.snapshots.clear();
         OriginalRun {
-            io: out.io.clone(),
-            trace: Trace::from_run(out),
-            registry: out.registry.clone(),
-            stop: out.stop.clone(),
             failure: (scenario.failure_of)(&out.io),
             duration: out.stats.exec_ticks,
+            trace: Trace::from_events(out.trace.into_vec()),
+            io: out.io,
+            registry: out.registry,
+            stop: out.stop,
         }
     }
 }

@@ -308,6 +308,39 @@ pub struct RunSpec {
     pub env: EnvConfig,
 }
 
+/// A registered incident (`dd_cli`'s workload names) as its production
+/// scenario and two seeded variants, for tests that need real workloads.
+#[cfg(test)]
+pub(crate) fn incident_variants(name: &str) -> Vec<Scenario> {
+    let workload = dd_cli::workload_by_name(name).expect("a registered workload");
+    let production = workload.production();
+    [(production.seed, production.sched_seed), (1, 38), (2, 69)]
+        .into_iter()
+        .map(|(seed, sched_seed)| {
+            let mut setup = production.clone();
+            setup.seed = seed;
+            setup.sched_seed = sched_seed;
+            // `dd_cli` links the library build of this crate, whose
+            // `Scenario` is a distinct type with the same fields.
+            let s = workload.scenario_for(&setup);
+            Scenario {
+                program: s.program,
+                seed: s.seed,
+                sched_seed: s.sched_seed,
+                inputs: s.inputs,
+                env: s.env,
+                max_steps: s.max_steps,
+                failure_of: s.failure_of,
+                space: NondetSpace {
+                    seeds: s.space.seeds,
+                    inputs: s.space.inputs,
+                    envs: s.space.envs,
+                },
+            }
+        })
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -314,9 +314,11 @@ impl JsonlTrace {
         })
     }
 
-    /// Writes the rendered artifact to `path`.
+    /// Writes the rendered artifact to `path` with
+    /// [`write_in_place`](crate::write_in_place): a file already there is
+    /// rewritten in place and cut to length, not truncated first.
     pub fn save(&self, path: &Path) -> Result<(), JsonlError> {
-        std::fs::write(path, self.render())
+        crate::write_in_place(path, self.render().as_bytes())
             .map_err(|e| JsonlError::at(0, format!("write {}: {e}", path.display())))
     }
 
@@ -413,6 +415,33 @@ mod tests {
         assert_eq!(t, back);
         // And the rendering itself is a fixed point.
         assert_eq!(text, back.render());
+    }
+
+    /// `save` over a longer file and over a shorter one leaves exactly the
+    /// rendered bytes, and `load` reads the trace back from both. A path
+    /// that is not a regular file takes the bytes without an error.
+    #[test]
+    fn save_over_a_longer_or_shorter_file_leaves_exactly_the_rendering() {
+        /// Removes the file when dropped, also when an assertion panics.
+        struct Removed(std::path::PathBuf);
+        impl Drop for Removed {
+            fn drop(&mut self) {
+                let _ = std::fs::remove_file(&self.0);
+            }
+        }
+        let file = Removed(
+            std::env::temp_dir().join(format!("dd-jsonl-save-{}.jsonl", std::process::id())),
+        );
+        let t = sample();
+        let text = t.render();
+        for stale in [text.repeat(2), text[..text.len() / 3].to_owned()] {
+            std::fs::write(&file.0, &stale).unwrap();
+            t.save(&file.0).unwrap();
+            assert_eq!(std::fs::read_to_string(&file.0).unwrap(), text);
+            assert_eq!(JsonlTrace::load(&file.0).unwrap(), t);
+        }
+        #[cfg(unix)]
+        t.save(std::path::Path::new("/dev/null")).unwrap();
     }
 
     #[test]

@@ -2,8 +2,8 @@
 //!
 //! The recording toolkit for the Debug Determinism reproduction:
 //!
-//! - [`Trace`]: the omniscient, queryable event record of a run (free for
-//!   analysis; only what a model logs is charged).
+//! - [`Trace`]: the omniscient, queryable event record of a run (no
+//!   modeled cost: only what a model logs is charged).
 //! - [`CostModel`] / [`LogStats`]: how recording overhead is charged and
 //!   accounted, per logged record and byte.
 //! - Artifact formats ([`ScheduleLog`], [`ValueLog`], [`OutputLog`],
@@ -37,3 +37,25 @@ pub use store::{
     LogRef, RetentionPolicy, SnapEntry, SnapshotStore, StoreError, STORE_FORMAT_VERSION,
 };
 pub use trace::{AccessRecord, Trace, TraceEvent};
+
+/// Writes `bytes` over the file at `path` (created if missing), then cuts
+/// a regular file to their length. Unlike `std::fs::write`, which
+/// truncates the file to zero first, this rewrites an existing file's
+/// blocks in place: recording to the same path again does not free and
+/// reallocate them. A path that is not a regular file (a pipe, a
+/// terminal, `/dev/null`) has no length to cut and just receives the
+/// bytes. [`JsonlTrace::save`], the [`SnapshotStore`] and `dd record`
+/// write through it.
+pub fn write_in_place(path: &std::path::Path, bytes: &[u8]) -> std::io::Result<()> {
+    use std::io::Write as _;
+    let mut file = std::fs::OpenOptions::new()
+        .write(true)
+        .create(true)
+        .truncate(false)
+        .open(path)?;
+    file.write_all(bytes)?;
+    if file.metadata()?.is_file() {
+        file.set_len(bytes.len() as u64)?;
+    }
+    Ok(())
+}

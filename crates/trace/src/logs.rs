@@ -265,14 +265,15 @@ pub struct InputLog {
 }
 
 impl InputLog {
-    /// Extracts all input arrivals from a trace.
-    pub fn from_trace(trace: &Trace, registry: &dd_sim::Registry) -> Self {
-        let entries = trace
+    /// Extracts all input arrivals from a finished run's trace.
+    pub fn from_run(out: &dd_sim::RunOutput) -> Self {
+        let entries = out
+            .trace()
             .iter()
-            .filter_map(|e| match &e.event {
+            .filter_map(|(meta, event)| match event {
                 Event::InputArrival { port, value } => Some(InputEntry {
-                    port: registry.ports[port.index()].name.clone(),
-                    time: e.meta.time,
+                    port: out.registry.ports[port.index()].name.clone(),
+                    time: meta.time,
                     value: value.clone(),
                 }),
                 _ => None,

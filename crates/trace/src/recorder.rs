@@ -3,7 +3,7 @@
 //!
 //! Observers cannot change a run, and every run keeps its full event
 //! trace, so each artifact log is a projection of the finished run:
-//! [`ScheduleLog::from_run`], [`InputLog::from_trace`],
+//! [`ScheduleLog::from_run`], [`InputLog::from_run`],
 //! [`ValueLog::from_trace`] and [`OutputLog::from_io`]. Only the price of
 //! logging has to be paid online: [`LogCharger`] charges each log's
 //! [`CostModel`] for every event that log keeps — the recording overhead
@@ -11,7 +11,7 @@
 //! events.
 //!
 //! [`ScheduleLog::from_run`]: crate::ScheduleLog::from_run
-//! [`InputLog::from_trace`]: crate::InputLog::from_trace
+//! [`InputLog::from_run`]: crate::InputLog::from_run
 //! [`ValueLog::from_trace`]: crate::ValueLog::from_trace
 //! [`OutputLog::from_io`]: crate::OutputLog::from_io
 

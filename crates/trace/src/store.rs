@@ -77,7 +77,6 @@ use dd_sim::{
 };
 use serde::{Deserialize, Serialize};
 use std::fmt::Write as _;
-use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
 /// Version tag of the `store.json` index format.
@@ -265,17 +264,10 @@ fn to_json<T: Serialize>(value: &T, file: &Path) -> Result<String, StoreError> {
     serde_json::to_string(value).map_err(corrupt(file))
 }
 
-/// Writes `text` over the file at `path` (created if missing), then cuts
-/// the file to `text`'s length. Returns that length in bytes.
+/// [`crate::write_in_place`], with the store's error. Returns the bytes
+/// written.
 fn write_in_place(text: &str, path: &Path) -> Result<u64, StoreError> {
-    let mut file = std::fs::OpenOptions::new()
-        .write(true)
-        .create(true)
-        .truncate(false)
-        .open(path)
-        .map_err(io_err(path))?;
-    file.write_all(text.as_bytes()).map_err(io_err(path))?;
-    file.set_len(text.len() as u64).map_err(io_err(path))?;
+    crate::write_in_place(path, text.as_bytes()).map_err(io_err(path))?;
     Ok(text.len() as u64)
 }
 

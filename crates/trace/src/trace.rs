@@ -3,8 +3,18 @@
 //! A trace is the omniscient record of everything the machine did. It is the
 //! input to root-cause predicates, race detection, plane classification and
 //! debugging-fidelity measurement, and every artifact log is a projection
-//! of it. Building it is free: a model pays, during the run, for each event
-//! its logs keep ([`LogCharger`](crate::LogCharger)), never for the rest.
+//! of it. It adds nothing to a model's *modeled* cost: a model pays, during
+//! the run, for each event its logs keep
+//! ([`LogCharger`](crate::LogCharger)), never for the rest.
+//!
+//! In wall time a trace is not free. [`Trace::from_run`] borrows the run
+//! and copies every event of it, payloads included. Code that owns the
+//! finished run moves the log instead — [`Trace::from_events`] over
+//! `ChunkedLog::into_vec`, which copies only chunks a snapshot still
+//! shares — as `dd-replay`'s `OriginalRun::from_run` and
+//! `ReplayResult::from_run` do. Code that only inspects a run, such as a
+//! search's acceptance check on each candidate, reads `RunOutput::trace`
+//! in place and builds no trace at all.
 
 use dd_sim::{AccessKind, Event, EventMeta, RunOutput, TaskId, VarId};
 use serde::{Deserialize, Serialize};
@@ -54,7 +64,8 @@ impl Trace {
         }
     }
 
-    /// Extracts the trace from a finished run.
+    /// Copies the trace out of a finished run, every event cloned (see the
+    /// [module docs](self) for the paths that move it instead).
     pub fn from_run(out: &RunOutput) -> Self {
         Self::from_events(out.trace().to_vec())
     }

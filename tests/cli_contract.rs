@@ -11,9 +11,12 @@
 //! user-visible wording the README walkthrough quotes. The `repro-*`
 //! binaries share the usage status `3`.
 
+mod common;
+
+use common::Scratch;
 use debug_determinism::sim::TaskId;
 use debug_determinism::trace::JsonlTrace;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::process::{Command, Output, Stdio};
 
 fn dd(args: &[&str]) -> Output {
@@ -33,13 +36,6 @@ fn stdout(out: &Output) -> String {
 
 fn stderr(out: &Output) -> String {
     String::from_utf8_lossy(&out.stderr).into_owned()
-}
-
-/// A per-test scratch file under the target-adjacent temp dir.
-fn scratch(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("dd-cli-contract-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("scratch dir");
-    dir.join(name)
 }
 
 fn record_msgserver(path: &Path) {
@@ -64,7 +60,8 @@ fn sabotage_decision(path: &Path) -> u64 {
 
 #[test]
 fn faithful_replay_exits_zero() {
-    let trace = scratch("faithful.jsonl");
+    let tmp = Scratch::new("cli-contract", "faithful_replay_exits_zero");
+    let trace = tmp.join("faithful.jsonl");
     record_msgserver(&trace);
     let out = dd(&["replay", trace.to_str().unwrap()]);
     assert_eq!(code(&out), 0, "stderr: {}", stderr(&out));
@@ -73,8 +70,12 @@ fn faithful_replay_exits_zero() {
 
 #[test]
 fn recording_is_byte_stable_across_invocations() {
-    let a = scratch("stable-a.jsonl");
-    let b = scratch("stable-b.jsonl");
+    let tmp = Scratch::new(
+        "cli-contract",
+        "recording_is_byte_stable_across_invocations",
+    );
+    let a = tmp.join("stable-a.jsonl");
+    let b = tmp.join("stable-b.jsonl");
     record_msgserver(&a);
     record_msgserver(&b);
     assert_eq!(
@@ -87,7 +88,11 @@ fn recording_is_byte_stable_across_invocations() {
 #[test]
 fn a_reader_that_stops_early_ends_the_report_not_the_verb() {
     // `dd record ... | head -4`: the reader is gone before the report.
-    let trace = scratch("closed-stdout.jsonl");
+    let tmp = Scratch::new(
+        "cli-contract",
+        "a_reader_that_stops_early_ends_the_report_not_the_verb",
+    );
+    let trace = tmp.join("closed-stdout.jsonl");
     let mut child = Command::new(env!("CARGO_BIN_EXE_dd"))
         .args(["record", "msgserver", "--out", trace.to_str().unwrap()])
         .stdout(Stdio::piped())
@@ -103,7 +108,11 @@ fn a_reader_that_stops_early_ends_the_report_not_the_verb() {
 
 #[test]
 fn mutated_decision_exits_one_at_exactly_that_index() {
-    let trace = scratch("mutated.jsonl");
+    let tmp = Scratch::new(
+        "cli-contract",
+        "mutated_decision_exits_one_at_exactly_that_index",
+    );
+    let trace = tmp.join("mutated.jsonl");
     record_msgserver(&trace);
     let idx = sabotage_decision(&trace);
     let out = dd(&["replay", trace.to_str().unwrap()]);
@@ -117,8 +126,9 @@ fn mutated_decision_exits_one_at_exactly_that_index() {
 
 #[test]
 fn snapshot_flag_writes_the_state_diff() {
-    let trace = scratch("diffed.jsonl");
-    let diff = scratch("diffed.diff.json");
+    let tmp = Scratch::new("cli-contract", "snapshot_flag_writes_the_state_diff");
+    let trace = tmp.join("diffed.jsonl");
+    let diff = tmp.join("diffed.diff.json");
     record_msgserver(&trace);
     let idx = sabotage_decision(&trace);
     let out = dd(&[
@@ -135,7 +145,11 @@ fn snapshot_flag_writes_the_state_diff() {
 
 #[test]
 fn invariant_only_exits_two_on_behavioural_drift() {
-    let trace = scratch("drifted.jsonl");
+    let tmp = Scratch::new(
+        "cli-contract",
+        "invariant_only_exits_two_on_behavioural_drift",
+    );
+    let trace = tmp.join("drifted.jsonl");
     let out = dd(&["record", "hyperstore", "--out", trace.to_str().unwrap()]);
     assert_eq!(code(&out), 0, "record failed: {}", stderr(&out));
     // The sabotaged schedule stops the replay before the cluster finishes
@@ -149,7 +163,11 @@ fn invariant_only_exits_two_on_behavioural_drift() {
 
 #[test]
 fn invariant_only_exits_zero_when_behaviour_matches() {
-    let trace = scratch("behaved.jsonl");
+    let tmp = Scratch::new(
+        "cli-contract",
+        "invariant_only_exits_zero_when_behaviour_matches",
+    );
+    let trace = tmp.join("behaved.jsonl");
     record_msgserver(&trace);
     let out = dd(&["replay", trace.to_str().unwrap(), "--invariant-only"]);
     assert_eq!(code(&out), 0, "stdout: {}", stdout(&out));
@@ -204,7 +222,11 @@ fn repro_binaries_reject_unknown_arguments_with_exit_three() {
 /// that could never run a candidate is a usage error, not an empty result.
 #[test]
 fn explore_budget_that_explores_nothing_exits_three() {
-    let trace = scratch("explore-budget.jsonl");
+    let tmp = Scratch::new(
+        "cli-contract",
+        "explore_budget_that_explores_nothing_exits_three",
+    );
+    let trace = tmp.join("explore-budget.jsonl");
     record_msgserver(&trace);
     let path = trace.to_str().unwrap();
     for (flag, why) in [
@@ -223,10 +245,11 @@ fn explore_budget_that_explores_nothing_exits_three() {
 
 #[test]
 fn missing_or_garbage_trace_exits_four() {
+    let tmp = Scratch::new("cli-contract", "missing_or_garbage_trace_exits_four");
     let out = dd(&["replay", "/definitely/not/a/trace.jsonl"]);
     assert_eq!(code(&out), 4);
 
-    let garbage = scratch("garbage.jsonl");
+    let garbage = tmp.join("garbage.jsonl");
     std::fs::write(&garbage, "this is not a trace\n").unwrap();
     let out = dd(&["replay", garbage.to_str().unwrap()]);
     assert_eq!(code(&out), 4);
@@ -239,7 +262,11 @@ fn missing_or_garbage_trace_exits_four() {
 
 #[test]
 fn unknown_trailing_field_exits_four_with_the_line_number() {
-    let trace = scratch("unknown-field.jsonl");
+    let tmp = Scratch::new(
+        "cli-contract",
+        "unknown_trailing_field_exits_four_with_the_line_number",
+    );
+    let trace = tmp.join("unknown-field.jsonl");
     let out = dd(&["record", "sum", "--out", trace.to_str().unwrap()]);
     assert_eq!(code(&out), 0, "record failed: {}", stderr(&out));
     // Append an unknown field to the header line: v1 readers must reject
@@ -261,7 +288,11 @@ fn unknown_trailing_field_exits_four_with_the_line_number() {
 
 #[test]
 fn model_artifact_record_and_replay_round_trip_through_the_binary() {
-    let artifact = scratch("msgserver.msg-order.json");
+    let tmp = Scratch::new(
+        "cli-contract",
+        "model_artifact_record_and_replay_round_trip_through_the_binary",
+    );
+    let artifact = tmp.join("msgserver.msg-order.json");
     let out = dd(&[
         "record",
         "msgserver",
@@ -291,11 +322,12 @@ fn unknown_model_kind_exits_three() {
 
 #[test]
 fn promote_emits_a_runnable_fixture_pair() {
-    let trace = scratch("promote-src.jsonl");
+    let tmp = Scratch::new("cli-contract", "promote_emits_a_runnable_fixture_pair");
+    let trace = tmp.join("promote-src.jsonl");
     let out = dd(&["record", "sum", "--out", trace.to_str().unwrap()]);
     assert_eq!(code(&out), 0);
 
-    let dir = scratch("promoted-tests");
+    let dir = tmp.join("promoted-tests");
     let out = dd(&[
         "promote",
         trace.to_str().unwrap(),

@@ -15,6 +15,7 @@ use debug_determinism::workloads::{
     BufOverflowWorkload, MsgServerConfig, MsgServerWorkload, SumWorkload,
 };
 use std::collections::BTreeMap;
+use std::path::{Path, PathBuf};
 
 /// The default seed grid: every conformance invariant is checked on the
 /// workload's pinned failing production run *and* these schedule-seed
@@ -124,4 +125,30 @@ pub fn output_multisets(io: &IoSummary) -> (BTreeMap<String, Vec<String>>, BTree
         vals.sort();
     }
     (ports, io.counters.clone())
+}
+
+/// One test's scratch directory under the system temp dir,
+/// `dd-<suite>-<pid>-<test>`: created empty, and removed with everything
+/// in it when the guard drops. A panicking test drops it too, so failing
+/// tests clean up as well.
+pub struct Scratch(PathBuf);
+
+impl Scratch {
+    pub fn new(suite: &str, test: &str) -> Self {
+        let dir = std::env::temp_dir().join(format!("dd-{suite}-{}-{test}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).expect("scratch dir");
+        Scratch(dir)
+    }
+
+    /// The path of `name` inside the directory.
+    pub fn join(&self, name: impl AsRef<Path>) -> PathBuf {
+        self.0.join(name)
+    }
+}
+
+impl Drop for Scratch {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
 }

@@ -13,6 +13,9 @@
 //!   names the store, rather than being restored into the wrong run;
 //! - `dd snapshots` lists the store.
 
+mod common;
+
+use common::Scratch;
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
@@ -33,13 +36,6 @@ fn stdout(out: &Output) -> String {
 
 fn stderr(out: &Output) -> String {
     String::from_utf8_lossy(&out.stderr).into_owned()
-}
-
-/// A per-test scratch file under the system temp dir.
-fn scratch(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("dd-snapstore-cli-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("scratch dir");
-    dir.join(name)
 }
 
 fn record_spilled(workload: &str, path: &Path) {
@@ -65,8 +61,12 @@ fn decisions_of(path: &Path) -> u64 {
 
 #[test]
 fn replay_from_reproduces_all_four_workloads_from_cold_artifacts() {
+    let tmp = Scratch::new(
+        "snapstore-cli",
+        "replay_from_reproduces_all_four_workloads_from_cold_artifacts",
+    );
     for workload in ["msgserver", "sum", "bufoverflow", "hyperstore"] {
-        let trace = scratch(&format!("grid-{workload}.jsonl"));
+        let trace = tmp.join(format!("grid-{workload}.jsonl"));
         record_spilled(workload, &trace);
         let mid = decisions_of(&trace) / 2;
         let out = dd(&[
@@ -92,8 +92,12 @@ fn replay_from_reproduces_all_four_workloads_from_cold_artifacts() {
 
 #[test]
 fn spilled_recording_is_byte_stable_across_invocations() {
-    let a = scratch("stable-a.jsonl");
-    let b = scratch("stable-b.jsonl");
+    let tmp = Scratch::new(
+        "snapstore-cli",
+        "spilled_recording_is_byte_stable_across_invocations",
+    );
+    let a = tmp.join("stable-a.jsonl");
+    let b = tmp.join("stable-b.jsonl");
     record_spilled("msgserver", &a);
     record_spilled("msgserver", &b);
     assert_eq!(
@@ -105,7 +109,11 @@ fn spilled_recording_is_byte_stable_across_invocations() {
 
 #[test]
 fn replay_from_restores_a_mid_run_snapshot_not_scratch() {
-    let trace = scratch("midrun.jsonl");
+    let tmp = Scratch::new(
+        "snapstore-cli",
+        "replay_from_restores_a_mid_run_snapshot_not_scratch",
+    );
+    let trace = tmp.join("midrun.jsonl");
     record_spilled("msgserver", &trace);
     let mid = decisions_of(&trace) / 2;
     let out = dd(&[
@@ -124,7 +132,11 @@ fn replay_from_restores_a_mid_run_snapshot_not_scratch() {
 
 #[test]
 fn corrupt_chunk_exits_four_and_names_the_file() {
-    let trace = scratch("corrupt-chunk.jsonl");
+    let tmp = Scratch::new(
+        "snapstore-cli",
+        "corrupt_chunk_exits_four_and_names_the_file",
+    );
+    let trace = tmp.join("corrupt-chunk.jsonl");
     record_spilled("msgserver", &trace);
     let chunks = PathBuf::from(format!("{}.snapshots", trace.display())).join("chunks");
     let mut files: Vec<PathBuf> = std::fs::read_dir(&chunks)
@@ -169,7 +181,11 @@ fn corrupt_chunk_exits_four_and_names_the_file() {
 
 #[test]
 fn truncated_manifest_exits_four_and_names_the_file() {
-    let trace = scratch("corrupt-manifest.jsonl");
+    let tmp = Scratch::new(
+        "snapstore-cli",
+        "truncated_manifest_exits_four_and_names_the_file",
+    );
+    let trace = tmp.join("corrupt-manifest.jsonl");
     record_spilled("msgserver", &trace);
     let snaps = PathBuf::from(format!("{}.snapshots", trace.display())).join("snaps");
     let mut files: Vec<PathBuf> = std::fs::read_dir(&snaps)
@@ -204,7 +220,11 @@ fn truncated_manifest_exits_four_and_names_the_file() {
 
 #[test]
 fn garbled_index_exits_four_and_names_store_json() {
-    let trace = scratch("corrupt-index.jsonl");
+    let tmp = Scratch::new(
+        "snapstore-cli",
+        "garbled_index_exits_four_and_names_store_json",
+    );
+    let trace = tmp.join("corrupt-index.jsonl");
     record_spilled("msgserver", &trace);
     let index = PathBuf::from(format!("{}.snapshots", trace.display())).join("store.json");
     std::fs::write(&index, "]]]").unwrap();
@@ -215,7 +235,11 @@ fn garbled_index_exits_four_and_names_store_json() {
 
 #[test]
 fn snapshots_verb_lists_the_store_and_missing_store_exits_four() {
-    let trace = scratch("listing.jsonl");
+    let tmp = Scratch::new(
+        "snapstore-cli",
+        "snapshots_verb_lists_the_store_and_missing_store_exits_four",
+    );
+    let trace = tmp.join("listing.jsonl");
     record_spilled("msgserver", &trace);
     let out = dd(&["snapshots", trace.to_str().unwrap()]);
     assert_eq!(code(&out), 0, "{}", stderr(&out));
@@ -224,7 +248,7 @@ fn snapshots_verb_lists_the_store_and_missing_store_exits_four() {
     assert!(text.contains("delta-bytes"), "{text}");
     assert!(text.contains("snapshots,"), "{text}");
 
-    let bare = scratch("no-store.jsonl");
+    let bare = tmp.join("no-store.jsonl");
     let out = dd(&["record", "msgserver", "--out", bare.to_str().unwrap()]);
     assert_eq!(code(&out), 0);
     let out = dd(&["snapshots", bare.to_str().unwrap()]);
@@ -238,7 +262,11 @@ fn snapshots_verb_lists_the_store_and_missing_store_exits_four() {
 
 #[test]
 fn stale_store_of_an_earlier_recording_exits_four_and_names_it() {
-    let trace = scratch("stale.jsonl");
+    let tmp = Scratch::new(
+        "snapstore-cli",
+        "stale_store_of_an_earlier_recording_exits_four_and_names_it",
+    );
+    let trace = tmp.join("stale.jsonl");
     record_spilled("msgserver", &trace);
     // Re-recording without `--spill` leaves the first recording's store.
     let path = trace.to_str().unwrap();
