@@ -181,8 +181,7 @@ impl PlaneMap {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dd_sim::{EventMeta, TaskId, Value, VarId};
-    use dd_trace::Trace;
+    use dd_sim::{EventMeta, TaskId, Trace, Value, VarId};
 
     /// Builds a trace with one low-rate control site and one high-rate data
     /// site over 1000 ticks.
@@ -228,7 +227,7 @@ mod tests {
                 site: "master::idle".into(),
             },
         ));
-        Trace::from_events(events)
+        Trace::from(events)
     }
 
     #[test]

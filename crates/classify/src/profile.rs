@@ -1,7 +1,6 @@
 //! Data-rate profiling: per-site and per-channel traffic statistics.
 
-use dd_sim::{Event, Registry};
-use dd_trace::Trace;
+use dd_sim::{Event, Registry, Trace};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
@@ -48,16 +47,16 @@ impl ProfileReport {
             duration: trace.duration(),
             ..Default::default()
         };
-        for e in trace.iter() {
-            let bytes = e.event.payload_bytes();
-            if let Some(site) = e.event.site() {
+        for (_, event) in trace {
+            let bytes = event.payload_bytes();
+            if let Some(site) = event.site() {
                 let s = report.per_site.entry(site.to_owned()).or_default();
                 s.records += 1;
                 s.bytes += bytes;
             }
             if let Event::Send { chan, .. }
             | Event::Recv { chan, .. }
-            | Event::SendDropped { chan, .. } = &e.event
+            | Event::SendDropped { chan, .. } = event
             {
                 let name = registry
                     .chans
@@ -103,7 +102,7 @@ mod tests {
     use dd_sim::{EventMeta, TaskId, Value, VarId};
 
     fn trace() -> Trace {
-        Trace::from_events(vec![
+        Trace::from(vec![
             (
                 EventMeta { step: 0, time: 0 },
                 Event::Write {

@@ -155,9 +155,8 @@ pub fn find_cause_equivalent_executions(
                 if f.failure_id != failure.failure_id {
                     return false;
                 }
-                let trace = dd_trace::Trace::from_run(out);
                 let ctx = CauseCtx {
-                    trace: &trace,
+                    trace: &out.trace,
                     registry: &out.registry,
                     io: &out.io,
                 };

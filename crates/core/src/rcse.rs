@@ -357,8 +357,8 @@ pub fn train(scenario: &Scenario, setups: &[(u64, u64)], cfg: &RcseConfig) -> Tr
             env: scenario.env.clone(),
         };
         let out = scenario.execute(&spec, vec![]);
-        registry = out.registry.clone();
-        traces.push(Trace::from_run(&out));
+        registry = out.registry;
+        traces.push(out.trace);
     }
     let profile = ProfileReport::merge(
         &traces
@@ -394,13 +394,11 @@ pub fn root_cause_recorded(
     let Artifact::Debug { control, .. } = &recording.artifact else {
         return None;
     };
-    let recorded_trace = Trace::from_events(
-        control
-            .events
-            .iter()
-            .map(|e| (e.meta, e.event.clone()))
-            .collect(),
-    );
+    let recorded_trace: Trace = control
+        .events
+        .iter()
+        .map(|e| (e.meta, e.event.clone()))
+        .collect();
     let ctx = crate::rootcause::CauseCtx {
         trace: &recorded_trace,
         registry: &recording.original.registry,

@@ -114,7 +114,7 @@ mod tests {
         let io = IoSummary::default();
         assert!(!cause.active_in(&ctx_with_crash(&empty, &registry, &io)));
 
-        let crashing = Trace::from_events(vec![(
+        let crashing = Trace::from(vec![(
             dd_sim::EventMeta { step: 0, time: 0 },
             Event::Crash {
                 task: dd_sim::TaskId(0),

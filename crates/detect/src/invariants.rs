@@ -7,8 +7,7 @@
 //! watches the same probes; a violation signals that execution is likely on
 //! an error path, which RCSE uses to dial recording fidelity up.
 
-use dd_sim::{observer_boilerplate, Event, EventMeta, Observer, Value};
-use dd_trace::Trace;
+use dd_sim::{observer_boilerplate, Event, EventMeta, Observer, Trace, Value};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -65,8 +64,8 @@ impl InvariantSet {
     pub fn infer(training: &[Trace]) -> Self {
         let mut samples: BTreeMap<String, Vec<Value>> = BTreeMap::new();
         for trace in training {
-            for e in trace.iter() {
-                if let Event::Probe { name, value, .. } = &e.event {
+            for (_, event) in trace {
+                if let Event::Probe { name, value, .. } = event {
                     samples.entry(name.clone()).or_default().push(value.clone());
                 }
             }
@@ -220,26 +219,24 @@ mod tests {
     use dd_sim::TaskId;
 
     fn probe_trace(name: &str, values: &[i64]) -> Trace {
-        Trace::from_events(
-            values
-                .iter()
-                .enumerate()
-                .map(|(i, &v)| {
-                    (
-                        EventMeta {
-                            step: i as u64,
-                            time: i as u64,
-                        },
-                        Event::Probe {
-                            task: TaskId(0),
-                            name: name.to_owned(),
-                            value: Value::Int(v),
-                            site: "s".into(),
-                        },
-                    )
-                })
-                .collect(),
-        )
+        values
+            .iter()
+            .enumerate()
+            .map(|(i, &v)| {
+                (
+                    EventMeta {
+                        step: i as u64,
+                        time: i as u64,
+                    },
+                    Event::Probe {
+                        task: TaskId(0),
+                        name: name.to_owned(),
+                        value: Value::Int(v),
+                        site: "s".into(),
+                    },
+                )
+            })
+            .collect()
     }
 
     #[test]
@@ -266,7 +263,7 @@ mod tests {
 
     #[test]
     fn mixed_values_learn_one_of() {
-        let t = Trace::from_events(vec![
+        let t = Trace::from(vec![
             (
                 EventMeta { step: 0, time: 0 },
                 Event::Probe {

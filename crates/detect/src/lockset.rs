@@ -7,8 +7,7 @@
 //! detection this needs no vector clocks, which is why the paper's §3.1.3
 //! proposes detectors of this class as cheap always-on triggers.
 
-use dd_sim::{observer_boilerplate, Event, EventMeta, Observer, TaskId, VarId};
-use dd_trace::Trace;
+use dd_sim::{observer_boilerplate, Event, EventMeta, Observer, TaskId, Trace, VarId};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeSet, HashMap};
 
@@ -95,8 +94,8 @@ impl LocksetDetector {
     /// Runs the detector over a recorded trace.
     pub fn analyze(trace: &Trace) -> Vec<LocksetWarning> {
         let mut d = LocksetDetector::new();
-        for e in trace.iter() {
-            d.handle(&e.meta, &e.event);
+        for (meta, event) in trace {
+            d.handle(meta, event);
         }
         d.warnings
     }
@@ -232,7 +231,7 @@ mod tests {
             Box::new(RandomPolicy::new(seed)),
             vec![],
         );
-        Trace::from_run(&out)
+        out.trace
     }
 
     #[test]

@@ -7,8 +7,7 @@
 //! migration's index partition clobbered by a concurrent commit, or vice
 //! versa), and a generally useful root-cause predicate building block.
 
-use dd_sim::{Event, Registry, TaskId, VarId};
-use dd_trace::Trace;
+use dd_sim::{Event, Registry, TaskId, Trace, VarId};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
@@ -45,8 +44,8 @@ pub fn lost_updates(
     let var_name =
         |v: VarId| -> String { registry.vars.get(v.index()).cloned().unwrap_or_default() };
 
-    for e in trace.iter() {
-        match &e.event {
+    for (meta, event) in trace {
+        match event {
             Event::Read { task, var, .. } => {
                 if !name_filter(&var_name(*var)) {
                     continue;
@@ -54,7 +53,7 @@ pub fn lost_updates(
                 vars.entry(var.0)
                     .or_default()
                     .pending_reads
-                    .insert(task.0, e.meta.step);
+                    .insert(task.0, meta.step);
             }
             Event::Write { task, var, .. } => {
                 if !name_filter(&var_name(*var)) {
@@ -67,19 +66,19 @@ pub fn lost_updates(
                     if let Some(&(victim, _)) = st
                         .writes
                         .iter()
-                        .find(|(w, s)| *w != *task && *s > read_step && *s < e.meta.step)
+                        .find(|(w, s)| *w != *task && *s > read_step && *s < meta.step)
                     {
                         out.push(LostUpdate {
                             var: *var,
                             var_name: var_name(*var),
                             writer: *task,
                             overwritten: victim,
-                            step: e.meta.step,
+                            step: meta.step,
                         });
                     }
                 }
                 st.pending_reads.remove(&task.0);
-                st.writes.push((*task, e.meta.step));
+                st.writes.push((*task, meta.step));
             }
             _ => {}
         }
@@ -130,7 +129,7 @@ mod tests {
     #[test]
     fn interleaved_rmw_is_flagged() {
         // A reads, B writes, A writes → B's write lost.
-        let trace = Trace::from_events(vec![read(0, 0, 0), write(1, 1, 0), write(2, 0, 0)]);
+        let trace = Trace::from(vec![read(0, 0, 0), write(1, 1, 0), write(2, 0, 0)]);
         let lu = lost_updates(&trace, &registry_with_var(), |_| true);
         assert_eq!(lu.len(), 1);
         assert_eq!(lu[0].writer, TaskId(0));
@@ -140,7 +139,7 @@ mod tests {
     #[test]
     fn serialized_rmw_is_clean() {
         // A: read, write; then B: read, write — no interleaving.
-        let trace = Trace::from_events(vec![
+        let trace = Trace::from(vec![
             read(0, 0, 0),
             write(1, 0, 0),
             read(2, 1, 0),
@@ -151,13 +150,13 @@ mod tests {
 
     #[test]
     fn same_task_interleaving_is_not_a_lost_update() {
-        let trace = Trace::from_events(vec![read(0, 0, 0), write(1, 0, 0), write(2, 0, 0)]);
+        let trace = Trace::from(vec![read(0, 0, 0), write(1, 0, 0), write(2, 0, 0)]);
         assert!(lost_updates(&trace, &registry_with_var(), |_| true).is_empty());
     }
 
     #[test]
     fn name_filter_limits_scope() {
-        let trace = Trace::from_events(vec![read(0, 0, 0), write(1, 1, 0), write(2, 0, 0)]);
+        let trace = Trace::from(vec![read(0, 0, 0), write(1, 1, 0), write(2, 0, 0)]);
         assert!(lost_updates(&trace, &registry_with_var(), |n| n == "y").is_empty());
         assert_eq!(
             lost_updates(&trace, &registry_with_var(), |n| n == "x").len(),

@@ -13,8 +13,7 @@
 
 use crate::hb::HbClocks;
 use crate::vclock::VectorClock;
-use dd_sim::{observer_boilerplate, AccessKind, Event, EventMeta, Observer, TaskId, VarId};
-use dd_trace::Trace;
+use dd_sim::{observer_boilerplate, AccessKind, Event, EventMeta, Observer, TaskId, Trace, VarId};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, HashMap, HashSet};
 
@@ -96,8 +95,8 @@ impl HbRaceDetector {
     /// Runs the detector over a full recorded trace.
     pub fn analyze(trace: &Trace) -> Vec<RaceReport> {
         let mut d = HbRaceDetector::new();
-        for e in trace.iter() {
-            d.handle(&e.meta, &e.event);
+        for (meta, event) in trace {
+            d.handle(meta, event);
         }
         d.into_races()
     }
@@ -279,7 +278,7 @@ mod tests {
             Box::new(RandomPolicy::new(seed)),
             vec![],
         );
-        Trace::from_run(&out)
+        out.trace
     }
 
     #[test]
@@ -314,7 +313,7 @@ mod tests {
             vec![Box::new(HbRaceDetector::new())],
         );
         let online = out.observer::<HbRaceDetector>().unwrap();
-        let offline = HbRaceDetector::analyze(&Trace::from_run(&out));
+        let offline = HbRaceDetector::analyze(&out.trace);
         assert_eq!(online.races(), offline.as_slice());
     }
 

@@ -10,7 +10,7 @@ use dd_sim::{
     CrashEvent, EnvConfig, Event, IoSummary, PartitionEvent, Program, RandomPolicy, RestartEvent,
     RunConfig,
 };
-use dd_trace::{FailureSnapshot, Trace};
+use dd_trace::FailureSnapshot;
 use std::sync::Arc;
 
 /// The failure id assigned when a dump returns fewer rows than were loaded.
@@ -75,7 +75,6 @@ pub fn hyperstore_root_causes() -> Vec<RootCause> {
                 let unowned_commit = ctx
                     .trace
                     .probes("hyperstore.commit_owned")
-                    .iter()
                     .any(|(_, v)| v.as_bool() == Some(false));
                 if unowned_commit {
                     return true;
@@ -319,9 +318,8 @@ impl HyperstoreWorkload {
             if f.failure_id != ROWS_MISSING {
                 continue;
             }
-            let trace = Trace::from_run(&out);
             let ctx = CauseCtx {
-                trace: &trace,
+                trace: &out.trace,
                 registry: &out.registry,
                 io: &out.io,
             };
@@ -484,9 +482,8 @@ impl HyperstoreFailoverWorkload {
             if f.failure_id != ROWS_MISSING {
                 continue;
             }
-            let trace = Trace::from_run(&out);
             let ctx = CauseCtx {
-                trace: &trace,
+                trace: &out.trace,
                 registry: &out.registry,
                 io: &out.io,
             };

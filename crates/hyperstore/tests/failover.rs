@@ -11,7 +11,6 @@ use dd_hyperstore::{
     RC_LOST_LOG_SUFFIX, ROWS_MISSING,
 };
 use dd_sim::{run_program, RandomPolicy, RunConfig};
-use dd_trace::Trace;
 
 fn run(program: &HyperstoreProgram, seed: u64, env: dd_sim::EnvConfig) -> dd_sim::RunOutput {
     let cfg = RunConfig {
@@ -45,9 +44,8 @@ fn buggy_failover_loses_acked_rows_under_crash_schedule() {
         out.io.counter("promote_lost_rows") > 0,
         "promotion should have counted lost rows"
     );
-    let trace = Trace::from_run(&out);
     let ctx = CauseCtx {
-        trace: &trace,
+        trace: &out.trace,
         registry: &out.registry,
         io: &out.io,
     };
@@ -120,11 +118,10 @@ fn restart_recovers_index_from_commit_log_and_rejoins() {
         if out.io.group_restarts.get("server1").copied() != Some(1) {
             continue;
         }
-        let trace = Trace::from_run(&out);
-        if !trace.probes("hyperstore.recovered").is_empty() {
+        if out.trace.probes("hyperstore.recovered").next().is_some() {
             // The recovered control task announced itself to the master.
             assert!(
-                !trace.probes("hyperstore.rejoin").is_empty(),
+                out.trace.probes("hyperstore.rejoin").next().is_some(),
                 "seed {seed}: recovery without a rejoin grant"
             );
             recovered_seen = true;

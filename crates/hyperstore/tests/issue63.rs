@@ -9,7 +9,6 @@ use dd_hyperstore::{
     ROWS_MISSING,
 };
 use dd_sim::{run_program, RandomPolicy, RunConfig};
-use dd_trace::Trace;
 
 fn run(program: &HyperstoreProgram, seed: u64, env: dd_sim::EnvConfig) -> dd_sim::RunOutput {
     let cfg = RunConfig {
@@ -69,9 +68,8 @@ fn race_cause_is_active_in_failing_runs() {
     let failure = (scenario.failure_of)(&out.io).expect("production run fails");
     assert_eq!(failure.failure_id, ROWS_MISSING);
 
-    let trace = Trace::from_run(&out);
     let ctx = CauseCtx {
-        trace: &trace,
+        trace: &out.trace,
         registry: &out.registry,
         io: &out.io,
     };
@@ -105,9 +103,8 @@ fn server_crash_env_loses_rows_with_crash_cause() {
             if f.failure_id != ROWS_MISSING {
                 continue;
             }
-            let trace = Trace::from_run(&out);
             let ctx = CauseCtx {
-                trace: &trace,
+                trace: &out.trace,
                 registry: &out.registry,
                 io: &out.io,
             };
@@ -141,9 +138,8 @@ fn dumper_oom_env_loses_rows_with_oom_cause() {
             if f.failure_id != ROWS_MISSING {
                 continue;
             }
-            let trace = Trace::from_run(&out);
             let ctx = CauseCtx {
-                trace: &trace,
+                trace: &out.trace,
                 registry: &out.registry,
                 io: &out.io,
             };

@@ -83,12 +83,12 @@ fn charged(out: &RunOutput) -> LogStats {
 impl ReplayResult {
     /// The result of a replayed run `out` of `scenario`: its failure
     /// verdict, and whether that is `recording`'s original failure. The run
-    /// is consumed: its event log, name tables and I/O move in, its
-    /// snapshots dropped first so the log's chunks move rather than copy.
+    /// is consumed: its event log, name tables and I/O move in, the log's
+    /// sealed chunks as they are.
     pub fn from_run(
         scenario: &Scenario,
         recording: &Recording,
-        mut out: RunOutput,
+        out: RunOutput,
         artifact_satisfied: bool,
         inference: InferenceStats,
         value_divergences: u64,
@@ -99,9 +99,8 @@ impl ReplayResult {
             (None, None) => true,
             _ => false,
         };
-        out.snapshots.clear();
         ReplayResult {
-            trace: Trace::from_events(out.trace.into_vec()),
+            trace: out.trace,
             registry: out.registry,
             stop: out.stop,
             replay_ticks: out.stats.exec_ticks,
@@ -837,8 +836,9 @@ mod tests {
         panic!("no failing seed found for racy counter");
     }
 
-    /// On every candidate of msgserver's race-complete replay, the in-place
-    /// acceptance check agrees with the same check over a copied `Trace`.
+    /// On every candidate of msgserver's race-complete replay, the
+    /// acceptance check agrees with the same check spelled out over the
+    /// run's `trace` field.
     #[test]
     fn race_complete_checks_candidates_in_place_as_a_copied_trace_would() {
         let scenario = crate::scenario::incident_variants("msgserver").swap_remove(0);
@@ -847,8 +847,7 @@ mod tests {
         let budget = InferenceBudget::executions(64);
         let result =
             RaceCompleteModel.replay_checked(&scenario, &recording, &budget, |check, out| {
-                let trace = Trace::from_run(out);
-                let events = || trace.iter().map(|e| &e.event);
+                let events = || out.trace.iter().map(|(_, e)| e);
                 let copied = pinned_completion_digest(events(), &check.pin) == check.order_digest
                     && racing_outcomes(events(), &check.racing) == check.outcomes;
                 let in_place = check.accepts(out);
@@ -865,6 +864,42 @@ mod tests {
         );
         assert_eq!(checked.get(), 64, "every search candidate is checked");
         assert!(result.artifact_satisfied && result.reproduced_failure);
+    }
+
+    /// A recorded run's snapshots share its event log's sealed chunks.
+    /// `OriginalRun::from_run` and `ReplayResult::from_run` move the log:
+    /// every sealed chunk they hold is one the run held.
+    #[test]
+    fn from_run_moves_the_event_log_and_copies_no_chunk() {
+        let scenario = crate::scenario::incident_variants("msgserver").swap_remove(0);
+        let run = || {
+            let out =
+                scenario.execute_recorded(&scenario.original_spec(), RECORDING_CHECKPOINTS, vec![]);
+            assert!(!out.snapshots.is_empty(), "the recording checkpoints");
+            let kept = out.trace.clone();
+            assert!(kept.sealed_chunk_count() > 1, "the log seals chunks");
+            (out, kept)
+        };
+        let (out, kept) = run();
+        let original = OriginalRun::from_run(&scenario, out);
+        assert_eq!(
+            original.trace.shared_chunks_with(&kept),
+            kept.sealed_chunk_count()
+        );
+        let recording = FailureModel.record(&scenario);
+        let (out, kept) = run();
+        let replay = ReplayResult::from_run(
+            &scenario,
+            &recording,
+            out,
+            true,
+            InferenceStats::default(),
+            0,
+        );
+        assert_eq!(
+            replay.trace.shared_chunks_with(&kept),
+            kept.sealed_chunk_count()
+        );
     }
 
     #[test]

@@ -249,15 +249,14 @@ pub struct OriginalRun {
 
 impl OriginalRun {
     /// The ground truth of a finished run `out` of `scenario`, which it
-    /// consumes: the event log, name tables and I/O move in. The run's
-    /// snapshots are dropped first, so the log's chunks are its own and
-    /// move rather than copy.
-    pub fn from_run(scenario: &Scenario, mut out: RunOutput) -> Self {
-        out.snapshots.clear();
+    /// consumes: the event log, name tables and I/O move in. The log's
+    /// sealed chunks move as they are, still shared with any snapshot of
+    /// the run.
+    pub fn from_run(scenario: &Scenario, out: RunOutput) -> Self {
         OriginalRun {
             failure: (scenario.failure_of)(&out.io),
             duration: out.stats.exec_ticks,
-            trace: Trace::from_events(out.trace.into_vec()),
+            trace: out.trace,
             io: out.io,
             registry: out.registry,
             stop: out.stop,

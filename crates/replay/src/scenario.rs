@@ -257,8 +257,6 @@ pub enum PolicyChoice {
     RoundRobin,
     /// Strict replay of a recorded schedule.
     Replay(ScheduleLog),
-    /// Replay a recorded schedule, then continue randomly.
-    ReplayLoose(ScheduleLog, u64),
     /// Force a decision-index prefix, then continue randomly (search).
     Prefix(Vec<u32>, u64),
     /// Probabilistic concurrency testing: random priorities with `depth-1`
@@ -280,9 +278,6 @@ impl PolicyChoice {
             PolicyChoice::Random(seed) => Box::new(dd_sim::RandomPolicy::new(*seed)),
             PolicyChoice::RoundRobin => Box::new(dd_sim::RoundRobinPolicy::new()),
             PolicyChoice::Replay(log) => Box::new(log.clone().into_replay_policy()),
-            PolicyChoice::ReplayLoose(log, seed) => Box::new(
-                dd_sim::ReplayPolicy::with_random_tail(log.decisions.clone(), *seed),
-            ),
             PolicyChoice::Prefix(prefix, seed) => {
                 Box::new(dd_sim::PrefixPolicy::new(prefix.clone(), *seed))
             }
@@ -400,7 +395,6 @@ mod tests {
             PolicyChoice::Random(1),
             PolicyChoice::RoundRobin,
             PolicyChoice::Replay(ScheduleLog::default()),
-            PolicyChoice::ReplayLoose(ScheduleLog::default(), 2),
             PolicyChoice::Prefix(vec![0, 1], 3),
             PolicyChoice::Pct {
                 seed: 4,

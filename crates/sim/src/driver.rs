@@ -34,7 +34,7 @@
 use crate::config::{RunConfig, OP_COSTS};
 use crate::conflict::OpDesc;
 use crate::error::{SimError, SimResult, StopReason};
-use crate::event::{DecisionKind, Event, EventMeta, Observer};
+use crate::event::{DecisionKind, Event, Observer, Trace};
 use crate::history::ChunkedLog;
 use crate::ids::TaskId;
 use crate::kernel::Kernel;
@@ -235,7 +235,7 @@ pub struct RunOutput {
     /// schedule branches commute.
     pub decision_enabled: ChunkedLog<EnabledSet>,
     /// The omniscient analysis trace: every event the run emitted.
-    pub trace: ChunkedLog<(EventMeta, Event)>,
+    pub trace: Trace,
     /// Resumable world snapshots taken per the run's
     /// [`CheckpointPlan`](crate::config::CheckpointPlan), in increasing
     /// decision order (empty when checkpointing is disabled, and when a
@@ -283,7 +283,7 @@ impl RunOutput {
     }
 
     /// The omniscient analysis trace.
-    pub fn trace(&self) -> &ChunkedLog<(EventMeta, Event)> {
+    pub fn trace(&self) -> &Trace {
         &self.trace
     }
 }

@@ -7,6 +7,7 @@
 //! ticks) it charges for handling each event, which is how recording
 //! overhead is accounted without perturbing execution semantics.
 
+use crate::history::ChunkedLog;
 use crate::ids::{ChanId, CondvarId, LockId, PortId, TaskId, VarId};
 use std::borrow::Cow;
 
@@ -18,6 +19,48 @@ pub type SiteName = Cow<'static, str>;
 use crate::value::Value;
 use serde::{Deserialize, Serialize};
 use std::any::Any;
+
+/// A run's event log: every event it emitted, in order, with its metadata.
+///
+/// This is the omniscient record of an execution — the input to root-cause
+/// predicates, race detection, plane classification, invariant inference
+/// and debugging-fidelity measurement; every artifact log is a projection
+/// of it. It is the kernel's own [`ChunkedLog`]
+/// ([`RunOutput::trace`](crate::RunOutput)), whose sealed chunks the run's
+/// snapshots share. Analyses borrow it in place, and an owner that outlives
+/// the run (`dd-replay`'s `OriginalRun`, say) moves it: no path copies a
+/// sealed chunk.
+pub type Trace = ChunkedLog<(EventMeta, Event)>;
+
+impl Trace {
+    /// The probe samples named `name`, in order.
+    pub fn probes<'a>(&'a self, name: &'a str) -> impl Iterator<Item = (TaskId, &'a Value)> + 'a {
+        self.iter().filter_map(move |(_, e)| match e {
+            Event::Probe {
+                task,
+                name: n,
+                value,
+                ..
+            } if n == name => Some((*task, value)),
+            _ => None,
+        })
+    }
+
+    /// Returns `true` if any event matches the predicate.
+    pub fn any(&self, pred: impl Fn(&Event) -> bool) -> bool {
+        self.iter().any(|(_, e)| pred(e))
+    }
+
+    /// Counts the events matching a predicate.
+    pub fn count_matching(&self, pred: impl Fn(&Event) -> bool) -> usize {
+        self.iter().filter(|(_, e)| pred(e)).count()
+    }
+
+    /// The execution-clock time of the last event (0 when empty).
+    pub fn duration(&self) -> u64 {
+        self.last().map_or(0, |(meta, _)| meta.time)
+    }
+}
 
 /// Metadata attached to every event.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -540,5 +583,64 @@ mod tests {
         let s = serde_json::to_string(&e).unwrap();
         let back: Event = serde_json::from_str(&s).unwrap();
         assert_eq!(e, back);
+    }
+
+    fn sample_trace() -> Trace {
+        let events = [
+            read_event(),
+            Event::Write {
+                task: TaskId(1),
+                var: VarId(0),
+                value: Value::Int(2),
+                site: "b::write".into(),
+            },
+            Event::Probe {
+                task: TaskId(0),
+                name: "qlen".into(),
+                value: Value::Int(7),
+                site: "a::probe".into(),
+            },
+            Event::Crash {
+                task: TaskId(1),
+                reason: "boom".into(),
+                site: "b::crash".into(),
+            },
+        ];
+        (0u64..)
+            .zip(events)
+            .map(|(step, event)| {
+                let meta = EventMeta {
+                    step,
+                    time: step * 2,
+                };
+                (meta, event)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn trace_probes_and_crashes() {
+        let t = sample_trace();
+        let p: Vec<_> = t.probes("qlen").collect();
+        assert_eq!(p, [(TaskId(0), &Value::Int(7))]);
+        assert_eq!(t.probes("other").count(), 0);
+        assert!(t.any(|e| matches!(e, Event::Crash { .. })));
+        assert_eq!(t.count_matching(|e| e.task() == Some(TaskId(1))), 3);
+    }
+
+    #[test]
+    fn trace_duration_and_bytes() {
+        let t = sample_trace();
+        assert_eq!(t.duration(), 6);
+        assert_eq!(Trace::new().duration(), 0);
+        assert!(t.iter().map(|(_, e)| e.payload_bytes()).sum::<u64>() >= 16);
+    }
+
+    #[test]
+    fn trace_serde_round_trip() {
+        let t = sample_trace();
+        let s = serde_json::to_string(&t).unwrap();
+        let back: Trace = serde_json::from_str(&s).unwrap();
+        assert_eq!(t, back);
     }
 }

@@ -216,22 +216,6 @@ impl<T: Clone> ChunkedLog<T> {
         v
     }
 
-    /// Moves the elements into a plain vector, consuming the log. A sealed
-    /// chunk this log holds the only handle to is moved; one still shared
-    /// with a clone or a snapshot is copied, since the other holder keeps
-    /// it.
-    pub fn into_vec(self) -> Vec<T> {
-        let mut v = Vec::with_capacity(self.len());
-        for chunk in self.sealed {
-            match Arc::try_unwrap(chunk) {
-                Ok(owned) => v.extend(owned),
-                Err(shared) => v.extend_from_slice(&shared),
-            }
-        }
-        v.extend(self.tail);
-        v
-    }
-
     /// A deep copy sharing nothing with `self`: every sealed chunk is
     /// re-allocated. This is the pre-chunking snapshot cost, kept as the
     /// baseline the `snapshot_cost` benchmark compares against.
@@ -405,27 +389,6 @@ mod tests {
         }
         assert_eq!(log.get(1000), None);
         assert_eq!(log.last(), Some(&999));
-    }
-
-    #[test]
-    fn into_vec_moves_unshared_chunks_and_copies_shared_ones() {
-        let mut log = ChunkedLog::with_chunk_len(4);
-        for i in 0..4 {
-            log.push(i.to_string());
-        }
-        // The clone shares the first sealed chunk; the second chunk and the
-        // tail are the log's alone.
-        let earlier = log.clone();
-        for i in 4..10 {
-            log.push(i.to_string());
-        }
-        let heap: Vec<*const u8> = log.iter().map(|s| s.as_ptr()).collect();
-        let v = log.into_vec();
-        assert_eq!(v, (0..10).map(|i| i.to_string()).collect::<Vec<_>>());
-        for (i, (s, before)) in v.iter().zip(&heap).enumerate() {
-            assert_eq!(s.as_ptr() == *before, i >= 4, "element {i}");
-        }
-        assert_eq!(earlier.to_vec(), ["0", "1", "2", "3"]);
     }
 
     #[test]

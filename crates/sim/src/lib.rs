@@ -17,9 +17,11 @@
 //!
 //! # Layout
 //!
-//! Each module holds one decision. The machine state a run evolves and its
-//! resumable [`WorldSnapshot`]s live in `world`; what each operation does
-//! in `ops`; the per-decision state digest ([`StateHasher`]) in `digest`;
+//! Each module holds one decision. The events a run publishes, its
+//! observers and its event log ([`Trace`]) live in [`event`]; the machine
+//! state a run evolves and its resumable [`WorldSnapshot`]s in `world`;
+//! what each operation does in `ops`; the per-decision state digest
+//! ([`StateHasher`]) in `digest`;
 //! the timed environment events (inputs, timers, crashes, partitions,
 //! restarts) in `faults`; and the execution shell around the world —
 //! policy, observers, decisions, events, snapshot hand-off — in [`kernel`].
@@ -102,7 +104,7 @@ pub use driver::{
     TaskMeta,
 };
 pub use error::{SimError, SimResult, StopReason};
-pub use event::{AccessKind, DecisionKind, Event, EventMeta, Observer, SiteName};
+pub use event::{AccessKind, DecisionKind, Event, EventMeta, Observer, SiteName, Trace};
 pub use history::ChunkedLog;
 pub use ids::{ChanId, CondvarId, LockId, PortId, Site, TaskId, VarId, KERNEL_SITE};
 pub use kernel::{

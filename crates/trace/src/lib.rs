@@ -2,8 +2,9 @@
 //!
 //! The recording toolkit for the Debug Determinism reproduction:
 //!
-//! - [`Trace`]: the omniscient, queryable event record of a run (no
-//!   modeled cost: only what a model logs is charged).
+//! - [`Trace`]: the omniscient event record of a run, re-exported from
+//!   `dd-sim`: the kernel's chunk-shared event log itself, which analyses
+//!   borrow in place (no modeled cost: only what a model logs is charged).
 //! - [`CostModel`] / [`LogStats`]: how recording overhead is charged and
 //!   accounted, per logged record and byte.
 //! - Artifact formats ([`ScheduleLog`], [`ValueLog`], [`OutputLog`],
@@ -22,21 +23,20 @@ pub mod jsonl;
 pub mod logs;
 pub mod recorder;
 pub mod store;
-pub mod trace;
 
 pub use cost::{log_size, ChargeAcc, CostModel, LogStats};
+pub use dd_sim::Trace;
 pub use jsonl::{
     JsonlError, JsonlTrace, TraceDecision, TraceFooter, TraceHeader, JSONL_FORMAT, JSONL_VERSION,
 };
 pub use logs::{
-    EpochMark, EventLog, FailureSnapshot, InputEntry, InputLog, OutputLog, ScheduleLog, ValEntry,
-    ValKind, ValueCursor, ValueCursorStats, ValueLog, SCHEDULE_LOG_VERSION,
+    EpochMark, EventLog, FailureSnapshot, InputEntry, InputLog, OutputLog, ScheduleLog, TraceEvent,
+    ValEntry, ValKind, ValueCursor, ValueCursorStats, ValueLog, SCHEDULE_LOG_VERSION,
 };
 pub use recorder::{LogCharger, LogKind};
 pub use store::{
     LogRef, RetentionPolicy, SnapEntry, SnapshotStore, StoreError, STORE_FORMAT_VERSION,
 };
-pub use trace::{AccessRecord, Trace, TraceEvent};
 
 /// Writes `bytes` over the file at `path` (created if missing), then cuts
 /// a regular file to their length. Unlike `std::fs::write`, which

@@ -5,8 +5,9 @@
 //! weaken. Formats here are model-agnostic containers; the determinism
 //! models in `dd-replay` and `dd-core` decide what goes into them.
 
-use crate::trace::Trace;
-use dd_sim::{ChunkedLog, Event, InputScript, IoSummary, RecordedDecision, TaskId, Value};
+use dd_sim::{
+    ChunkedLog, Event, EventMeta, InputScript, IoSummary, RecordedDecision, TaskId, Trace, Value,
+};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::{Arc, Mutex};
@@ -360,8 +361,8 @@ impl ValueLog {
     /// Extracts per-task value observations from a trace.
     pub fn from_trace(trace: &Trace) -> Self {
         let mut per_task: BTreeMap<u32, Vec<ValEntry>> = BTreeMap::new();
-        for e in trace.iter() {
-            let (task, entry) = match &e.event {
+        for (_, event) in trace {
+            let (task, entry) = match event {
                 Event::Read { task, value, .. } => (
                     *task,
                     ValEntry {
@@ -537,11 +538,22 @@ pub struct FailureSnapshot {
     pub counters: BTreeMap<String, i64>,
 }
 
+/// One event an [`EventLog`] kept, with its step/time metadata. Its
+/// serialized form, an object with `meta` and `event` fields, is the RCSE
+/// artifact's on-disk record.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct TraceEvent {
+    /// Step/time metadata.
+    pub meta: EventMeta,
+    /// The event payload.
+    pub event: Event,
+}
+
 /// A selectively recorded event sequence (the RCSE artifact body).
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct EventLog {
     /// Recorded events with their step metadata.
-    pub events: Vec<crate::trace::TraceEvent>,
+    pub events: Vec<TraceEvent>,
 }
 
 impl EventLog {
@@ -564,7 +576,7 @@ impl EventLog {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dd_sim::{EventMeta, VarId};
+    use dd_sim::VarId;
 
     fn ev(step: u64, event: Event) -> (EventMeta, Event) {
         (EventMeta { step, time: step }, event)
@@ -572,7 +584,7 @@ mod tests {
 
     #[test]
     fn value_log_extracts_per_task_streams() {
-        let trace = Trace::from_events(vec![
+        let trace = Trace::from(vec![
             ev(
                 0,
                 Event::Read {
@@ -610,7 +622,7 @@ mod tests {
 
     #[test]
     fn cursor_feeds_in_order_and_counts_divergence() {
-        let trace = Trace::from_events(vec![
+        let trace = Trace::from(vec![
             ev(
                 0,
                 Event::Read {
@@ -795,7 +807,7 @@ mod tests {
     #[test]
     fn event_log_contains() {
         let log = EventLog {
-            events: vec![crate::trace::TraceEvent {
+            events: vec![TraceEvent {
                 meta: EventMeta { step: 0, time: 0 },
                 event: Event::Yield {
                     task: TaskId(0),

@@ -62,19 +62,17 @@ fn event_from(rng: &mut TestRng) -> Event {
 }
 
 fn trace_from(rng: &mut TestRng, len: u64) -> Trace {
-    Trace::from_events(
-        (0..len)
-            .map(|step| {
-                (
-                    EventMeta {
-                        step,
-                        time: step * 3,
-                    },
-                    event_from(rng),
-                )
-            })
-            .collect(),
-    )
+    (0..len)
+        .map(|step| {
+            (
+                EventMeta {
+                    step,
+                    time: step * 3,
+                },
+                event_from(rng),
+            )
+        })
+        .collect()
 }
 
 proptest! {

@@ -219,9 +219,8 @@ mod tests {
         let w = BufOverflowWorkload;
         let cause = &w.root_causes()[0];
         let bad = run(false, BufOverflowWorkload::production_inputs());
-        let trace = dd_trace::Trace::from_run(&bad);
         let ctx = CauseCtx {
-            trace: &trace,
+            trace: &bad.trace,
             registry: &bad.registry,
             io: &bad.io,
         };
@@ -229,9 +228,8 @@ mod tests {
 
         // The fixed build rejects before the copy: predicate is quiet.
         let good = run(true, BufOverflowWorkload::production_inputs());
-        let trace = dd_trace::Trace::from_run(&good);
         let ctx = CauseCtx {
-            trace: &trace,
+            trace: &good.trace,
             registry: &good.registry,
             io: &good.io,
         };

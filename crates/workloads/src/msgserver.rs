@@ -447,9 +447,8 @@ mod tests {
         // The production (clean env) failure is the race, not congestion.
         let s = w.scenario();
         let out = s.execute(&s.original_spec(), vec![]);
-        let trace = dd_trace::Trace::from_run(&out);
         let ctx = CauseCtx {
-            trace: &trace,
+            trace: &out.trace,
             registry: &out.registry,
             io: &out.io,
         };
@@ -471,9 +470,8 @@ mod tests {
             ..EnvConfig::clean()
         };
         let out = run(true, 3, env);
-        let trace = dd_trace::Trace::from_run(&out);
         let ctx = CauseCtx {
-            trace: &trace,
+            trace: &out.trace,
             registry: &out.registry,
             io: &out.io,
         };

@@ -123,7 +123,7 @@ impl Workload for SumWorkload {
             WRONG_SUM,
             "memo-table entry corrupted by the off-by-one initialiser",
             |ctx: &CauseCtx<'_>| {
-                ctx.trace.probes("sum.lut_hit").iter().any(|(_, v)| {
+                ctx.trace.probes("sum.lut_hit").any(|(_, v)| {
                     <Vec<i64>>::from_value(v).is_some_and(|p| p.len() == 2 && p[0] != p[1])
                 })
             },
@@ -211,18 +211,16 @@ mod tests {
         let w = SumWorkload;
         let causes = w.root_causes();
         let bad = run(false, 2, 2);
-        let trace = dd_trace::Trace::from_run(&bad);
         let ctx = CauseCtx {
-            trace: &trace,
+            trace: &bad.trace,
             registry: &bad.registry,
             io: &bad.io,
         };
         assert!(causes[0].active_in(&ctx));
 
         let good = run(false, 1, 4);
-        let trace = dd_trace::Trace::from_run(&good);
         let ctx = CauseCtx {
-            trace: &trace,
+            trace: &good.trace,
             registry: &good.registry,
             io: &good.io,
         };

@@ -13,7 +13,6 @@ use debug_determinism::core::{RcseConfig, Session};
 use debug_determinism::detect::InvariantMonitor;
 use debug_determinism::hyperstore::{HyperConfig, HyperstoreWorkload};
 use debug_determinism::sim::Observer;
-use debug_determinism::trace::Trace;
 use std::sync::Arc;
 
 fn main() {
@@ -42,13 +41,12 @@ fn main() {
         println!("  {name:<28} {:?}", invariants.get(name));
     }
 
-    // Monitor the production run.
+    // Monitor the production run, reading its event log in place.
     let mut monitor = InvariantMonitor::new(invariants);
     let scenario = session.scenario();
     let out = scenario.execute(&scenario.original_spec(), vec![]);
-    let trace = Trace::from_run(&out);
-    for e in trace.iter() {
-        monitor.on_event(&e.meta, &e.event);
+    for (meta, event) in &out.trace {
+        monitor.on_event(meta, event);
     }
     println!(
         "\nproduction run: {} invariant violation(s)",
@@ -60,9 +58,11 @@ fn main() {
             v.step, v.probe, v.value
         );
     }
-    if monitor.fired() {
-        println!(
-            "\n→ the violation is the §3.1.2 signal: from this point RCSE dials\n  recording fidelity up, capturing the root cause at high determinism"
-        );
-    }
+    assert!(
+        monitor.fired(),
+        "the production run's race violates a learned invariant"
+    );
+    println!(
+        "\n→ the violation is the §3.1.2 signal: from this point RCSE dials\n  recording fidelity up, capturing the root cause at high determinism"
+    );
 }

@@ -102,10 +102,16 @@ pub fn fnv_bytes(bytes: impl IntoIterator<Item = u8>) -> u64 {
     h
 }
 
-/// FNV-1a hash of a run's serialized trace.
+/// FNV-1a hash of a run's trace, rendered in the form the golden hashes
+/// pin: `{"events":[{"meta":…,"event":…},…]}`.
 pub fn trace_hash(out: &debug_determinism::sim::RunOutput) -> u64 {
-    let trace = debug_determinism::trace::Trace::from_run(out);
-    fnv(&serde_json::to_string(&trace).expect("trace serializes"))
+    let json = |v: &dyn serde::Serialize| serde_json::to_string(v).expect("trace serializes");
+    let events: Vec<String> = out
+        .trace
+        .iter()
+        .map(|(meta, event)| format!("{{\"meta\":{},\"event\":{}}}", json(meta), json(event)))
+        .collect();
+    fnv(&format!("{{\"events\":[{}]}}", events.join(",")))
 }
 
 /// Schedule-order-insensitive view of a run's observable output: per-port

@@ -599,7 +599,6 @@ mod search_golden {
     use debug_determinism::replay::{
         enumerate_failures, search_with, InferenceBudget, InferenceStats, SearchStrategy,
     };
-    use debug_determinism::trace::Trace;
 
     /// One pinned walk: workload, checkpoint interval, the full
     /// [`InferenceStats`] as (explored, pruned, ticks, steps executed,
@@ -754,7 +753,7 @@ mod search_golden {
             assert_eq!(w.name(), name);
             let scenario = w.scenario();
             let out = scenario.execute(&scenario.original_spec(), vec![]);
-            let reports = HbRaceDetector::analyze(&Trace::from_run(&out));
+            let reports = HbRaceDetector::analyze(&out.trace);
             let json = serde_json::to_string(&reports).expect("race reports serialize");
             assert_eq!(reports.len(), count, "{name}: race-report count moved");
             assert_eq!(

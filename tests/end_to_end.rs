@@ -211,43 +211,93 @@ fn model_kind_names_are_stable() {
     assert_eq!(unique.len(), names.len());
 }
 
+/// One cause's search: its id, the candidates
+/// `find_cause_equivalent_executions` explores under a 96-execution budget,
+/// and the witness it returns as `(seed, policy)`, `None` when the budget
+/// finds none.
+type CauseSearch = (&'static str, u64, Option<(u64, &'static str)>);
+
+/// Every cause search of each incident, in declaration order.
+const CAUSE_WITNESSES: &[(&str, &[CauseSearch])] = &[
+    (
+        "hyperstore",
+        &[
+            ("migration-commit-race", 3, Some((0, "Random(0)"))),
+            ("server-crash-after-load", 1, Some((0, "Random(0)"))),
+            ("client-oom-during-dump", 3, Some((0, "Random(0)"))),
+        ],
+    ),
+    (
+        "msgserver",
+        &[
+            ("buffer-race", 3, Some((1, "Random(11400714819323198485)"))),
+            ("network-congestion", 1, Some((0, "Random(0)"))),
+        ],
+    ),
+    (
+        "failover",
+        &[
+            ("promotion-loses-log-suffix", 1, Some((0, "Random(0)"))),
+            ("partition-stalled-shipping", 96, None),
+            ("server-crash-after-load", 1, Some((0, "Random(0)"))),
+            ("client-oom-during-dump", 96, None),
+        ],
+    ),
+];
+
 /// The §5 "ideal system" sketch: find a witness execution for *every*
-/// potential root cause of the production failure.
+/// potential root cause of the production failure. Each search's verdict is
+/// pinned, and re-executing each witness reproduces the production failure
+/// through its cause.
 #[test]
 fn all_root_causes_have_witness_executions() {
-    let hyper = HyperstoreWorkload::discover(HyperConfig::default(), 200).unwrap();
-    let witnesses = debug_determinism::core::find_cause_equivalent_executions(
-        &hyper,
-        &InferenceBudget::executions(96),
-    );
-    assert_eq!(witnesses.len(), 3);
-    for w in &witnesses {
-        assert!(w.witness.is_some(), "no witness for {}", w.cause);
-        assert!(w.explored >= 1);
-    }
-    // Re-executing each witness reproduces the failure through its cause.
-    let scenario = hyper.scenario();
-    let causes = hyper.root_causes();
-    for w in witnesses {
-        let spec = w.witness.unwrap();
-        let out = scenario.execute(&spec, vec![]);
-        let failure = (scenario.failure_of)(&out.io).expect("witness must fail");
-        assert_eq!(
-            failure.failure_id,
-            debug_determinism::hyperstore::ROWS_MISSING
+    for (name, pins) in CAUSE_WITNESSES {
+        let w = dd_cli::workload_by_name(name).expect("registered");
+        let witnesses = debug_determinism::core::find_cause_equivalent_executions(
+            w.as_ref(),
+            &InferenceBudget::executions(96),
         );
-        let trace = debug_determinism::trace::Trace::from_run(&out);
-        let ctx = debug_determinism::core::CauseCtx {
-            trace: &trace,
-            registry: &out.registry,
-            io: &out.io,
-        };
-        let cause = causes.iter().find(|c| c.id == w.cause).unwrap();
-        assert!(
-            cause.active_in(&ctx),
-            "witness for {} does not exhibit it",
-            w.cause
-        );
+        let got: Vec<_> = witnesses
+            .iter()
+            .map(|c| {
+                let spec = c.witness.as_ref();
+                (
+                    c.cause,
+                    c.explored,
+                    spec.map(|s| (s.seed, format!("{:?}", s.policy))),
+                )
+            })
+            .collect();
+        let want: Vec<_> = pins
+            .iter()
+            .map(|(cause, explored, spec)| {
+                (*cause, *explored, spec.map(|(s, p)| (s, p.to_string())))
+            })
+            .collect();
+        assert_eq!(got, want, "{name}");
+        let scenario = w.scenario();
+        let production = scenario.execute(&scenario.original_spec(), vec![]);
+        let failure_id = (scenario.failure_of)(&production.io)
+            .expect("production run fails")
+            .failure_id;
+        let causes = w.root_causes();
+        for c in witnesses {
+            let Some(spec) = c.witness else { continue };
+            let out = scenario.execute(&spec, vec![]);
+            let failure = (scenario.failure_of)(&out.io).expect("witness must fail");
+            assert_eq!(failure.failure_id, failure_id, "{name}/{}", c.cause);
+            let ctx = debug_determinism::core::CauseCtx {
+                trace: &out.trace,
+                registry: &out.registry,
+                io: &out.io,
+            };
+            let cause = causes.iter().find(|k| k.id == c.cause).unwrap();
+            assert!(
+                cause.active_in(&ctx),
+                "{name}: witness for {} does not exhibit it",
+                c.cause
+            );
+        }
     }
 }
 

@@ -7,7 +7,7 @@ use debug_determinism::sim::{
     run_program, Builder, ChanClass, Program, RandomPolicy, RecordedDecision, ReplayPolicy,
     RunConfig, SimData, Value,
 };
-use debug_determinism::trace::{Trace, ValueLog};
+use debug_determinism::trace::ValueLog;
 use proptest::prelude::*;
 
 /// A parameterised racy counter: `workers` tasks each incrementing
@@ -103,7 +103,7 @@ proptest! {
             Box::new(RandomPolicy::new(seed)),
             vec![],
         );
-        let log = ValueLog::from_trace(&Trace::from_run(&original));
+        let log = ValueLog::from_trace(&original.trace);
         let (cursor, _stats) = log.into_cursor();
         let replay = run_program(
             &p,
@@ -184,7 +184,7 @@ proptest! {
             Box::new(RandomPolicy::new(seed)),
             vec![],
         );
-        let races = HbRaceDetector::analyze(&Trace::from_run(&out));
+        let races = HbRaceDetector::analyze(&out.trace);
         prop_assert!(races.is_empty(), "false positive: {:?}", races);
         prop_assert_eq!(
             out.io.outputs_on("result")[0].as_int(),
